@@ -13,8 +13,10 @@
 // it next to the mps volumes).
 //
 // The trade is recomputation: work that mps does once and shares via
-// messages is re-derived by every rank that needs it (Theorem 3.3 bounds the
-// chains, so the expected overlap is small). RankLoad::retries therefore
+// messages is re-derived by every rank that needs it. Theorem 3.3 keeps each
+// chain short, but at x > 1 the closures of one rank's rows still cover most
+// of the prefix (at x = 6, P = 4 each rank re-derives ~95% of all rows), so
+// the cost of one row decides throughput. RankLoad::retries therefore
 // counts the duplicate-retries *performed by this rank*, including those
 // re-derived on behalf of remote nodes.
 //
@@ -24,6 +26,8 @@
 // for x > 1 — for EVERY rank count and partition scheme. This is strictly
 // stronger than the mps engine, whose x > 1 multi-rank edge set depends on
 // message timing (docs/serving.md §5).
+//
+// pagen-lint: hot-path — derivation runs once per edge; flat tables only.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -31,7 +35,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,24 +65,25 @@ constexpr std::uint64_t kMaxAttempts = 100000;
 ///
 /// The memo is purely an accelerator — a chain walk terminates without it,
 /// and every memoized value is the chain's *final* value — so bounding it
-/// cannot change the output. memo_budget_bytes > 0 switches the unbounded
-/// map for a direct-mapped cache of that many bytes (the state_spill
-/// capability for x = 1: bounded RSS at any n, no disk needed; a miss
-/// costs one expected-O(1/p) re-walk).
+/// cannot change the output. It is one direct-mapped slot table of n slots
+/// indexed by node id, or — with memo_budget_bytes > 0, the state_spill
+/// capability for x = 1: bounded RSS at any n, no disk needed — of
+/// min(budget / 16, n) slots, indexed by a hash when fewer than n; a
+/// collision evicts, and a miss costs one expected-O(1/p) re-walk.
 class X1Deriver {
  public:
   X1Deriver(const PaConfig& config, std::uint64_t memo_budget_bytes)
       : draws_(config) {
-    if (memo_budget_bytes > 0) {
-      // The memo never holds more than n entries, so small graphs get a
-      // right-sized table instead of the whole budget up front.
-      const auto slots = static_cast<std::size_t>(std::min<std::uint64_t>(
-          std::max<std::uint64_t>(memo_budget_bytes / sizeof(Slot), 1),
-          config.n));
-      cache_.assign(slots, Slot{kNil, kNil});
-    } else {
-      memo_.emplace(NodeId{1}, NodeId{0});  // bootstrap edge (1, 0)
-    }
+    // The memo never holds more than n entries, so small graphs get a
+    // right-sized table instead of the whole budget up front.
+    const std::uint64_t slots =
+        memo_budget_bytes == 0
+            ? config.n
+            : std::min<std::uint64_t>(
+                  std::max<std::uint64_t>(memo_budget_bytes / sizeof(Slot), 1),
+                  config.n);
+    cache_.assign(static_cast<std::size_t>(slots), Slot{kNil, kNil});
+    by_node_ = slots == config.n;
   }
 
   [[nodiscard]] NodeId value(NodeId t) {
@@ -111,12 +115,6 @@ class X1Deriver {
       val = 0;
       return true;
     }
-    if (cache_.empty()) {
-      const auto it = memo_.find(u);
-      if (it == memo_.end()) return false;
-      val = it->second;
-      return true;
-    }
     const Slot& slot = cache_[slot_index(u)];
     if (slot.key != u) return false;
     val = slot.val;
@@ -125,162 +123,139 @@ class X1Deriver {
 
   void remember(NodeId u, NodeId val) {
     if (u == 1) return;
-    if (cache_.empty()) {
-      memo_.emplace(u, val);
-    } else {
-      cache_[slot_index(u)] = {u, val};  // direct-mapped: collision evicts
-    }
+    cache_[slot_index(u)] = {u, val};
   }
 
   [[nodiscard]] std::size_t slot_index(NodeId u) const {
+    if (by_node_) return static_cast<std::size_t>(u);
     std::uint64_t h = u * 0x9e3779b97f4a7c15ULL;
     h ^= h >> 32;
     return static_cast<std::size_t>(h % cache_.size());
   }
 
   DrawSchema draws_;
-  std::unordered_map<NodeId, NodeId> memo_;
   std::vector<Slot> cache_;
+  bool by_node_ = false;  ///< n slots: slot u holds node u, no collisions
   std::vector<NodeId> path_;
 };
 
 /// x > 1 re-derivation: whole rows F_u(0..x-1) in the sequential order of
-/// baseline::copy_model_general. A row suspends when its copy path needs a
-/// node whose row is not derived yet; dependencies are strictly smaller
-/// (pick_k range [x, u-1]), so the explicit stack never cycles.
+/// baseline::copy_model_general, kept in one node-indexed table whose entry
+/// u * x + e holds F_u(e) (kNil while unresolved). Slots fill in order, so a
+/// row is complete exactly when its last slot is set.
 ///
-/// With a spill path (the state_spill capability), *completed* rows page
-/// out to a store::ExternalArray keyed u * x + e — completed rows are
-/// immutable and never contain kNil, so the fill value doubles as the
-/// "not derived yet" marker — and only in-progress rows stay in the map.
-/// Peak RSS is the spill page-cache budget plus the suspended-row
-/// frontier, instead of every row ever derived; the derivation order, and
-/// therefore the output, is bitwise-unchanged.
+/// A row suspends when its copy path needs a row not derived yet, and its
+/// progress (slot, attempt, copy latch) waits in its frame on an explicit
+/// stack. Dependencies are strictly smaller (pick_k range [x, u-1]), so the
+/// stack never cycles, and a dependency is never on it: every row off the
+/// stack is either complete or untouched.
+///
+/// The table is a plain vector (8 * n * x bytes per rank), or, with a spill
+/// path (the state_spill capability), a store::ExternalArray of the same
+/// layout whose page cache holds spill_budget_bytes; never-written pages
+/// read as kNil, so the backing file stays sparse. The derivation order,
+/// and therefore the output, is the same either way.
 class XkDeriver {
  public:
   XkDeriver(const PaConfig& config, const std::string& spill_path,
             std::uint64_t spill_budget_bytes)
       : draws_(config), x_(config.x) {
-    if (!spill_path.empty()) {
+    if (spill_path.empty()) {
+      ram_.assign(static_cast<std::size_t>(config.n * x_), kNil);
+    } else {
       spill_.emplace(spill_path, config.n * x_, kNil, spill_budget_bytes);
+    }
+    // Bootstrap convention: F_x(e) = e (DESIGN.md §5).
+    for (NodeId e = 0; e < x_; ++e) set(x_ * x_ + e, e);
+  }
+
+  /// Derives the row of node t (t >= x), and every row it copies from,
+  /// unless it is already complete.
+  void resolve(NodeId t) {
+    if (complete(t)) return;
+    stack_.clear();
+    stack_.push_back({.u = t});
+    while (!stack_.empty()) {
+      const NodeId dep = advance(stack_.back());
+      if (dep == kNil) {
+        stack_.pop_back();
+      } else {
+        stack_.push_back({.u = dep});
+      }
     }
   }
 
-  /// The fully resolved row of node t (t >= x). Reference stays valid until
-  /// the next node_row call.
-  [[nodiscard]] const std::vector<NodeId>& node_row(NodeId t) {
-    ensure(t);
-    if (!spill_) return rows_.find(t)->second.v;
-    row_buf_.resize(x_);
-    for (NodeId e = 0; e < x_; ++e) row_buf_[e] = spill_->get(t * x_ + e);
-    return row_buf_;
-  }
+  /// F_t(e) of a resolved row.
+  [[nodiscard]] NodeId at(NodeId t, NodeId e) { return get(t * x_ + e); }
 
   /// Duplicate-retries performed by this deriver (own + re-derived nodes).
   [[nodiscard]] Count retries() const { return retries_; }
 
  private:
-  struct Row {
-    std::vector<NodeId> v;         ///< F_u(e); kNil while unresolved
-    NodeId next_e = 0;             ///< first unresolved slot; == x when done
-    std::uint64_t attempt = 0;     ///< in-progress attempt for slot next_e
-    bool locked_copy = false;      ///< Lines 27-29 latch for slot next_e
+  struct Frame {
+    NodeId u;
+    NodeId e = 0;               ///< first unresolved slot of u's row
+    std::uint64_t attempt = 0;  ///< in-progress attempt for slot e
+    bool locked_copy = false;   ///< Lines 27-29 latch for slot e
   };
 
-  Row& row(NodeId u) {
-    const auto [it, inserted] = rows_.try_emplace(u);
-    if (inserted) {
-      it->second.v.assign(x_, kNil);
-      if (u == x_) {  // bootstrap convention: F_x(e) = e (DESIGN.md §5)
-        for (NodeId e = 0; e < x_; ++e) it->second.v[e] = e;
-        it->second.next_e = x_;
-      }
-    }
-    return it->second;
+  [[nodiscard]] NodeId get(std::uint64_t i) {
+    return spill_ ? spill_->get(i) : ram_[i];
   }
 
-  /// Resolve u's remaining slots exactly as copy_model_general would.
+  void set(std::uint64_t i, NodeId v) {
+    if (spill_) {
+      spill_->set(i, v);
+    } else {
+      ram_[i] = v;
+    }
+  }
+
+  [[nodiscard]] bool complete(NodeId u) { return get(u * x_ + x_ - 1) != kNil; }
+
+  /// Resolve f.u's remaining slots exactly as copy_model_general would.
   /// Returns kNil when the row completes, or the dependency node the copy
   /// path is blocked on. The attempt counter is NOT advanced on suspension,
   /// so resuming re-derives the identical (k, l) pair — draws are pure in
   /// (seed, u, e, attempt).
-  NodeId advance(Row& r, NodeId u) {
-    while (r.next_e < x_) {
-      const NodeId e = r.next_e;
+  NodeId advance(Frame& f) {
+    const std::uint64_t row = f.u * x_;
+    for (; f.e < x_; ++f.e, f.attempt = 0, f.locked_copy = false) {
+      // Slots past e are still kNil, so only the resolved prefix can clash.
       const auto is_dup = [&](NodeId v) {
-        for (NodeId j = 0; j < x_; ++j) {
-          if (r.v[j] == v) return true;
+        for (NodeId j = 0; j < f.e; ++j) {
+          if (get(row + j) == v) return true;
         }
         return false;
       };
-      for (;;) {
-        PAGEN_CHECK_MSG(r.attempt < kMaxAttempts,
-                        "duplicate-retry cap exceeded at node " << u);
-        const NodeId k = draws_.pick_k(u, e, r.attempt);
-        if (!r.locked_copy && draws_.pick_direct(u, e, r.attempt)) {
+      for (;; ++f.attempt, ++retries_) {
+        PAGEN_CHECK_MSG(f.attempt < kMaxAttempts,
+                        "duplicate-retry cap exceeded at node " << f.u);
+        const NodeId k = draws_.pick_k(f.u, f.e, f.attempt);
+        if (!f.locked_copy && draws_.pick_direct(f.u, f.e, f.attempt)) {
           if (!is_dup(k)) {
-            r.v[e] = k;
+            set(row + f.e, k);
             break;
           }
         } else {
-          const NodeId l = draws_.pick_l(u, e, r.attempt);
-          NodeId v = kNil;
-          const auto dep = rows_.find(k);
-          if (dep != rows_.end()) {
-            if (dep->second.next_e < x_) return k;
-            v = dep->second.v[l];
-          } else if (spill_ && spill_->get(k * x_) != kNil) {
-            v = spill_->get(k * x_ + l);
-          } else {
-            return k;
-          }
+          if (!complete(k)) return k;
+          const NodeId v = get(k * x_ + draws_.pick_l(f.u, f.e, f.attempt));
           if (!is_dup(v)) {
-            r.v[e] = v;
+            set(row + f.e, v);
             break;
           }
-          r.locked_copy = true;
+          f.locked_copy = true;
         }
-        ++r.attempt;
-        ++retries_;
       }
-      ++r.next_e;
-      r.attempt = 0;
-      r.locked_copy = false;
     }
     return kNil;
   }
 
-  void ensure(NodeId t) {
-    // Spill invariant: rows_ holds only in-progress rows; every completed
-    // row lives in the spill array (slot 0 != kNil marks it derived).
-    if (spill_ && !rows_.contains(t) && spill_->get(t * x_) != kNil) return;
-    stack_.clear();
-    stack_.push_back(t);
-    while (!stack_.empty()) {
-      const NodeId u = stack_.back();
-      const NodeId dep = advance(row(u), u);
-      if (dep == kNil) {
-        if (spill_) evict(u);
-        stack_.pop_back();
-      } else {
-        stack_.push_back(dep);
-      }
-    }
-  }
-
-  /// Page the completed row out and drop it from the in-RAM map.
-  void evict(NodeId u) {
-    const auto it = rows_.find(u);
-    for (NodeId e = 0; e < x_; ++e) spill_->set(u * x_ + e, it->second.v[e]);
-    rows_.erase(it);
-  }
-
   DrawSchema draws_;
   NodeId x_;
-  std::unordered_map<NodeId, Row> rows_;
+  std::vector<NodeId> ram_;
   std::optional<store::ExternalArray<NodeId>> spill_;
-  std::vector<NodeId> row_buf_;
-  std::vector<NodeId> stack_;
+  std::vector<Frame> stack_;
   Count retries_ = 0;
 };
 
@@ -353,8 +328,8 @@ void derive_rank(const PaConfig& config, const ParallelOptions& options,
         for (NodeId i = 0; i < t; ++i) emit(t, i);
         continue;
       }
-      const std::vector<NodeId>& row = derive.node_row(t);
-      for (NodeId e = 0; e < config.x; ++e) emit(t, row[e]);
+      derive.resolve(t);
+      for (NodeId e = 0; e < config.x; ++e) emit(t, derive.at(t, e));
     }
     load.retries = derive.retries();
   }

@@ -87,6 +87,8 @@ void check_engine_options(const Engine& engine, const ParallelOptions& options) 
                   "engine '" << engine.name()
                              << "' does not support external-memory state "
                                 "spill (spill_dir); use commfree");
+  PAGEN_CHECK_MSG(options.spill_dir.empty() || options.spill_budget_bytes > 0,
+                  "spill_budget_bytes must be > 0 when spill_dir is set");
 }
 
 }  // namespace pagen::core

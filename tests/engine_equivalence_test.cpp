@@ -4,8 +4,9 @@
 // two-sample critical value at P in {1, 2, 4, 7}, with capability-gated
 // skips for single-rank engines. The communication-free engine is pinned
 // harder: bitwise-identical output to the oracle for every P and scheme,
-// with identically zero request/resolved message volume, and a power-law
-// degree exponent in the preferential-attachment range.
+// per-rank retry counts bounded by the oracle's, identically zero
+// request/resolved message volume, and a power-law degree exponent in the
+// preferential-attachment range.
 //
 // When PAGEN_ENGINE_REPORT names a file, the KS sweep also writes the
 // per-engine KS / message-volume report that the engine-equivalence CI job
@@ -150,21 +151,42 @@ TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleX1) {
   }
 }
 
+// Beyond the output, the retry counts pin that each rank derives every row
+// at most once: at P = 1 the deriver performs exactly the oracle's retries,
+// and at any P no rank performs more. A deriver that re-derived rows would
+// still emit the oracle's edges, so equality alone cannot catch it.
 TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleXk) {
-  PaConfig cfg;
-  cfg.n = 3000;
-  cfg.x = 5;
-  cfg.p = 0.4;
-  cfg.seed = 11;
-  const graph::EdgeList oracle =
-      normalized(baseline::copy_model_general(cfg).edges);
+  for (const PaConfig& cfg :
+       {PaConfig{.n = 3000, .x = 5, .p = 0.4, .seed = 11},  // direct + copy
+        PaConfig{.n = 3000, .x = 5, .p = 0.0, .seed = 11},  // copy-only
+        PaConfig{.n = 200, .x = 8, .p = 0.2, .seed = 5}}) {  // heavy retries
+    const baseline::GeneralResult seq = baseline::copy_model_general(cfg);
+    const graph::EdgeList oracle = normalized(seq.edges);
 
-  for (const int ranks : kRankSweep) {
-    ParallelOptions opt;
-    opt.engine = "commfree";
-    opt.ranks = ranks;
-    const ParallelResult result = generate(cfg, opt);
-    EXPECT_EQ(normalized(result.edges), oracle) << "P=" << ranks;
+    for (const int ranks : kRankSweep) {
+      for (const auto scheme :
+           {partition::Scheme::kRrp, partition::Scheme::kUcp,
+            partition::Scheme::kLcp}) {
+        ParallelOptions opt;
+        opt.engine = "commfree";
+        opt.ranks = ranks;
+        opt.scheme = scheme;
+        const ParallelResult result = generate(cfg, opt);
+        const std::string where = "n=" + std::to_string(cfg.n) +
+                                  " x=" + std::to_string(cfg.x) +
+                                  " p=" + std::to_string(cfg.p) +
+                                  " P=" + std::to_string(ranks) +
+                                  " scheme=" + partition::to_string(scheme);
+        EXPECT_EQ(normalized(result.edges), oracle) << where;
+        for (const RankLoad& load : result.loads) {
+          EXPECT_LE(load.retries, seq.retries) << where;
+        }
+        if (ranks == 1) {
+          EXPECT_EQ(merge_across_ranks(result.loads).retries, seq.retries)
+              << where;
+        }
+      }
+    }
   }
 }
 

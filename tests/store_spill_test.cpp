@@ -1,8 +1,8 @@
 // External-memory spill tests (docs/storage.md §5): the ExternalArray
 // paging primitive, and the commfree engine's guarantee that spilling its
 // derivation state to disk is a pure memory optimization — the emitted
-// edge set is identical with and without spill, at x = 1 (bounded memo)
-// and x > 1 (paged completed rows), under budgets tiny enough to force
+// edge set equals the sequential copy-model oracle's, at x = 1 (bounded
+// memo) and x > 1 (paged row table), under budgets tiny enough to force
 // heavy eviction.
 #include "store/ext_array.h"
 
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/copy_model_seq.h"
 #include "core/generate.h"
 #include "util/error.h"
 
@@ -92,41 +93,62 @@ core::ParallelOptions commfree_options(int ranks) {
   return opt;
 }
 
-TEST_F(SpillTest, CommfreeSpillIsOutputIdenticalAtXOne) {
+TEST_F(SpillTest, CommfreeSpillMatchesOracleAtXOne) {
   PaConfig cfg;
   cfg.n = 4000;
   cfg.x = 1;
   cfg.seed = 23;
-  const auto baseline = core::generate(cfg, commfree_options(2));
 
   core::ParallelOptions spilled = commfree_options(2);
   spilled.spill_dir = dir_;
   spilled.spill_budget_bytes = 1 << 12;  // bounded memo far below n slots
   const auto with_spill = core::generate(cfg, spilled);
 
-  EXPECT_EQ(normalized(with_spill.edges), normalized(baseline.edges));
-  EXPECT_EQ(with_spill.targets, baseline.targets);
+  EXPECT_EQ(with_spill.targets, baseline::copy_model_targets(cfg));
+  EXPECT_EQ(normalized(with_spill.edges),
+            normalized(baseline::copy_model_general(cfg).edges));
 }
 
-TEST_F(SpillTest, CommfreeSpillIsOutputIdenticalAtXFour) {
+TEST_F(SpillTest, CommfreeSpillMatchesOracleAtXFour) {
   PaConfig cfg;
   cfg.n = 1500;
   cfg.x = 4;
   cfg.seed = 29;
-  const auto baseline = core::generate(cfg, commfree_options(3));
 
   core::ParallelOptions spilled = commfree_options(3);
   spilled.spill_dir = dir_;
   spilled.spill_budget_bytes = 1;  // one cached page: maximal eviction
   const auto with_spill = core::generate(cfg, spilled);
 
-  EXPECT_EQ(normalized(with_spill.edges), normalized(baseline.edges));
+  EXPECT_EQ(normalized(with_spill.edges),
+            normalized(baseline::copy_model_general(cfg).edges));
   // Spill files are per rank and must actually exist.
   int spill_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     spill_files += entry.path().extension() == ".spill" ? 1 : 0;
   }
   EXPECT_EQ(spill_files, 3);
+}
+
+TEST_F(SpillTest, ZeroSpillBudgetRejected) {
+  // 0 would mean "unbounded" to the x = 1 memo and "one page" to the x > 1
+  // row table, so it is refused outright for every x.
+  for (const NodeId x : {NodeId{1}, NodeId{4}}) {
+    PaConfig cfg;
+    cfg.n = 200;
+    cfg.x = x;
+    core::ParallelOptions opt = commfree_options(2);
+    opt.spill_dir = dir_;
+    opt.spill_budget_bytes = 0;
+    try {
+      (void)core::generate(cfg, opt);
+      ADD_FAILURE() << "expected CheckError at x=" << x;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("spill_budget_bytes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(SpillTest, SpillRejectedOnEnginesWithoutTheCapability) {
