@@ -6,6 +6,12 @@
 // scheme, message timing, and execution order.  This is what makes the
 // parallel generator *exact* and testable against the sequential one
 // (DESIGN.md §5).
+//
+// Each choice is the CounterRng stream (purpose, t, e, attempt), hashed one
+// round per coordinate, so its state is kept where its inputs change: the
+// purpose keys once per schema, row(t) once per node, Row::slot(e) once per
+// edge slot; a draw on a given attempt then costs one round. The
+// (t, e, attempt) overloads redo the node and slot rounds on every call.
 #pragma once
 
 #include "baseline/pa_config.h"
@@ -16,25 +22,71 @@ namespace pagen {
 
 class DrawSchema {
  public:
-  explicit DrawSchema(const PaConfig& config)
-      : rng_(config.seed), p_(config.p), x_(config.x) {}
+  /// One hash state per purpose: pick_k, pick_direct, pick_l.
+  struct States {
+    std::uint64_t k;
+    std::uint64_t coin;
+    std::uint64_t l;
+
+    [[nodiscard]] States absorb(std::uint64_t coord) const {
+      return {rng::CounterRng::absorb(k, coord),
+              rng::CounterRng::absorb(coin, coord),
+              rng::CounterRng::absorb(l, coord)};
+    }
+  };
+
+  /// The draws of node t's e-th edge, every attempt.
+  struct Slot {
+    NodeId t;
+    States states;
+  };
+
+  /// The draws of node t, every edge slot.
+  struct Row {
+    NodeId t;
+    States states;
+
+    [[nodiscard]] Slot slot(NodeId e) const { return {t, states.absorb(e)}; }
+  };
+
+  explicit DrawSchema(const PaConfig& config) : p_(config.p), x_(config.x) {
+    const rng::CounterRng rng(config.seed);
+    keys_ = {rng.purpose_key(kPurposeK), rng.purpose_key(kPurposeCoin),
+             rng.purpose_key(kPurposeL)};
+  }
+
+  /// Node t's draws: one round per purpose on top of the purpose keys.
+  [[nodiscard]] Row row(NodeId t) const { return {t, keys_.absorb(t)}; }
 
   /// Line 3 / Line 4: the uniformly selected node k for (t, e, attempt).
   /// Range is [1, t-1] for x = 1 and [x, t-1] for the general algorithm.
-  [[nodiscard]] NodeId pick_k(NodeId t, NodeId e, std::uint64_t attempt) const {
+  [[nodiscard]] NodeId pick_k(const Slot& s, std::uint64_t attempt) const {
     const NodeId lo = x_ == 1 ? NodeId{1} : x_;
-    return rng_.range(lo, t - 1, {kPurposeK, t, e, attempt});
+    return rng::CounterRng::range(lo, s.t - 1, s.states.k, attempt);
   }
 
   /// Line 5: true means "connect directly to k" (probability p).
-  [[nodiscard]] bool pick_direct(NodeId t, NodeId e,
-                                 std::uint64_t attempt) const {
-    return rng_.coin(p_, {kPurposeCoin, t, e, attempt});
+  [[nodiscard]] bool pick_direct(const Slot& s, std::uint64_t attempt) const {
+    return rng::CounterRng::coin(p_, s.states.coin, attempt);
   }
 
   /// Line 12: which of k's x edges to copy (0-based).
+  [[nodiscard]] NodeId pick_l(const Slot& s, std::uint64_t attempt) const {
+    return rng::CounterRng::below(x_, s.states.l, attempt);
+  }
+
+  // The same draws addressed by (t, e, attempt).
+  [[nodiscard]] NodeId pick_k(NodeId t, NodeId e, std::uint64_t attempt) const {
+    return pick_k(row(t).slot(e), attempt);
+  }
+
+  [[nodiscard]] bool pick_direct(NodeId t, NodeId e,
+                                 std::uint64_t attempt) const {
+    return pick_direct(row(t).slot(e), attempt);
+  }
+
   [[nodiscard]] NodeId pick_l(NodeId t, NodeId e, std::uint64_t attempt) const {
-    return rng_.below(x_, {kPurposeL, t, e, attempt});
+    return pick_l(row(t).slot(e), attempt);
   }
 
  private:
@@ -42,9 +94,9 @@ class DrawSchema {
   static constexpr std::uint64_t kPurposeCoin = 2;
   static constexpr std::uint64_t kPurposeL = 3;
 
-  rng::CounterRng rng_;
   double p_;
   NodeId x_;
+  States keys_{};
 };
 
 }  // namespace pagen

@@ -220,7 +220,9 @@ class XkDeriver {
   /// (seed, u, e, attempt).
   NodeId advance(Frame& f) {
     const std::uint64_t row = f.u * x_;
+    const DrawSchema::Row draws = draws_.row(f.u);
     for (; f.e < x_; ++f.e, f.attempt = 0, f.locked_copy = false) {
+      const DrawSchema::Slot slot = draws.slot(f.e);
       // Slots past e are still kNil, so only the resolved prefix can clash.
       const auto is_dup = [&](NodeId v) {
         for (NodeId j = 0; j < f.e; ++j) {
@@ -231,15 +233,15 @@ class XkDeriver {
       for (;; ++f.attempt, ++retries_) {
         PAGEN_CHECK_MSG(f.attempt < kMaxAttempts,
                         "duplicate-retry cap exceeded at node " << f.u);
-        const NodeId k = draws_.pick_k(f.u, f.e, f.attempt);
-        if (!f.locked_copy && draws_.pick_direct(f.u, f.e, f.attempt)) {
+        const NodeId k = draws_.pick_k(slot, f.attempt);
+        if (!f.locked_copy && draws_.pick_direct(slot, f.attempt)) {
           if (!is_dup(k)) {
             set(row + f.e, k);
             break;
           }
         } else {
           if (!complete(k)) return k;
-          const NodeId v = get(k * x_ + draws_.pick_l(f.u, f.e, f.attempt));
+          const NodeId v = get(k * x_ + draws_.pick_l(slot, f.attempt));
           if (!is_dup(v)) {
             set(row + f.e, v);
             break;

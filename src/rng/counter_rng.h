@@ -10,11 +10,18 @@
 //
 // The hash is a chained SplitMix64 permutation over the coordinates, which
 // passes PractRand-style independence smoke tests (see tests/rng_test.cpp).
+// It runs one round per step: purpose_key(purpose), absorb(a), absorb(b),
+// finish(c, round). Each step depends only on the steps before it, so a
+// caller that makes many draws under the same leading coordinates computes
+// that prefix once and pays one round per draw (DrawSchema keeps one state
+// per purpose, node and slot). raw() spells the chain out in full; it is the
+// reference the steps are tested against.
 #pragma once
 
 #include <cstdint>
 
 #include "rng/splitmix.h"
+#include "util/error.h"
 
 namespace pagen::rng {
 
@@ -45,17 +52,77 @@ class CounterRng {
     return h;
   }
 
+  /// Step 1 of raw(): the state after the (seed, purpose) round.
+  [[nodiscard]] constexpr std::uint64_t purpose_key(
+      std::uint64_t purpose) const {
+    return splitmix64_mix(key_ ^ (purpose + 0x9e3779b97f4a7c15ULL));
+  }
+
+  /// Step 2 of raw(): absorb the next leading coordinate (a, then b).
+  [[nodiscard]] static constexpr std::uint64_t absorb(std::uint64_t state,
+                                                      std::uint64_t coord) {
+    return splitmix64_mix(state ^ coord);
+  }
+
+  /// Step 3 of raw(): the bits of one round for the last coordinate c.
+  [[nodiscard]] static constexpr std::uint64_t finish(std::uint64_t state,
+                                                      std::uint64_t c,
+                                                      std::uint64_t round) {
+    return splitmix64_mix(state ^ (c + (round << 32)));
+  }
+
   /// Unbiased uniform integer in [0, bound), bound >= 1.
   /// Lemire multiply-shift with deterministic rejection rounds.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound, const Stream& s) const;
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound,
+                                    const Stream& s) const {
+    return below(bound, prefix(s), s.c);
+  }
+
+  /// below() of the stream whose steps 1-2 gave `state` and whose last
+  /// coordinate is c.
+  [[nodiscard]] static std::uint64_t below(std::uint64_t bound,
+                                           std::uint64_t state,
+                                           std::uint64_t c) {
+    PAGEN_CHECK_MSG(bound >= 1, "uniform bound must be positive");
+    using u128 = unsigned __int128;
+    std::uint64_t x = finish(state, c, 0);
+    u128 m = static_cast<u128>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      // Rejection threshold per Lemire (2019): discard the biased low slice.
+      const std::uint64_t threshold = -bound % bound;
+      std::uint64_t round = 1;
+      while (lo < threshold) {
+        x = finish(state, c, round++);
+        m = static_cast<u128>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Unbiased uniform integer in [lo, hi] (inclusive).
   [[nodiscard]] std::uint64_t range(std::uint64_t lo, std::uint64_t hi,
-                                    const Stream& s) const;
+                                    const Stream& s) const {
+    return range(lo, hi, prefix(s), s.c);
+  }
+
+  /// range() of the stream whose steps 1-2 gave `state`.
+  [[nodiscard]] static std::uint64_t range(std::uint64_t lo, std::uint64_t hi,
+                                           std::uint64_t state,
+                                           std::uint64_t c) {
+    PAGEN_CHECK_MSG(lo <= hi, "range lower bound exceeds upper bound");
+    return lo + below(hi - lo + 1, state, c);
+  }
 
   /// Uniform double in [0, 1) with 53 random bits.
   [[nodiscard]] double unit(const Stream& s) const {
-    return static_cast<double>(raw(s) >> 11) * 0x1.0p-53;
+    return unit(prefix(s), s.c);
+  }
+
+  /// unit() of the stream whose steps 1-2 gave `state`.
+  [[nodiscard]] static double unit(std::uint64_t state, std::uint64_t c) {
+    return static_cast<double>(finish(state, c, 0) >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli trial: true with probability p.
@@ -63,9 +130,18 @@ class CounterRng {
     return unit(s) < p;
   }
 
-  [[nodiscard]] std::uint64_t key() const { return key_; }
+  /// coin() of the stream whose steps 1-2 gave `state`.
+  [[nodiscard]] static bool coin(double p, std::uint64_t state,
+                                 std::uint64_t c) {
+    return unit(state, c) < p;
+  }
 
  private:
+  /// Steps 1-2 of raw() for s: every round but the last.
+  [[nodiscard]] constexpr std::uint64_t prefix(const Stream& s) const {
+    return absorb(absorb(purpose_key(s.purpose), s.a), s.b);
+  }
+
   std::uint64_t key_;
 };
 
