@@ -9,6 +9,7 @@
 //  (c) streaming sinks — degrees accumulated during generation, no edge
 //      storage at all.
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "analysis/degree_dist.h"
@@ -75,10 +76,12 @@ int main(int argc, char** argv) {
     opt.gather_edges = false;
     std::vector<std::vector<Count>> deg_per_rank(
         static_cast<std::size_t>(ranks), std::vector<Count>(cfg.n, 0));
-    opt.edge_sink = [&](Rank r, const graph::Edge& e) {
+    opt.edge_batch_sink = [&](Rank r, std::span<const graph::Edge> es) {
       auto& deg = deg_per_rank[static_cast<std::size_t>(r)];
-      ++deg[e.u];
-      ++deg[e.v];
+      for (const graph::Edge& e : es) {
+        ++deg[e.u];
+        ++deg[e.v];
+      }
     };
     (void)core::generate(cfg, opt);
     std::vector<Count> deg(cfg.n, 0);

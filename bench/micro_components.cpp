@@ -191,15 +191,16 @@ void BM_OutstandingSlotStore(benchmark::State& state) {
 }
 BENCHMARK(BM_OutstandingSlotStore)->Unit(benchmark::kMillisecond);
 
-// --- Edge-sink dispatch: per-edge std::function callback (the original
-// ParallelOptions::edge_sink contract) vs the batched span adapter
-// (edge_batch_sink), modeling genrt::Driver::emit_edge's sink hand-off. The
-// batch adapter pays one indirect call per edge_batch_capacity edges plus a
-// buffer append, instead of one indirect call per edge — the difference a
-// high-volume sink (sharded writer, streaming checksum) sees.
+// --- Edge-sink dispatch: a per-edge std::function callback vs the batched
+// span adapter, modeling genrt::EdgeEmitter::emit's hand-off to
+// ParallelOptions::edge_batch_sink. The batch adapter pays one indirect call
+// per edge_batch_capacity edges plus a buffer append, instead of one
+// indirect call per edge — the difference a high-volume sink (sharded
+// writer, streaming checksum) sees, and the reason the batched sink is the
+// only streaming sink.
 
 constexpr Count kSinkEdges = 10'000'000;
-constexpr std::size_t kSinkBatch = 4096;  ///< edge_batch_capacity default
+constexpr std::size_t kSinkBatch = core::ParallelOptions::edge_batch_capacity;
 
 graph::Edge sink_edge(Count i) {
   return {static_cast<NodeId>(i), static_cast<NodeId>(i / 2)};

@@ -41,6 +41,7 @@
 #include "baseline/pa_config.h"
 #include "baseline/pa_draws.h"
 #include "core/engine/engine.h"
+#include "core/genrt/emitter.h"
 #include "core/genrt/launch.h"
 #include "core/load_stats.h"
 #include "core/options.h"
@@ -262,36 +263,15 @@ class XkDeriver {
 };
 
 /// One rank's derivation pass: walk the rank's own nodes in partition-local
-/// order, re-derive each value locally, and emit through the same sink
-/// surface as the genrt driver (edge_sink / edge_batch_sink / local shard).
-void derive_rank(const PaConfig& config, const ParallelOptions& options,
-                 const partition::Partition& part, mps::Comm& comm,
-                 std::vector<graph::EdgeList>& edge_slots,
-                 std::vector<std::vector<NodeId>>& value_slots,
-                 LoadVector& load_slots) {
-  const auto slot = static_cast<std::size_t>(comm.rank());
+/// order, re-derive each value locally, and emit through the rank's emitter,
+/// the same output path as the genrt driver. Returns the rank's load.
+RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
+                     const partition::Partition& part, mps::Comm& comm,
+                     genrt::EdgeEmitter& out) {
   obs::RankObserver* ob = comm.obs();
   const auto sp = obs::span(ob, "derive");
 
-  const bool store_edges = options.gather_edges || options.keep_shards;
   RankLoad load;
-  graph::EdgeList edges;
-  graph::EdgeList batch;
-  if (options.edge_batch_sink) batch.reserve(options.edge_batch_capacity);
-
-  const auto emit = [&](NodeId t, NodeId v) {
-    const graph::Edge e{t, v};
-    if (store_edges) edges.push_back(e);
-    if (options.edge_sink) options.edge_sink(comm.rank(), e);
-    if (options.edge_batch_sink) {
-      batch.push_back(e);
-      if (batch.size() >= options.edge_batch_capacity) {
-        options.edge_batch_sink(comm.rank(), batch);
-        batch.clear();
-      }
-    }
-    ++load.edges;
-  };
   const auto check_cancel = [&] {
     if (options.cancel_requested && options.cancel_requested()) {
       throw Cancelled();
@@ -304,17 +284,12 @@ void derive_rank(const PaConfig& config, const ParallelOptions& options,
   if (config.x == 1) {
     X1Deriver derive(config,
                      options.spill_dir.empty() ? 0 : options.spill_budget_bytes);
-    std::vector<NodeId> values;
-    if (options.gather_edges) values.assign(own, kNil);
     for (Count idx = 0; idx < own; ++idx) {
       if (idx % options.node_batch == 0) check_cancel();
       const NodeId t = part.node_at(comm.rank(), idx);
       if (t == 0) continue;  // the root has no target
-      const NodeId v = derive.value(t);
-      if (options.gather_edges) values[idx] = v;
-      emit(t, v);
+      out.emit({t, derive.value(t)});
     }
-    if (options.gather_edges) value_slots[slot] = std::move(values);
   } else {
     const std::string spill_path =
         options.spill_dir.empty()
@@ -327,21 +302,19 @@ void derive_rank(const PaConfig& config, const ParallelOptions& options,
       const NodeId t = part.node_at(comm.rank(), idx);
       if (t < config.x) {
         // Initial clique: the newer endpoint emits, as in the mps shards.
-        for (NodeId i = 0; i < t; ++i) emit(t, i);
+        for (NodeId i = 0; i < t; ++i) out.emit({t, i});
         continue;
       }
       derive.resolve(t);
-      for (NodeId e = 0; e < config.x; ++e) emit(t, derive.at(t, e));
+      for (NodeId e = 0; e < config.x; ++e) out.emit({t, derive.at(t, e)});
     }
     load.retries = derive.retries();
   }
 
-  if (options.edge_batch_sink && !batch.empty()) {
-    options.edge_batch_sink(comm.rank(), batch);
-  }
+  out.finish();
+  load.edges = out.emitted();
   if (ob != nullptr) record_metrics(ob->metrics(), load);
-  load_slots[slot] = load;
-  if (store_edges) edge_slots[slot] = std::move(edges);
+  return load;
 }
 
 class CommFreeEngine final : public Engine {
@@ -376,8 +349,6 @@ class CommFreeEngine final : public Engine {
     PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,
                     "more ranks than nodes");
     PAGEN_CHECK_MSG(options.node_batch >= 1, "node_batch must be >= 1");
-    PAGEN_CHECK_MSG(!options.edge_batch_sink || options.edge_batch_capacity >= 1,
-                    "edge_batch_capacity must be >= 1");
 
     if (options.cancel_requested && options.cancel_requested()) {
       throw Cancelled();
@@ -390,7 +361,6 @@ class CommFreeEngine final : public Engine {
 
     const auto nranks = static_cast<std::size_t>(options.ranks);
     std::vector<graph::EdgeList> edge_slots(nranks);
-    std::vector<std::vector<NodeId>> value_slots(nranks);
     LoadVector load_slots(nranks);
 
     mps::RunResult run;
@@ -399,8 +369,10 @@ class CommFreeEngine final : public Engine {
       run = mps::run_ranks(
           options.ranks, mps::WorldOptions{},
           [&](mps::Comm& comm) {
-            derive_rank(config, options, *part, comm, edge_slots, value_slots,
-                        load_slots);
+            const auto slot = static_cast<std::size_t>(comm.rank());
+            genrt::EdgeEmitter out(options, comm.rank());
+            load_slots[slot] = derive_rank(config, options, *part, comm, out);
+            edge_slots[slot] = out.take_kept();
             // One trailing barrier so wall_seconds covers the slowest
             // rank's derivation; collectives are not logical messages.
             comm.barrier();
@@ -408,30 +380,10 @@ class CommFreeEngine final : public Engine {
           options.obs);
     }
 
-    ParallelResult result;
-    result.loads = std::move(load_slots);
+    ParallelResult result = genrt::assemble_result(
+        config, options, std::move(load_slots), std::move(edge_slots));
     result.comm_stats = run.rank_stats;
     result.wall_seconds = run.wall_seconds;
-    for (const RankLoad& l : result.loads) result.total_edges += l.edges;
-
-    if (options.gather_edges) {
-      result.edges.reserve(result.total_edges);
-      for (auto& es : edge_slots) {
-        result.edges.insert(result.edges.end(), es.begin(), es.end());
-        if (!options.keep_shards) es.clear();
-      }
-      if (config.x == 1) {
-        // Scatter each rank's value row back to global node order.
-        result.targets.assign(config.n, kNil);
-        for (Rank r = 0; r < options.ranks; ++r) {
-          const auto& values = value_slots[static_cast<std::size_t>(r)];
-          for (Count idx = 0; idx < values.size(); ++idx) {
-            result.targets[part->node_at(r, idx)] = values[idx];
-          }
-        }
-      }
-    }
-    if (options.keep_shards) result.shards = std::move(edge_slots);
     return result;
   }
 };

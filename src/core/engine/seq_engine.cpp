@@ -4,9 +4,7 @@
 // generate() rejects ranks > 1 for them — and mostly useful as the ground
 // truth end of cross-engine validation (tests/engine_equivalence_test.cpp)
 // and for small interactive runs.
-#include <cstddef>
 #include <memory>
-#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -15,6 +13,7 @@
 #include "baseline/copy_model_seq.h"
 #include "baseline/pa_config.h"
 #include "core/engine/engine.h"
+#include "core/genrt/emitter.h"
 #include "core/load_stats.h"
 #include "core/options.h"
 #include "core/parallel_pa.h"
@@ -28,44 +27,32 @@
 namespace pagen::core {
 namespace {
 
-/// Shared single-rank assembly: package a sequential generator's edges as a
-/// one-rank ParallelResult and feed the streaming sinks in emission order
-/// (everything reports as rank 0). Cancellation is coarse for these engines
-/// — checked before the run only; the baselines are monolithic.
-ParallelResult assemble_sequential(const ParallelOptions& options,
-                                   graph::EdgeList edges,
-                                   std::vector<NodeId> targets, Count nodes,
-                                   Count retries, const Timer& timer) {
+/// Shared single-rank output: feed a sequential generator's edges through a
+/// rank-0 emitter and assemble them as a one-rank ParallelResult. Cancellation
+/// is coarse for these engines — checked before the run only; the baselines
+/// are monolithic.
+ParallelResult assemble_sequential(const PaConfig& config,
+                                   const ParallelOptions& options,
+                                   graph::EdgeList edges, Count retries,
+                                   const Timer& timer) {
+  genrt::EdgeEmitter out(options, 0, edges.size());
+  for (const graph::Edge& e : edges) out.emit(e);
+  out.finish();
+  edges = graph::EdgeList{};  // the emitter kept its own copy if needed
+
   RankLoad load;
-  load.nodes = nodes;
-  load.edges = edges.size();
+  load.nodes = config.n;
+  load.edges = out.emitted();
   load.retries = retries;
-
-  if (options.edge_sink) {
-    for (const graph::Edge& e : edges) options.edge_sink(0, e);
+  if (options.obs != nullptr) {
+    record_metrics(options.obs->rank(0).metrics(), load);
   }
-  if (options.edge_batch_sink) {
-    PAGEN_CHECK_MSG(options.edge_batch_capacity >= 1,
-                    "edge_batch_capacity must be >= 1");
-    const std::span<const graph::Edge> all(edges);
-    for (std::size_t off = 0; off < all.size();
-         off += options.edge_batch_capacity) {
-      options.edge_batch_sink(
-          0, all.subspan(off, std::min(options.edge_batch_capacity,
-                                       all.size() - off)));
-    }
-  }
-  if (options.obs != nullptr) record_metrics(options.obs->rank(0).metrics(), load);
 
-  ParallelResult result;
-  result.total_edges = edges.size();
-  result.loads = {load};
+  std::vector<graph::EdgeList> kept;
+  kept.push_back(out.take_kept());
+  ParallelResult result =
+      genrt::assemble_result(config, options, {load}, std::move(kept));
   result.comm_stats = {mps::CommStats{}};
-  if (options.keep_shards) result.shards.push_back(edges);
-  if (options.gather_edges) {
-    result.edges = std::move(edges);
-    result.targets = std::move(targets);
-  }
   result.wall_seconds = timer.seconds();
   return result;
 }
@@ -98,15 +85,11 @@ class SeqCopyEngine final : public Engine {
     check_sequential_options(options);
     const Timer timer;
     if (config.x == 1) {
-      std::vector<NodeId> targets = baseline::copy_model_targets(config);
-      graph::EdgeList edges;
-      edges.reserve(config.n - 1);
-      for (NodeId t = 1; t < config.n; ++t) edges.push_back({t, targets[t]});
-      return assemble_sequential(options, std::move(edges), std::move(targets),
-                                 config.n, 0, timer);
+      return assemble_sequential(config, options,
+                                 baseline::copy_model_x1(config), 0, timer);
     }
     baseline::GeneralResult seq = baseline::copy_model_general(config);
-    return assemble_sequential(options, std::move(seq.edges), {}, config.n,
+    return assemble_sequential(config, options, std::move(seq.edges),
                                seq.retries, timer);
   }
 };
@@ -132,17 +115,8 @@ class SeqBbEngine final : public Engine {
       const PaConfig& config, const ParallelOptions& options) const override {
     check_sequential_options(options);
     const Timer timer;
-    graph::EdgeList edges = baseline::ba_batagelj_brandes(config);
-    std::vector<NodeId> targets;
-    if (config.x == 1) {
-      // Each node t >= 1 contributes exactly one edge (t, F_t): recover the
-      // targets row so x = 1 gather output is shaped like the other engines.
-      targets.assign(config.n, kNil);
-      for (const graph::Edge& e : edges) targets[e.u] = e.v;
-      targets[0] = kNil;
-    }
-    return assemble_sequential(options, std::move(edges), std::move(targets),
-                               config.n, 0, timer);
+    return assemble_sequential(config, options,
+                               baseline::ba_batagelj_brandes(config), 0, timer);
   }
 };
 

@@ -7,8 +7,8 @@
 // send buffering, the post-batch flush rule, counting termination, the flat
 // slot store, load accounting, observability spans, cooperative
 // cancellation (ParallelOptions::cancel_requested, polled at every phase
-// boundary), the batched edge sink, and the crash-recovery adapter — and
-// delegates the algorithm to a small policy object.
+// boundary), the rank's edge emitter (emitter.h), and the crash-recovery
+// adapter — and delegates the algorithm to a small policy object.
 //
 // pagen-lint: hot-path — the per-message event loop; flat tables only.
 //
@@ -18,7 +18,6 @@
 //   using Request / Resolved;         // slot-addressed wire pair (protocol.h)
 //   kFlushRequestsAfterPump;          // true if serving messages can create
 //                                     // fresh requests (duplicate retries)
-//   kHasTargets;                      // expose the value table as targets
 //   static slots_per_node(config);    // 1 for x = 1, x for the general case
 //   Policy(Driver&);                  // holds algorithm state (draws, ...)
 //   process_own_node(t);              // phase-1 work for one owned node
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "baseline/pa_config.h"
+#include "core/genrt/emitter.h"
 #include "core/genrt/protocol.h"
 #include "core/genrt/recovery.h"
 #include "core/genrt/slot_store.h"
@@ -83,7 +83,6 @@ class Driver {
         options_(options),
         part_(part),
         comm_(comm),
-        store_edges_(options.gather_edges || options.keep_shards),
         spn_(P::slots_per_node(config)),
         tolerant_(options.fault_plan.has_crash()),
         recovering_(comm.incarnation() > 0 ||
@@ -94,18 +93,13 @@ class Driver {
                         : nullptr),
         slots_(part.part_size(comm.rank()) * spn_, tolerant_, chain_hist_),
         waiters_(slots_.size()),
+        emitter_(options, comm.rank(), slots_.size()),
         req_buf_(comm, kTagRequest, options.buffer_capacity),
         res_buf_(comm, kTagResolved, options.buffer_capacity),
         done_(comm, kTagDone, kTagStop),
         recovery_(*this),
         policy_(*this) {
     load_.nodes = part.part_size(comm.rank());
-    if (store_edges_) edges_.reserve(slots_.size());
-    if (options.edge_batch_sink) {
-      PAGEN_CHECK_MSG(options.edge_batch_capacity >= 1,
-                      "edge_batch_capacity must be >= 1");
-      batch_buf_.reserve(options.edge_batch_capacity);
-    }
     if (ob_ != nullptr) {
       wait_depth_hist_ = &ob_->metrics().histogram("pa.wait_queue_depth");
       mailbox_gauge_ = &ob_->metrics().gauge("mps.mailbox_depth");
@@ -179,7 +173,8 @@ class Driver {
       res_buf_.flush_all();
     }
 
-    flush_edge_batch();
+    emitter_.finish();
+    load_.edges = emitter_.emitted();
     comm_.barrier();  // nobody tears down while peers might still poll
   }
 
@@ -189,11 +184,8 @@ class Driver {
   /// Slots restored from a checkpoint by this incarnation's bring-up
   /// (resume or respawn); 0 on a cold start.
   [[nodiscard]] Count restored_slots() const { return recovery_.restored(); }
-  [[nodiscard]] graph::EdgeList&& take_edges() { return std::move(edges_); }
-  /// The slot-value table (x = 1: the targets row F_t by local index).
-  [[nodiscard]] std::vector<NodeId> take_values() {
-    return slots_.release_values();
-  }
+  /// This rank's kept edges (empty unless gathering or keeping shards).
+  [[nodiscard]] graph::EdgeList take_edges() { return emitter_.take_kept(); }
 
   // --- Facilities for the policy and the recovery adapter ---
 
@@ -319,24 +311,16 @@ class Driver {
     q.shrink_to_fit();
   }
 
-  void emit_edge(const graph::Edge& e) {
-    if (store_edges_) edges_.push_back(e);
-    if (options_.edge_sink) options_.edge_sink(comm_.rank(), e);
-    if (options_.edge_batch_sink) {
-      batch_buf_.push_back(e);
-      if (batch_buf_.size() >= options_.edge_batch_capacity) {
-        flush_edge_batch();
-      }
-    }
-    ++load_.edges;
-  }
+  /// Hand one edge to the rank's emitter (a slot resolution, a restored
+  /// checkpoint slot, or an x > 1 clique edge).
+  void emit_edge(const graph::Edge& e) { emitter_.emit(e); }
 
  private:
   /// Cooperative cancellation (docs/serving.md §4): polled at every phase
   /// boundary and pump round, so a cancel lands within ~kIdleWait even on a
   /// rank that is only waiting. Throwing here unwinds through run_ranks'
-  /// abort path — peers are woken, nobody wedges — and a buffered batch
-  /// sink simply drops its tail (a cancelled job's stream is truncated by
+  /// abort path — peers are woken, nobody wedges — and the emitter simply
+  /// drops its buffered tail (a cancelled job's stream is truncated by
   /// contract).
   void check_cancel() {
     if (options_.cancel_requested && options_.cancel_requested()) {
@@ -344,12 +328,6 @@ class Driver {
     }
   }
 
-  /// Hand the buffered edges to the batch sink (emission order preserved).
-  void flush_edge_batch() {
-    if (!options_.edge_batch_sink || batch_buf_.empty()) return;
-    options_.edge_batch_sink(comm_.rank(), batch_buf_);
-    batch_buf_.clear();
-  }
   /// Drain and process incoming envelopes; blocking variants sleep briefly
   /// when idle. Ends every processed batch with flush_after_batch().
   void pump(bool blocking) {
@@ -471,7 +449,6 @@ class Driver {
   const ParallelOptions& options_;
   const partition::Partition& part_;
   mps::Comm& comm_;
-  bool store_edges_;
   Count spn_;        ///< slots per node (1 for x = 1, x for the general case)
   bool tolerant_;    ///< crash plan active: absorb duplicate resolutions
   bool recovering_;  ///< this Comm is a respawned incarnation
@@ -493,8 +470,7 @@ class Driver {
 
   SlotStore<Request> slots_;
   std::vector<std::vector<Waiter>> waiters_;  ///< Q_{k(,l)} by slot
-  graph::EdgeList edges_;
-  graph::EdgeList batch_buf_;  ///< pending edges of the batch sink
+  EdgeEmitter emitter_;
   std::vector<mps::Envelope> inbox_;
   mps::SendBuffer<Request> req_buf_;
   mps::SendBuffer<Resolved> res_buf_;

@@ -5,9 +5,8 @@
 //
 //  * launch<Policy>() — the request/resolved generators (Algorithms 3.1 and
 //    3.2). Builds (or validates) the partition, runs one genrt::Driver<P>
-//    per rank under mps::run_ranks, and assembles edges / shards / loads /
-//    comm stats. When the policy exposes a targets row (P::kHasTargets, the
-//    x = 1 value table) it is scattered back to global node order.
+//    per rank under mps::run_ranks, and assembles the result through the
+//    shared assemble_result() (emitter.h) plus the runtime's comm stats.
 //
 //  * run_sharded() — the embarrassingly parallel generators (ER, Chung-Lu):
 //    no protocol, just per-rank edge production under the same world
@@ -20,6 +19,7 @@
 
 #include "baseline/pa_config.h"
 #include "core/genrt/driver.h"
+#include "core/genrt/emitter.h"
 #include "core/load_stats.h"
 #include "core/options.h"
 #include "core/parallel_pa.h"
@@ -66,7 +66,6 @@ ParallelResult launch(const PaConfig& config, const ParallelOptions& options) {
 
   const auto nranks = static_cast<std::size_t>(options.ranks);
   std::vector<graph::EdgeList> edge_slots(nranks);
-  std::vector<std::vector<NodeId>> value_slots(nranks);
   LoadVector load_slots(nranks);
   std::vector<Count> restored_slots(nranks, 0);
 
@@ -96,42 +95,17 @@ ParallelResult launch(const PaConfig& config, const ParallelOptions& options) {
           load_slots[slot] = rank.load();
           restored_slots[slot] = rank.restored_slots();
           if (auto* ob = comm.obs()) record_metrics(ob->metrics(), rank.load());
-          if (options.gather_edges || options.keep_shards) {
-            edge_slots[slot] = rank.take_edges();
-          }
-          if constexpr (P::kHasTargets) {
-            if (options.gather_edges) value_slots[slot] = rank.take_values();
-          }
+          edge_slots[slot] = rank.take_edges();
         },
         options.obs);
   }
 
-  ParallelResult result;
-  result.loads = std::move(load_slots);
+  ParallelResult result = assemble_result(
+      config, options, std::move(load_slots), std::move(edge_slots));
   result.comm_stats = run.rank_stats;
   result.wall_seconds = run.wall_seconds;
   result.respawns = run.respawns;
   for (const Count r : restored_slots) result.restored_slots += r;
-  for (const RankLoad& l : result.loads) result.total_edges += l.edges;
-
-  if (options.gather_edges) {
-    result.edges.reserve(result.total_edges);
-    for (auto& slot : edge_slots) {
-      result.edges.insert(result.edges.end(), slot.begin(), slot.end());
-      if (!options.keep_shards) slot.clear();
-    }
-    if constexpr (P::kHasTargets) {
-      // Scatter each rank's value row back to global node order.
-      result.targets.assign(config.n, kNil);
-      for (Rank r = 0; r < options.ranks; ++r) {
-        const auto& slot = value_slots[static_cast<std::size_t>(r)];
-        for (Count idx = 0; idx < slot.size(); ++idx) {
-          result.targets[part->node_at(r, idx)] = slot[idx];
-        }
-      }
-    }
-  }
-  if (options.keep_shards) result.shards = std::move(edge_slots);
   return result;
 }
 

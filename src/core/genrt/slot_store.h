@@ -63,14 +63,8 @@ class SlotStore {
     values_[slot] = v;
   }
 
-  /// The whole value table, slot-indexed — the checkpointed F slice and the
-  /// x = 1 targets row.
+  /// The whole value table, slot-indexed — the checkpointed F slice.
   [[nodiscard]] const std::vector<NodeId>& values() const { return values_; }
-
-  /// Move the value table out (end of run; the store is spent afterwards).
-  [[nodiscard]] std::vector<NodeId> release_values() {
-    return std::move(values_);
-  }
 
   /// A <request> for `slot` left this rank: remember it for re-offer (when
   /// tracking) and stamp the latency clock (when observing). A re-send after

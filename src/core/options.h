@@ -85,26 +85,22 @@ struct ParallelOptions {
   /// (the default) keeps the uninstrumented hot path.
   obs::Session* obs = nullptr;
 
-  /// Streaming consumption: invoked on the generating rank's thread for
-  /// every emitted edge, in emission order. Enables "generate on the fly
-  /// and analyze without disk I/O" (Section 3.2) with gather_edges = false
-  /// and no edge storage at all. Called concurrently from different rank
-  /// threads — the callback must be thread-safe (e.g. write to
-  /// rank-indexed state). Under a crash plan the sink sees restored edges
-  /// again after a recovery (at-least-once); see docs/robustness.md.
-  std::function<void(Rank, const graph::Edge&)> edge_sink;
-
-  /// Batched streaming consumption: like edge_sink, but invoked with a span
-  /// of edges each time a rank's flush buffer fills (and once at the end of
-  /// the rank's run with the remainder), in emission order. One indirect
-  /// call per edge_batch_capacity edges instead of one per edge — use this
-  /// for high-volume sinks (docs/serving.md measures the difference with
-  /// BM_EdgeSink*). Same thread-safety contract as edge_sink; both sinks
-  /// may be set and each sees every edge.
+  /// The one streaming sink: "generate on the fly and analyze without disk
+  /// I/O" (Section 3.2), with gather_edges = false and no edge storage at
+  /// all. Invoked on the generating rank's thread with a span of exactly
+  /// edge_batch_capacity edges each time the rank's buffer fills, and once
+  /// at the end of the rank's run with the remainder, in emission order
+  /// (genrt/emitter.h). One indirect call per batch instead of one per
+  /// edge (bench/micro_components.cpp, BM_EdgeSink*). Called concurrently
+  /// from different rank threads — the callback must be thread-safe (e.g.
+  /// write to rank-indexed state). Every edge is seen exactly once, except
+  /// under a crash plan: a respawned rank emits again, restored or replayed,
+  /// the edges its dead incarnation already streamed (at-least-once; see
+  /// docs/robustness.md).
   std::function<void(Rank, std::span<const graph::Edge>)> edge_batch_sink;
 
-  /// Edges buffered per rank between edge_batch_sink flushes (>= 1).
-  std::size_t edge_batch_capacity = 4096;
+  /// Edges per edge_batch_sink call (all but each rank's last batch).
+  static constexpr std::size_t edge_batch_capacity = 4096;
 
   /// Cooperative cancellation hook (generation-as-a-service, src/svc/).
   /// Polled by every rank between node batches and on every drain /

@@ -20,8 +20,6 @@ class X1Policy {
   /// Serving messages never creates fresh requests for x = 1 (no duplicate
   /// retries), so only phase 1 flushes the request buffer.
   static constexpr bool kFlushRequestsAfterPump = false;
-  /// The slot table IS the targets row F_t.
-  static constexpr bool kHasTargets = true;
 
   static Count slots_per_node(const PaConfig&) { return 1; }
 

@@ -30,8 +30,6 @@ class XkPolicy {
   /// Duplicate retries create fresh requests while serving messages; in the
   /// waiting phases nothing else would flush them.
   static constexpr bool kFlushRequestsAfterPump = true;
-  /// Rows are per-edge for x > 1; there is no targets row.
-  static constexpr bool kHasTargets = false;
 
   static Count slots_per_node(const PaConfig& config) { return config.x; }
 

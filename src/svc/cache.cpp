@@ -33,8 +33,8 @@ void ResultCache::insert(std::uint64_t key,
   if (max_entries_ == 0) return;
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // Refresh: newer output wins (e.g. a store-served entry upgraded by a
-    // fresh gather run that also carries the targets row).
+    // Refresh: newer output wins (e.g. a count-shaped entry upgraded by a
+    // fresh gather run that also carries the edges).
     it->second.value = std::move(value);
     lru_.erase(it->second.lru_pos);
     lru_.push_front(key);

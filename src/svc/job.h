@@ -134,8 +134,8 @@ struct JobOutput {
   /// Gathered edges in emission (rank-concatenation) order. Sink::kGather
   /// only; normalize before comparing across runs.
   graph::EdgeList edges;
-  /// F_t per node (Sink::kGather with x == 1 on a fresh run; empty when the
-  /// job was served from a store, which persists only edges).
+  /// F_t per node (Sink::kGather with x == 1; kNil for node 0). A store
+  /// serve reads it off the stored edges, so it matches a fresh run's row.
   std::vector<NodeId> targets;
   Count total_edges = 0;
   /// Directory of the store this output lives in (kCompressedStore jobs

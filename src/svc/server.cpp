@@ -3,6 +3,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "core/checkpoint.h"
 #include "core/engine/engine.h"
 #include "core/generate.h"
+#include "core/genrt/emitter.h"
 #include "obs/prom.h"
 #include "store/edge_writer.h"
 #include "store/graph_view.h"
@@ -222,8 +224,13 @@ Server::Submitted Server::submit(const JobSpec& spec) {
         out->total_edges = view.manifest().total_edges();
         if (spec.sink == Sink::kGather) {
           // Shards decoded in rank order == the gather order of a fresh
-          // run, so a store serve is bitwise-identical to generating.
+          // run, and the targets row is read off them as a fresh run's is,
+          // so a store serve is bitwise-identical to generating.
           out->edges = view.load_all();
+          if (spec.config.x == 1) {
+            out->targets =
+                core::genrt::targets_from_edges(out->edges, spec.config.n);
+          }
         }
         store_hits_->add();
         cache_.insert(hash, out);
@@ -440,18 +447,21 @@ void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
   }
 
   // Service-scope chaos: a jobfail decision for this (job, attempt) plants
-  // a sink that throws midway through the run — the "sink I/O error"
-  // failure mode, after enough progress that checkpoints exist to resume
-  // from. Pure in (chaos seed, id, attempt): replayable, schedule-free.
+  // a sink that throws once half the edges have streamed through it — the
+  // "sink I/O error" failure mode. Edges arrive in per-rank batches, so on
+  // small jobs the throw lands at the ranks' final flushes; either way it
+  // comes after the checkpoints the retry resumes from. Pure in (chaos
+  // seed, id, attempt): replayable, schedule-free.
   const mps::FaultPlan& chaos = options_.chaos;
   if (chaos.jobfail > 0.0 && attempt <= chaos.jobfail_attempts &&
       chaos.svc_roll(kSaltJobfail, id, attempt) < chaos.jobfail) {
     const Count limit = expected_edge_count(spec.config) / 2 + 1;
     auto emitted = std::make_shared<std::atomic<Count>>(0);
-    opt.edge_sink = [emitted, limit](Rank, const graph::Edge&) {
-      if (emitted->fetch_add(1, std::memory_order_relaxed) + 1 >= limit) {
-        throw CheckError("injected jobfail: sink failure");
-      }
+    opt.edge_batch_sink = [emitted, limit](Rank,
+                                           std::span<const graph::Edge> es) {
+      const Count seen =
+          emitted->fetch_add(es.size(), std::memory_order_relaxed) + es.size();
+      if (seen >= limit) throw CheckError("injected jobfail: sink failure");
     };
   }
 

@@ -331,7 +331,6 @@ TEST(EngineCapabilities, SupportedOptionShapesStillRun) {
   opt.engine = "commfree";
   opt.ranks = 3;
   opt.keep_shards = true;
-  opt.edge_batch_capacity = 64;
   opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> batch) {
     streamed += batch.size();
   };

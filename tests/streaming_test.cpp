@@ -1,6 +1,9 @@
-// Streaming generation (ParallelOptions::edge_sink): "generate on the fly
-// and analyze without performing disk I/O" (Section 3.2).
+// Streaming generation (ParallelOptions::edge_batch_sink): "generate on the
+// fly and analyze without performing disk I/O" (Section 3.2).
+#include <algorithm>
 #include <atomic>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +21,8 @@ TEST(Streaming, SinkSeesEveryEdgeExactlyOnce) {
   opt.ranks = 8;
   opt.gather_edges = false;
   std::atomic<Count> streamed{0};
-  opt.edge_sink = [&](Rank, const graph::Edge&) {
-    streamed.fetch_add(1, std::memory_order_relaxed);
+  opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> es) {
+    streamed.fetch_add(es.size(), std::memory_order_relaxed);
   };
   const auto result = generate(cfg, opt);
   EXPECT_EQ(streamed.load(), expected_edge_count(cfg));
@@ -35,10 +38,12 @@ TEST(Streaming, PerRankBucketsNeedNoLocking) {
   opt.gather_edges = false;
   std::vector<std::vector<Count>> deg_per_rank(
       6, std::vector<Count>(cfg.n, 0));
-  opt.edge_sink = [&](Rank r, const graph::Edge& e) {
+  opt.edge_batch_sink = [&](Rank r, std::span<const graph::Edge> es) {
     auto& deg = deg_per_rank[static_cast<std::size_t>(r)];
-    ++deg[e.u];
-    ++deg[e.v];
+    for (const graph::Edge& e : es) {
+      ++deg[e.u];
+      ++deg[e.v];
+    }
   };
   (void)generate(cfg, opt);
 
@@ -57,7 +62,9 @@ TEST(Streaming, SinkComposesWithGathering) {
   ParallelOptions opt;
   opt.ranks = 4;
   std::atomic<Count> streamed{0};
-  opt.edge_sink = [&](Rank, const graph::Edge&) { ++streamed; };
+  opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> es) {
+    streamed += es.size();
+  };
   const auto result = generate(cfg, opt);
   EXPECT_EQ(streamed.load(), result.edges.size());
 }
@@ -70,12 +77,75 @@ TEST(Streaming, SinkRankMatchesEdgeOwner) {
   opt.gather_edges = false;
   const auto part = partition::make_partition(opt.scheme, cfg.n, opt.ranks);
   std::atomic<int> violations{0};
-  opt.edge_sink = [&](Rank r, const graph::Edge& e) {
+  opt.edge_batch_sink = [&](Rank r, std::span<const graph::Edge> es) {
     // Every emitted edge's newer endpoint belongs to the emitting rank.
-    if (part->owner(e.u) != r) ++violations;
+    for (const graph::Edge& e : es) {
+      if (part->owner(e.u) != r) ++violations;
+    }
   };
   (void)generate(cfg, opt);
   EXPECT_EQ(violations.load(), 0);
+}
+
+// The batch-sink contract, engine by engine: each rank's batches, joined in
+// order, are exactly that rank's shard; every batch but a rank's last holds
+// edge_batch_capacity edges; every edge belongs to the rank that streamed
+// it; and a run that does not gather returns no targets row.
+TEST(Streaming, BatchContractHoldsForEveryEngine) {
+  struct Run {
+    const char* engine;
+    int ranks;
+  };
+  for (const Run run : {Run{"mps", 3}, Run{"commfree", 3}, Run{"seq-copy", 1},
+                        Run{"seq-bb", 1}}) {
+    for (const NodeId x : {1U, 3U}) {
+      const std::string label =
+          std::string(run.engine) + " x=" + std::to_string(x);
+      const PaConfig cfg{.n = 15000, .x = x, .p = 0.5, .seed = 17};
+      ParallelOptions opt;
+      opt.engine = run.engine;
+      opt.ranks = run.ranks;
+      opt.gather_edges = false;
+      opt.keep_shards = true;
+      const std::size_t cap = opt.edge_batch_capacity;
+      std::vector<std::vector<graph::EdgeList>> batches(
+          static_cast<std::size_t>(run.ranks));
+      opt.edge_batch_sink = [&](Rank r, std::span<const graph::Edge> es) {
+        batches[static_cast<std::size_t>(r)].emplace_back(es.begin(),
+                                                          es.end());
+      };
+      const ParallelResult result = generate(cfg, opt);
+
+      EXPECT_TRUE(result.targets.empty()) << label;
+      EXPECT_TRUE(result.edges.empty()) << label;
+      ASSERT_EQ(result.shards.size(), batches.size()) << label;
+      const auto part = partition::make_partition(opt.scheme, cfg.n, opt.ranks);
+      std::size_t largest = 0;
+      Count streamed = 0;
+      for (std::size_t r = 0; r < batches.size(); ++r) {
+        graph::EdgeList joined;
+        for (std::size_t b = 0; b < batches[r].size(); ++b) {
+          const graph::EdgeList& batch = batches[r][b];
+          if (b + 1 < batches[r].size()) {
+            EXPECT_EQ(batch.size(), cap) << label << " rank " << r;
+          } else {
+            EXPECT_GE(batch.size(), 1U) << label << " rank " << r;
+            EXPECT_LE(batch.size(), cap) << label << " rank " << r;
+          }
+          joined.insert(joined.end(), batch.begin(), batch.end());
+        }
+        EXPECT_TRUE(joined == result.shards[r]) << label << " rank " << r;
+        for (const graph::Edge& e : joined) {
+          ASSERT_EQ(part->owner(std::max(e.u, e.v)), static_cast<Rank>(r))
+              << label;
+        }
+        largest = std::max(largest, joined.size());
+        streamed += joined.size();
+      }
+      EXPECT_GT(largest, cap) << label << ": no rank filled a whole batch";
+      EXPECT_EQ(streamed, result.total_edges) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -128,6 +128,7 @@ TEST(SvcServer, StoreServedAcrossServerLifetimes) {
     const auto direct = core::generate(consume.config, direct_options(consume));
     EXPECT_EQ(normalized(status.output->edges), normalized(direct.edges))
         << "rank-order shard concatenation == gather order";
+    EXPECT_EQ(status.output->targets, direct.targets);
     EXPECT_EQ(server.stats().cache_store_hits, 1u);
   }
   std::filesystem::remove_all(dir);
