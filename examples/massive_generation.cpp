@@ -13,8 +13,9 @@
 // paper's independent file-writes model — without gathering them, and the
 // finished store is verified by re-opening it under --store-budget bytes.
 // --out=PATH gathers the edges and exports them as "u v" text for other
-// tools. --spill-dir/--spill-budget page the commfree engine's derivation
-// state to disk, bounding peak RSS. In statistics mode (no --out) the
+// tools. --spill-dir/--spill-budget page the commfree engine's x > 1
+// derivation state to disk, bounding peak RSS; at x = 1 commfree keeps no
+// state and ignores them. In statistics mode (no --out) the
 // edges are consumed in-flight through the batched span sink
 // (ParallelOptions::edge_batch_sink), so the run demonstrates streaming
 // consumption without ever materializing the edge list; the report

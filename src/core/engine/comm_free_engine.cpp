@@ -6,19 +6,23 @@
 // owner. But every draw of the copy model is a pure function of
 // (seed, t, e, attempt) through DrawSchema, so k's owner knows nothing the
 // asking rank cannot recompute: instead of a <request>/<resolved> round
-// trip, each rank re-derives the remote draw chain locally and memoizes the
-// result. No mailboxes, no dependency-chain wait queues, no messages of any
-// kind — the RankLoad request/resolved counters of a run are identically 0
+// trip, each rank re-derives the remote draw chain locally. No mailboxes,
+// no dependency-chain wait queues, no messages of any kind — the RankLoad
+// request/resolved counters of a run are identically 0
 // (tests/engine_equivalence_test.cpp asserts this; BENCH_engines.json shows
 // it next to the mps volumes).
 //
 // The trade is recomputation: work that mps does once and shares via
-// messages is re-derived by every rank that needs it. Theorem 3.3 keeps each
-// chain short, but at x > 1 the closures of one rank's rows still cover most
-// of the prefix (at x = 6, P = 4 each rank re-derives ~95% of all rows), so
-// the cost of one row decides throughput. RankLoad::retries therefore
-// counts the duplicate-retries *performed by this rank*, including those
-// re-derived on behalf of remote nodes.
+// messages is re-derived by every rank that needs it. At x = 1 that work is
+// one chain walk of at most 1/p expected steps (Theorem 3.3), cheaper than
+// a probe into any per-node table that outgrows the cache, so x = 1 keeps
+// no state. At x > 1 a copy slot waits for a whole row, so one rank's
+// closures cover much of the prefix: on the benchmark's x = 6, P = 4, RRP
+// spec each rank derives 69% of all rows, and the ranks together perform
+// 3.8x the sequential model's duplicate-retries
+// (commfree.recompute_ratio), so the cost of one row decides throughput.
+// RankLoad::retries therefore counts the duplicate-retries *performed by
+// this rank*, including those re-derived on behalf of remote nodes.
 //
 // Determinism: because every rank resolves in the canonical sequential
 // order, the output is bitwise-identical to the sequential copy model —
@@ -28,7 +32,6 @@
 // message timing (docs/serving.md §5).
 //
 // pagen-lint: hot-path — derivation runs once per edge; flat tables only.
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -60,85 +63,18 @@ namespace {
 /// Same duplicate-retry cap as baseline::copy_model_general and XkPolicy.
 constexpr std::uint64_t kMaxAttempts = 100000;
 
-/// x = 1 re-derivation: F_t follows the copy chain t -> k -> k' ... until a
-/// direct draw (or a memoized node) ends it; every node on the walked path
-/// shares the chain's final value, so one walk resolves the whole path.
-///
-/// The memo is purely an accelerator — a chain walk terminates without it,
-/// and every memoized value is the chain's *final* value — so bounding it
-/// cannot change the output. It is one direct-mapped slot table of n slots
-/// indexed by node id, or — with memo_budget_bytes > 0, the state_spill
-/// capability for x = 1: bounded RSS at any n, no disk needed — of
-/// min(budget / 16, n) slots, indexed by a hash when fewer than n; a
-/// collision evicts, and a miss costs one expected-O(1/p) re-walk.
-class X1Deriver {
- public:
-  X1Deriver(const PaConfig& config, std::uint64_t memo_budget_bytes)
-      : draws_(config) {
-    // The memo never holds more than n entries, so small graphs get a
-    // right-sized table instead of the whole budget up front.
-    const std::uint64_t slots =
-        memo_budget_bytes == 0
-            ? config.n
-            : std::min<std::uint64_t>(
-                  std::max<std::uint64_t>(memo_budget_bytes / sizeof(Slot), 1),
-                  config.n);
-    cache_.assign(static_cast<std::size_t>(slots), Slot{kNil, kNil});
-    by_node_ = slots == config.n;
+/// x = 1 re-derivation, a stateless chain walk: F_t follows the copy chain
+/// t -> k -> k' ... to the first direct draw, whose k is the value of every
+/// node on the chain, or to the bootstrap node 1 (F_1 = 0).
+[[nodiscard]] NodeId x1_target(const DrawSchema& draws, NodeId t) {
+  for (NodeId cur = t; cur != 1;) {
+    const DrawSchema::Slot slot = draws.row(cur).slot(0);
+    const NodeId k = draws.pick_k(slot, 0);
+    if (draws.pick_direct(slot, 0)) return k;
+    cur = k;  // k in [1, cur-1]: the walk reaches node 1 at the latest
   }
-
-  [[nodiscard]] NodeId value(NodeId t) {
-    path_.clear();
-    NodeId val = kNil;
-    for (NodeId cur = t;;) {
-      if (lookup(cur, val)) break;
-      const NodeId k = draws_.pick_k(cur, 0, 0);
-      if (draws_.pick_direct(cur, 0, 0)) {
-        val = k;
-        remember(cur, k);
-        break;
-      }
-      path_.push_back(cur);
-      cur = k;  // k in [1, cur-1] and node 1 always hits: the walk terminates
-    }
-    for (const NodeId u : path_) remember(u, val);
-    return val;
-  }
-
- private:
-  struct Slot {
-    NodeId key;
-    NodeId val;
-  };
-
-  bool lookup(NodeId u, NodeId& val) {
-    if (u == 1) {  // bootstrap edge (1, 0) — never evictable
-      val = 0;
-      return true;
-    }
-    const Slot& slot = cache_[slot_index(u)];
-    if (slot.key != u) return false;
-    val = slot.val;
-    return true;
-  }
-
-  void remember(NodeId u, NodeId val) {
-    if (u == 1) return;
-    cache_[slot_index(u)] = {u, val};
-  }
-
-  [[nodiscard]] std::size_t slot_index(NodeId u) const {
-    if (by_node_) return static_cast<std::size_t>(u);
-    std::uint64_t h = u * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h % cache_.size());
-  }
-
-  DrawSchema draws_;
-  std::vector<Slot> cache_;
-  bool by_node_ = false;  ///< n slots: slot u holds node u, no collisions
-  std::vector<NodeId> path_;
-};
+  return 0;
+}
 
 /// x > 1 re-derivation: whole rows F_u(0..x-1) in the sequential order of
 /// baseline::copy_model_general, kept in one node-indexed table whose entry
@@ -282,13 +218,12 @@ RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
   load.nodes = own;
 
   if (config.x == 1) {
-    X1Deriver derive(config,
-                     options.spill_dir.empty() ? 0 : options.spill_budget_bytes);
+    const DrawSchema draws(config);
     for (Count idx = 0; idx < own; ++idx) {
       if (idx % options.node_batch == 0) check_cancel();
       const NodeId t = part.node_at(comm.rank(), idx);
       if (t == 0) continue;  // the root has no target
-      out.emit({t, derive.value(t)});
+      out.emit({t, x1_target(draws, t)});
     }
   } else {
     const std::string spill_path =
@@ -353,7 +288,7 @@ class CommFreeEngine final : public Engine {
     if (options.cancel_requested && options.cancel_requested()) {
       throw Cancelled();
     }
-    if (!options.spill_dir.empty()) {
+    if (config.x > 1 && !options.spill_dir.empty()) {
       std::filesystem::create_directories(options.spill_dir);
     }
     obs::RankObserver* drv = genrt::driver_observer(options);

@@ -66,7 +66,11 @@ std::string EngineRegistry::names() const {
   return out;
 }
 
-void check_engine_options(const Engine& engine, const ParallelOptions& options) {
+void check_engine_options(const Engine& engine, const PaConfig& config,
+                          const ParallelOptions& options) {
+  // Written so that NaN fails too; x > 1 further needs p < 1 (engine run()).
+  PAGEN_CHECK_MSG(config.p >= 0.0 && config.p <= 1.0,
+                  "p must be in [0, 1] (got p = " << config.p << ")");
   const EngineCaps caps = engine.capabilities();
   PAGEN_CHECK_MSG(caps.multi_rank || options.ranks == 1,
                   "engine '" << engine.name() << "' is single-rank; got ranks = "

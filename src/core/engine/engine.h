@@ -52,7 +52,8 @@ struct EngineCaps {
   bool multi_rank = true;        ///< supports ranks > 1
   /// Honors spill_dir / spill_budget_bytes: per-rank derivation state pages
   /// to disk under a byte budget, bounding peak RSS at any n
-  /// (docs/storage.md §5).
+  /// (docs/storage.md §5). An engine with no state at some x accepts them
+  /// there as no-ops.
   bool state_spill = false;
   Determinism determinism = Determinism::kBitwise;
 };
@@ -108,10 +109,13 @@ class EngineRegistry {
   std::vector<std::unique_ptr<Engine>> engines_;
 };
 
-/// Reject options the engine's capabilities cannot honor (checkpointing,
-/// fault injection, delivery hook, multi-rank). Called by generate() before
-/// dispatch; throws CheckError naming the engine and the offending option.
-void check_engine_options(const Engine& engine, const ParallelOptions& options);
+/// Reject a p outside [0, 1] (NaN included) for every engine, and options
+/// the engine's capabilities cannot honor (checkpointing, fault injection,
+/// delivery hook, multi-rank, state spill). Called by generate() before
+/// dispatch; throws CheckError naming p, or the engine and the offending
+/// option.
+void check_engine_options(const Engine& engine, const PaConfig& config,
+                          const ParallelOptions& options);
 
 // Built-in engine factories (one translation unit each).
 [[nodiscard]] std::unique_ptr<Engine> make_mps_engine();

@@ -11,7 +11,7 @@ namespace pagen::core {
 
 ParallelResult generate(const PaConfig& config, const ParallelOptions& options) {
   const Engine& engine = EngineRegistry::instance().require(options.engine);
-  check_engine_options(engine, options);
+  check_engine_options(engine, config, options);
   if (options.store_dir.empty()) return engine.run(config, options);
 
   // Compressed-store tap: every engine already streams its edges through

@@ -117,7 +117,7 @@ class PropertyRunner {
     trace.meta["buffer_capacity"] = std::to_string(options_.buffer_capacity);
     trace.meta["node_batch"] = std::to_string(options_.node_batch);
     trace.meta["flush_resolved_after_batch"] =
-        options_.flush_resolved_after_batch ? "1" : "0";
+        std::to_string(options_.flush_resolved_after_batch ? 1 : 0);
   }
 
   /// Rebuild runner options from a dumped trace's meta block (the inverse

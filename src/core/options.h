@@ -129,15 +129,16 @@ struct ParallelOptions {
 
   /// Spill per-rank derivation state to files under this directory instead
   /// of holding it all in RAM, bounding peak RSS at any n. Only engines
-  /// with the state_spill capability honor it (commfree: the x = 1 memo
-  /// becomes a bounded cache, the x > 1 row table pages through
-  /// store::ExternalArray); generate() rejects it elsewhere. Output is
-  /// bitwise-identical with or without spill.
+  /// with the state_spill capability honor it (commfree: the x > 1 row
+  /// table pages through store::ExternalArray); generate() rejects it
+  /// elsewhere. commfree x = 1 keeps no derivation state, so there it is
+  /// accepted and ignored. Output is bitwise-identical with or without
+  /// spill.
   std::string spill_dir;
 
   /// In-RAM bytes each rank's spilled state may cache. Must be > 0 when
-  /// spill_dir is set (generate() rejects 0); x > 1 rounds it up to one
-  /// page.
+  /// spill_dir is set, for every x (generate() rejects 0); x > 1 rounds it
+  /// up to one page, and x = 1 has no state to spill.
   std::uint64_t spill_budget_bytes = std::uint64_t{64} << 20;
 
   // --- Robustness (docs/robustness.md) ---

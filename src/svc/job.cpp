@@ -40,7 +40,7 @@ std::string validate(const JobSpec& spec) {
     why << "x == 1 needs n >= 2 (got n = " << c.n << ")";
   } else if (c.x > 1 && c.n <= c.x) {
     why << "x > 1 needs n > x (got n = " << c.n << ", x = " << c.x << ")";
-  } else if (c.p < 0.0 || c.p > 1.0) {
+  } else if (!(c.p >= 0.0 && c.p <= 1.0)) {  // NaN fails too
     why << "p must be in [0, 1] (got " << c.p << ")";
   } else if (c.x > 1 && c.p >= 1.0) {
     why << "p must be below 1 for x > 1";

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -128,25 +129,32 @@ TEST(EngineEquivalence, KsDistanceVsSequentialOracleForEveryEngine) {
 // reproduces the oracle bitwise for EVERY rank count and scheme — including
 // x > 1 multi-rank, where the mps engine is only distribution-equivalent
 // (docs/serving.md §5).
+// Both ends of the x = 1 chain walk: at p = 0 every walk runs to the
+// bootstrap node 1, the only place a walk stops without a direct draw; at
+// p = 1 no walk copies.
 TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleX1) {
-  PaConfig cfg;
-  cfg.n = 6000;
-  cfg.x = 1;
-  cfg.p = 0.5;
-  cfg.seed = 3;
-  const std::vector<NodeId> oracle = baseline::copy_model_targets(cfg);
+  for (const double p : {0.0, 0.1, 0.5, 1.0}) {
+    PaConfig cfg;
+    cfg.n = 6000;
+    cfg.x = 1;
+    cfg.p = p;
+    cfg.seed = 3;
+    const std::vector<NodeId> oracle = baseline::copy_model_targets(cfg);
 
-  for (const int ranks : kRankSweep) {
-    for (const auto scheme :
-         {partition::Scheme::kRrp, partition::Scheme::kUcp}) {
-      ParallelOptions opt;
-      opt.engine = "commfree";
-      opt.ranks = ranks;
-      opt.scheme = scheme;
-      const ParallelResult result = generate(cfg, opt);
-      EXPECT_EQ(result.targets, oracle)
-          << "P=" << ranks << " scheme=" << partition::to_string(scheme);
-      EXPECT_EQ(result.total_edges, cfg.n - 1);
+    for (const int ranks : kRankSweep) {
+      for (const auto scheme :
+           {partition::Scheme::kRrp, partition::Scheme::kUcp,
+            partition::Scheme::kLcp}) {
+        ParallelOptions opt;
+        opt.engine = "commfree";
+        opt.ranks = ranks;
+        opt.scheme = scheme;
+        const ParallelResult result = generate(cfg, opt);
+        EXPECT_EQ(result.targets, oracle)
+            << "p=" << p << " P=" << ranks
+            << " scheme=" << partition::to_string(scheme);
+        EXPECT_EQ(result.total_edges, cfg.n - 1);
+      }
     }
   }
 }
@@ -303,6 +311,33 @@ TEST(EngineCapabilities, GenerateRejectsUnsupportedOptionsLoudly) {
     ParallelOptions opt;
     opt.engine = "no-such-engine";
     EXPECT_THROW((void)generate(cfg, opt), CheckError);
+  }
+}
+
+// p is a probability for every engine, NaN included; a p outside [0, 1]
+// must not quietly yield a star or some other graph.
+TEST(EngineCapabilities, GenerateRejectsPOutsideUnitInterval) {
+  for (const Engine* engine : EngineRegistry::instance().engines()) {
+    for (const double p :
+         {-0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+      PaConfig cfg;
+      cfg.n = 100;
+      cfg.x = 1;
+      cfg.p = p;
+      cfg.seed = 1;
+      ParallelOptions opt;
+      opt.engine = std::string(engine->name());
+      opt.ranks = 1;  // every engine runs single-rank
+      try {
+        (void)generate(cfg, opt);
+        ADD_FAILURE() << "expected CheckError: engine=" << engine->name()
+                      << " p=" << p;
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("p must be in [0, 1]"),
+                  std::string::npos)
+            << "engine=" << engine->name() << " p=" << p << ": " << e.what();
+      }
+    }
   }
 }
 

@@ -1,9 +1,9 @@
 // External-memory spill tests (docs/storage.md §5): the ExternalArray
 // paging primitive, and the commfree engine's guarantee that spilling its
 // derivation state to disk is a pure memory optimization — the emitted
-// edge set equals the sequential copy-model oracle's, at x = 1 (bounded
-// memo) and x > 1 (paged row table), under budgets tiny enough to force
-// heavy eviction.
+// edge set equals the sequential copy-model oracle's, at x = 1 (no state,
+// so spill is accepted and ignored) and x > 1 (paged row table, under
+// budgets tiny enough to force heavy eviction).
 #include "store/ext_array.h"
 
 #include <cstdint>
@@ -101,7 +101,7 @@ TEST_F(SpillTest, CommfreeSpillMatchesOracleAtXOne) {
 
   core::ParallelOptions spilled = commfree_options(2);
   spilled.spill_dir = dir_;
-  spilled.spill_budget_bytes = 1 << 12;  // bounded memo far below n slots
+  spilled.spill_budget_bytes = 1 << 12;  // accepted; x = 1 has no state
   const auto with_spill = core::generate(cfg, spilled);
 
   EXPECT_EQ(with_spill.targets, baseline::copy_model_targets(cfg));
@@ -131,8 +131,8 @@ TEST_F(SpillTest, CommfreeSpillMatchesOracleAtXFour) {
 }
 
 TEST_F(SpillTest, ZeroSpillBudgetRejected) {
-  // 0 would mean "unbounded" to the x = 1 memo and "one page" to the x > 1
-  // row table, so it is refused outright for every x.
+  // The x > 1 row table would round 0 up to one page, so 0 is refused
+  // outright for every x, x = 1 included, where spill is a no-op.
   for (const NodeId x : {NodeId{1}, NodeId{4}}) {
     PaConfig cfg;
     cfg.n = 200;

@@ -3,6 +3,7 @@
 // and the store provenance marker (docs/serving.md §2–3).
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -133,6 +134,9 @@ TEST(SpecValidate, AcceptsAndRejects) {
   s = small_spec();
   s.config.p = 1.5;
   EXPECT_NE(validate(s), "");
+  s = small_spec();
+  s.config.p = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(validate(s), "") << "NaN p";
   s = small_spec();
   s.config.x = 4;
   s.config.p = 1.0;
