@@ -18,13 +18,15 @@
 //      the spec, so this run emits the stored edges. The oracle folds into
 //      a (degree -> count) histogram and is freed.
 //   3. Re-open the store as a ShardedGraphView under --budget bytes and
-//      run the distributed degree kernel over the *merged* edge source —
-//      one rank, zero message traffic, blocks decoded on the fly.
+//      run the distributed degree kernel over the *merged* edge source:
+//      one rank counting endpoints in place, zero message traffic, while
+//      a helper thread reads, verifies and decodes a fixed number of
+//      blocks ahead of it.
 //   4. The two histograms must match exactly; bytes/edge must be < 8;
 //      peak RSS (VmHWM) must stay under the budget. Any miss exits 1.
 //
-// Writes BENCH_massive.json (see --out), with the build type and the
-// processor count it ran on.
+// Writes BENCH_massive.json (see --out), with the commit, the build type
+// and the processor count it ran on.
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -117,8 +119,8 @@ int main(int argc, char** argv) {
   Timer reload_timer;
   const store::ShardedGraphView view(store_dir, budget);
   // Merged source: the degree kernel runs as a single rank streaming all
-  // shards in rank order — no mailbox backlog, the working set is exactly
-  // the budgeted block streams plus the kernel's own degree array.
+  // shards in rank order — no mailbox backlog; the working set is the
+  // merged stream's budgeted read-ahead plus the kernel's own degree array.
   const core::DegreeHistogram reloaded =
       core::distributed_degree_distribution(view.merged_edge_source(),
                                             partition::Scheme::kRrp);
@@ -149,8 +151,9 @@ int main(int argc, char** argv) {
 
   std::ofstream os(out_path, std::ios::trunc);
   os << "{\n"
-     << "  \"schema\": \"pagen.bench.massive.v2\",\n"
-     << "  \"provenance\": {\"build_type\": \"" << PAGEN_BUILD_TYPE
+     << "  \"schema\": \"pagen.bench.massive.v3\",\n"
+     << "  \"provenance\": {\"commit\": \"" << PAGEN_BUILD_COMMIT
+     << "\", \"build_type\": \"" << PAGEN_BUILD_TYPE
      << "\", \"nproc\": " << nproc << "},\n"
      << "  \"workload\": {\"edges\": " << target_edges
      << ", \"n\": " << cfg.n << ", \"x\": " << cfg.x

@@ -1,6 +1,7 @@
+// pagen-lint: hot-path — the count loops run per endpoint; flat tables only.
 #include "core/distributed_degree.h"
 
-#include <map>
+#include <algorithm>
 #include <span>
 
 #include "mps/bsp.h"
@@ -12,6 +13,72 @@ namespace pagen::core {
 namespace {
 
 constexpr int kTagIncrement = 10;
+
+/// Degrees below this fold into a flat counts-by-degree table. Nodes at or
+/// above it go to a side list, which holds at most 2m / kFlatDegrees
+/// entries, so a star's single degree n - 1 costs one entry, not n.
+constexpr Count kFlatDegrees = Count{1} << 16;
+
+/// (degree -> node count) accumulator.
+class DegreeFold {
+ public:
+  DegreeFold() : flat_(kFlatDegrees, 0) {}
+
+  void add(Count degree, Count nodes) {
+    if (degree < kFlatDegrees) {
+      flat_[degree] += nodes;
+    } else {
+      heavy_.emplace_back(degree, nodes);
+    }
+  }
+
+  /// The non-empty bins, ascending by degree.
+  [[nodiscard]] DegreeHistogram histogram() {
+    DegreeHistogram out;
+    for (Count d = 0; d < kFlatDegrees; ++d) {
+      if (flat_[d] != 0) out.emplace_back(d, flat_[d]);
+    }
+    std::sort(heavy_.begin(), heavy_.end());
+    for (const auto& [degree, nodes] : heavy_) {
+      if (!out.empty() && out.back().first == degree) {
+        out.back().second += nodes;
+      } else {
+        out.emplace_back(degree, nodes);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::vector<Count> flat_;
+  DegreeHistogram heavy_;  ///< (degree, nodes) at or above the cap, unsorted
+};
+
+DegreeHistogram fold_degrees(const std::vector<Count>& degree) {
+  DegreeFold fold;
+  for (Count d : degree) fold.add(d, 1);
+  return fold.histogram();
+}
+
+/// One shard: every node is local and its local index is v under every
+/// scheme, so the endpoints are counted in place — no partition, no
+/// messages, and the visitor runs on the caller's thread.
+DegreeHistogram count_one_shard(const graph::EdgeSource& source) {
+  const NodeId n = source.num_nodes;
+  std::vector<Count> degree(n, 0);
+  Count* const counts = degree.data();
+  source.visit_shard(0, [counts, n](std::span<const graph::Edge> batch) {
+    for (const graph::Edge& e : batch) {
+      PAGEN_CHECK_MSG(std::max(e.u, e.v) < n,
+                      "edge (" << e.u << ", " << e.v
+                               << ") has an endpoint outside [0, " << n
+                               << ")");
+      ++counts[e.u];
+      ++counts[e.v];
+    }
+  });
+  return fold_degrees(degree);
+}
 
 }  // namespace
 
@@ -26,11 +93,11 @@ DegreeHistogram distributed_degree_distribution(
 DegreeHistogram distributed_degree_distribution(
     const graph::EdgeSource& source, partition::Scheme scheme) {
   PAGEN_CHECK(source.num_shards > 0);
+  if (source.num_shards == 1) return count_one_shard(source);
   const int ranks = source.num_shards;
   const auto part = partition::make_partition(scheme, source.num_nodes, ranks);
 
-  // Merged histogram, assembled identically on every rank; rank 0's copy is
-  // returned. Written once (by the rank-0 thread) after its allgather.
+  // Merged histogram, assembled by rank 0 after its allgather and returned.
   DegreeHistogram merged;
 
   mps::run_ranks(ranks, [&](mps::Comm& comm) {
@@ -59,25 +126,23 @@ DegreeHistogram distributed_degree_distribution(
 
     // Phase 3: fold my nodes' degrees into a (degree -> count) table and
     // allgather the tables.
-    std::map<Count, Count> local;
-    for (Count d : degree) ++local[d];
     std::vector<std::byte> blob;
-    for (const auto& [deg, count] : local) {
+    for (const auto& [deg, count] : fold_degrees(degree)) {
       mps::pack_one(blob, deg);
       mps::pack_one(blob, count);
     }
     const auto all = comm.allgather_bytes(std::move(blob));
 
     if (me == 0) {
-      std::map<Count, Count> total;
+      DegreeFold total;
       for (const auto& rank_blob : all) {
         const auto items = mps::unpack<Count>(rank_blob);
         PAGEN_CHECK(items.size() % 2 == 0);
         for (std::size_t i = 0; i < items.size(); i += 2) {
-          total[items[i]] += items[i + 1];
+          total.add(items[i], items[i + 1]);
         }
       }
-      merged.assign(total.begin(), total.end());
+      merged = total.histogram();
     }
   });
 

@@ -11,6 +11,13 @@
 // SendBuffer. Exchange is bulk-synchronous: flush, barrier, drain — valid
 // because the runtime's send enqueues synchronously (the MPI analogue
 // would be an MPI_Alltoallv).
+//
+// A one-shard source (e.g. ShardedGraphView::merged_edge_source()) needs no
+// partition: its one rank owns every node, so the kernel counts endpoints
+// in place on the caller's thread, with no rank world and no messages.
+// Degrees fold into a flat counts-by-degree table for every P; the rare
+// degrees above the table's fixed cap go to a side list sorted at the end,
+// so a star stays bounded.
 #pragma once
 
 #include <utility>
@@ -38,7 +45,8 @@ using DegreeHistogram = std::vector<std::pair<Count, Count>>;
 
 /// Streaming variant: same computation over any EdgeSource — in-memory
 /// shards or a compressed on-disk store (store::ShardedGraphView) — without
-/// ever materializing a shard. One pass per shard.
+/// ever materializing a shard. One pass per shard. Throws CheckError when
+/// an endpoint lies outside [0, source.num_nodes).
 [[nodiscard]] DegreeHistogram distributed_degree_distribution(
     const graph::EdgeSource& source, partition::Scheme scheme);
 

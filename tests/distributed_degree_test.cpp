@@ -5,6 +5,8 @@
 #include "analysis/degree_dist.h"
 #include "core/generate.h"
 #include "graph/edge_list.h"
+#include "graph/edge_source.h"
+#include "util/error.h"
 
 namespace pagen::core {
 namespace {
@@ -84,6 +86,40 @@ TEST(DistributedDegreeBasic, KeepShardsWithGatherAgrees) {
   for (const auto& shard : result.shards) shard_total += shard.size();
   EXPECT_EQ(shard_total, result.edges.size())
       << "shards and gathered list must describe the same edges";
+}
+
+TEST(DistributedDegreeBasic, StarAboveTheFlatFoldCap) {
+  // p = 0, x = 1 is a star at node 0: one degree of n - 1, above the flat
+  // fold's 2^16 cap, so the side list carries it, at P = 1 and at P = 4.
+  const PaConfig cfg{.n = 70000, .x = 1, .p = 0.0, .seed = 11};
+  ParallelOptions opt;
+  opt.ranks = 4;
+  opt.engine = "commfree";
+  opt.scheme = Scheme::kRrp;
+  opt.keep_shards = true;
+  const auto result = generate(cfg, opt);
+  const DegreeHistogram star{{1, cfg.n - 1}, {cfg.n - 1, 1}};
+  ASSERT_EQ(reference_histogram(result.edges, cfg.n), star);
+  EXPECT_EQ(distributed_degree_distribution(result.shards, cfg.n, opt.scheme),
+            star);
+  EXPECT_EQ(distributed_degree_distribution({result.edges}, cfg.n,
+                                            opt.scheme),
+            star);
+}
+
+TEST(DistributedDegreeBasic, EndpointOutsideTheNodeRangeRejected) {
+  // An endpoint equal to num_nodes must raise, whether the kernel routes
+  // it to an owner (P = 4) or counts it in place (P = 1).
+  const NodeId n = 10;
+  const std::vector<graph::EdgeList> one{{{1, 0}, {2, 1}, {3, n}}};
+  EXPECT_THROW((void)distributed_degree_distribution(
+                   graph::make_edge_source(n, one), Scheme::kRrp),
+               CheckError);
+  const std::vector<graph::EdgeList> four{
+      {{4, 0}}, {{1, 0}, {5, n}}, {{2, 1}}, {{3, 2}}};
+  EXPECT_THROW((void)distributed_degree_distribution(
+                   graph::make_edge_source(n, four), Scheme::kRrp),
+               CheckError);
 }
 
 }  // namespace

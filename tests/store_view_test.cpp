@@ -1,14 +1,17 @@
 // ShardedGraphView tests (docs/storage.md §3-4): a generation run taps its
 // edge stream into the compressed store, and the re-opened view must feed
 // every distributed kernel the exact same graph the run produced in memory
-// — plus the constructor's budget check and the merged single-stream source.
+// — plus the constructor's budget check, the merged single-stream source
+// with its read-ahead contracts, and the shard range check.
 #include "store/graph_view.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include "core/distributed_degree.h"
 #include "core/distributed_triangles.h"
 #include "core/generate.h"
+#include "store/format.h"
+#include "store/shard_reader.h"
 #include "util/error.h"
 
 namespace pagen::store {
@@ -131,6 +136,111 @@ TEST_F(StoreViewTest, MergedSourceRunsSingleRank) {
                                                   partition::Scheme::kRrp));
 }
 
+TEST_F(StoreViewTest, MergedBatchesAreTheBlocksInRankOrder) {
+  // The read-ahead keeps the serial stream: one batch per block, shards in
+  // rank order, concatenating to load_all().
+  const ShardedGraphView view(dir_);
+  std::vector<std::size_t> block_sizes;
+  for (int r = 0; r < opt_.ranks; ++r) {
+    EdgeShardReader reader(shard_path(dir_, r));
+    (void)reader.visit([&block_sizes](std::span<const graph::Edge> b) {
+      block_sizes.push_back(b.size());
+    });
+  }
+  graph::EdgeList merged;
+  std::vector<std::size_t> batch_sizes;
+  const std::thread::id caller = std::this_thread::get_id();
+  view.merged_edge_source().visit_shard(
+      0, [&](std::span<const graph::Edge> batch) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        batch_sizes.push_back(batch.size());
+        merged.insert(merged.end(), batch.begin(), batch.end());
+      });
+  EXPECT_EQ(merged, view.load_all());
+  EXPECT_EQ(batch_sizes, block_sizes);
+  EXPECT_GT(block_sizes.size(), 4u)
+      << "the store must hold more blocks than the read-ahead queue";
+}
+
+TEST_F(StoreViewTest, MergedStreamRethrowsDamageOnTheCaller) {
+  // Flip a payload byte in block 1 of the last shard: the helper's
+  // CheckError reaches the caller after every verified block before it,
+  // and no edge of the damaged block is delivered.
+  const int last = opt_.ranks - 1;
+  const std::string path = shard_path(dir_, last);
+  std::uintmax_t block1_payload = 0;
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(sizeof(kShardMagic));
+    std::vector<std::uint8_t> head(kBlockHeaderBytes);
+    f.read(reinterpret_cast<char*>(head.data()),
+           static_cast<std::streamsize>(head.size()));
+    block1_payload = sizeof(kShardMagic) + kBlockHeaderBytes +
+                     get_block_header(head, kMaxBlockEdges).payload_bytes +
+                     kBlockHeaderBytes;
+  }
+  const ShardedGraphView view(dir_);
+  graph::EdgeList expected;
+  for (int r = 0; r < last; ++r) {
+    const graph::EdgeList shard = view.load_shard(r);
+    expected.insert(expected.end(), shard.begin(), shard.end());
+  }
+  const graph::EdgeList last_shard = view.load_shard(last);
+  expected.insert(expected.end(), last_shard.begin(),
+                  last_shard.begin() +
+                      static_cast<std::ptrdiff_t>(opt_.store_block_edges));
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(block1_payload + 1));
+    char c = 0;
+    f.get(c);
+    f.seekp(static_cast<std::streamoff>(block1_payload + 1));
+    f.put(static_cast<char>(c ^ 0x01));
+  }
+
+  graph::EdgeList delivered;
+  EXPECT_THROW(view.merged_edge_source().visit_shard(
+                   0,
+                   [&delivered](std::span<const graph::Edge> batch) {
+                     delivered.insert(delivered.end(), batch.begin(),
+                                      batch.end());
+                   }),
+               CheckError);
+  EXPECT_EQ(delivered, expected);
+}
+
+TEST_F(StoreViewTest, MergedStreamReturnsTheVisitorsException) {
+  // A visitor that throws stops the read-ahead: the helper is joined and
+  // the visitor's own exception leaves the call.
+  struct VisitorStop {};
+  const ShardedGraphView view(dir_);
+  int batches = 0;
+  EXPECT_THROW(view.merged_edge_source().visit_shard(
+                   0,
+                   [&batches](std::span<const graph::Edge>) {
+                     ++batches;
+                     throw VisitorStop{};
+                   }),
+               VisitorStop);
+  EXPECT_EQ(batches, 1);
+}
+
+TEST_F(StoreViewTest, StaleShardPastTheManifestRejected) {
+  // A reused directory can hold an edges.<r>.pcs beyond num_shards; a
+  // visit of that shard must fail before streaming any of its edges.
+  const ShardedGraphView view(dir_);
+  const int stale = view.manifest().num_shards;
+  std::filesystem::copy_file(shard_path(dir_, 0), shard_path(dir_, stale));
+  Count delivered = 0;
+  EXPECT_THROW(view.edge_source().visit_shard(
+                   stale,
+                   [&delivered](std::span<const graph::Edge> batch) {
+                     delivered += batch.size();
+                   }),
+               CheckError);
+  EXPECT_EQ(delivered, 0u);
+}
+
 TEST_F(StoreViewTest, BudgetGuaranteeCheckedAtOpen) {
   // Ample budget opens; a budget that cannot hold one block stream per
   // shard must refuse at construction, not drift over it at runtime.
@@ -142,6 +252,26 @@ TEST_F(StoreViewTest, BudgetGuaranteeCheckedAtOpen) {
   EXPECT_THROW(ShardedGraphView(dir_, 1024), CheckError);
   const ShardedGraphView unbudgeted(dir_, 0);  // 0 = no budget
   EXPECT_EQ(unbudgeted.manifest().total_edges(), result_.total_edges);
+}
+
+TEST_F(StoreViewTest, MergedReadAheadCountsAgainstTheBudget) {
+  // On one shard the merged stream's queued blocks outweigh the per-shard
+  // stream, so a budget of one shard stream must refuse.
+  const std::string one = dir_ + "_one";
+  {
+    StoreWriter writer(one, 1, 128);
+    graph::EdgeList path;
+    for (NodeId t = 1; t < 1000; ++t) path.push_back({t, t - 1});
+    writer.append(0, path);
+    (void)writer.finish(1000);
+  }
+  const ShardedGraphView view(one);
+  EXPECT_GT(view.merged_stream_bytes(), view.per_shard_stream_bytes());
+  EXPECT_THROW(ShardedGraphView(one, view.per_shard_stream_bytes()),
+               CheckError);
+  const ShardedGraphView fits(one, view.merged_stream_bytes());
+  EXPECT_EQ(fits.merged_edge_source().num_shards, 1);
+  std::filesystem::remove_all(one);
 }
 
 TEST_F(StoreViewTest, SourceOutlivesView) {
