@@ -35,10 +35,10 @@ namespace pagen::core {
 using DegreeHistogram = std::vector<std::pair<Count, Count>>;
 
 /// Compute the exact degree distribution of the union of `shards` over
-/// nodes [0, n). shards[r] must contain edges whose *newer* endpoint is
-/// owned by rank r under `scheme` with P = shards.size() (which is what
-/// ParallelOptions::keep_shards produces); the older endpoint may live
-/// anywhere. Runs its own rank world of shards.size() ranks.
+/// nodes [0, n). Rank r of a world of P = shards.size() ranks reads
+/// shards[r] and sends each endpoint it does not own under `scheme` to its
+/// owner, so a shard may hold any edges; ParallelOptions::keep_shards
+/// shards, whose newer endpoints are local, send only the older ones.
 [[nodiscard]] DegreeHistogram distributed_degree_distribution(
     const std::vector<graph::EdgeList>& shards, NodeId n,
     partition::Scheme scheme);

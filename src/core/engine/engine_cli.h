@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/engine/engine.h"
 #include "core/options.h"
 #include "util/cli.h"
 
@@ -20,11 +19,6 @@ namespace pagen::core {
 
 inline void apply_engine_cli(const Cli& cli, ParallelOptions& options) {
   options.engine = cli.get_str("engine", options.engine);
-}
-
-/// "mps | commfree | seq-copy | seq-bb" style help text for --engine.
-[[nodiscard]] inline std::string engine_cli_help() {
-  return EngineRegistry::instance().names();
 }
 
 }  // namespace pagen::core

@@ -1,8 +1,7 @@
 // MpsEngine: the paper's request/resolved message-passing protocol, wrapped
-// behind the Engine facade. This file (with the x == 1 delegation inside
-// generate_pa_general) is the only sanctioned caller of the raw algorithm
-// entry points — pagen-lint's engine-facade rule keeps it that way.
-// pagen-lint: engine-facade
+// behind the Engine facade. This file is the only sanctioned caller of the
+// raw algorithm entry points — pagen-lint's engine-facade rule keeps it that
+// way.
 #include <memory>
 #include <string_view>
 
@@ -31,10 +30,7 @@ class MpsEngine final : public Engine {
 
   [[nodiscard]] ParallelResult run(
       const PaConfig& config, const ParallelOptions& options) const override {
-    // Algorithm 3.1 for x = 1 (dispatched directly — the general front
-    // door's x == 1 delegation is bypassed, not relied on), 3.2 otherwise.
-    // Both routes produce identical x = 1 output
-    // (tests/generate_dispatch_test.cpp pins this).
+    // Algorithm 3.1 for x = 1, 3.2 otherwise: one route per x.
     if (config.x == 1) return generate_pa_x1(config, options);
     return generate_pa_general(config, options);
   }

@@ -1,16 +1,11 @@
 // genrt launch scaffolding: everything between "validated config + options"
-// and "assembled ParallelResult" that is identical for every generator.
+// and "assembled ParallelResult" that is identical for the request/resolved
+// generators (Algorithms 3.1 and 3.2).
 //
-// Two entry points:
-//
-//  * launch<Policy>() — the request/resolved generators (Algorithms 3.1 and
-//    3.2). Builds (or validates) the partition, runs one genrt::Driver<P>
-//    per rank under mps::run_ranks, and assembles the result through the
-//    shared assemble_result() (emitter.h) plus the runtime's comm stats.
-//
-//  * run_sharded() — the embarrassingly parallel generators (ER, Chung-Lu):
-//    no protocol, just per-rank edge production under the same world
-//    machinery, load accounting, and shard/gather assembly.
+// launch<Policy>() builds (or validates) the partition, runs one
+// genrt::Driver<P> per rank under mps::run_ranks, and assembles the result
+// through the shared assemble_result() (emitter.h) plus the runtime's comm
+// stats.
 #pragma once
 
 #include <memory>
@@ -106,33 +101,6 @@ ParallelResult launch(const PaConfig& config, const ParallelOptions& options) {
   result.wall_seconds = run.wall_seconds;
   result.respawns = run.respawns;
   for (const Count r : restored_slots) result.restored_slots += r;
-  return result;
-}
-
-/// Shared scaffolding for generators with no cross-rank protocol (ER,
-/// Chung-Lu): run `body(comm, shard)` per rank under the same world
-/// machinery (one trailing barrier so wall_seconds covers all ranks'
-/// generation), then total, and optionally gather, the shards. `Result`
-/// needs members {edges, shards, total_edges, wall_seconds}; shards are
-/// always kept (these generators are sharded by construction).
-template <typename Result, typename Body>
-Result run_sharded(int ranks, bool gather, Body&& body) {
-  Result result;
-  result.shards.resize(static_cast<std::size_t>(ranks));
-
-  const mps::RunResult run = mps::run_ranks(ranks, [&](mps::Comm& comm) {
-    body(comm, result.shards[static_cast<std::size_t>(comm.rank())]);
-    comm.barrier();
-  });
-
-  result.wall_seconds = run.wall_seconds;
-  for (const auto& shard : result.shards) result.total_edges += shard.size();
-  if (gather) {
-    result.edges.reserve(result.total_edges);
-    for (const auto& shard : result.shards) {
-      result.edges.insert(result.edges.end(), shard.begin(), shard.end());
-    }
-  }
   return result;
 }
 

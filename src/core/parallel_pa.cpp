@@ -4,7 +4,7 @@
 #include "baseline/pa_draws.h"
 #include "core/genrt/driver.h"
 #include "core/genrt/launch.h"
-#include "core/pa_messages.h"
+#include "core/genrt/protocol.h"
 #include "util/error.h"
 
 namespace pagen::core {

@@ -1,6 +1,4 @@
-// pagen-lint: policy-impl, engine-facade — the XkPolicy speaks only through
-// the Driver; the x == 1 delegation below is the entry point itself, not a
-// facade bypass.
+// pagen-lint: policy-impl — the XkPolicy speaks only through the Driver.
 #include "core/parallel_pa_general.h"
 
 #include <cstdint>
@@ -9,7 +7,7 @@
 #include "baseline/pa_draws.h"
 #include "core/genrt/driver.h"
 #include "core/genrt/launch.h"
-#include "core/pa_messages.h"
+#include "core/genrt/protocol.h"
 #include "util/error.h"
 
 namespace pagen::core {
@@ -214,12 +212,14 @@ class XkPolicy {
 ParallelResult generate_pa_general(const PaConfig& config,
                                    const ParallelOptions& options) {
   PAGEN_CHECK(config.x >= 1);
-  if (config.x == 1) return generate_pa_x1(config, options);
+  PAGEN_CHECK_MSG(config.x != 1,
+                  "generate_pa_general runs Algorithm 3.2 for x >= 2; x = 1 "
+                  "is Algorithm 3.1 (generate_pa_x1, or core::generate)");
   PAGEN_CHECK_MSG(config.n > config.x, "need n > x");
   PAGEN_CHECK_MSG(config.p >= 0.0 && config.p <= 1.0, "p must be in [0, 1]");
   // p == 1 never takes the copy path, and node x+1's only direct candidate
   // is node x — the x distinct endpoints Algorithm 3.2 requires cannot
-  // exist. (p == 1 is fine for x == 1.)
+  // exist. (Algorithm 3.1 accepts p == 1.)
   PAGEN_CHECK_MSG(config.p < 1.0, "p must be below 1 for x > 1");
   PAGEN_CHECK(options.ranks >= 1);
   PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,

@@ -1,4 +1,4 @@
-// Algorithm 3.2: distributed-memory preferential attachment, x >= 1.
+// Algorithm 3.2: distributed-memory preferential attachment, x >= 2.
 //
 // Extends Algorithm 3.1 with x edges per node, an initial x-clique, and
 // duplicate-edge avoidance: a duplicate discovered on the direct path
@@ -18,10 +18,9 @@
 
 namespace pagen::core {
 
-/// Run Algorithm 3.2. Requires config.n > config.x >= 1. For x == 1 this
-/// delegates to generate_pa_x1 (identical protocol, cheaper bookkeeping).
-/// ParallelResult::targets stays empty for x > 1 (rows are per-edge; use
-/// `edges`).
+/// Run Algorithm 3.2. Requires config.n > config.x >= 2; x == 1 is
+/// Algorithm 3.1 (generate_pa_x1, or core::generate, which routes by x).
+/// ParallelResult::targets stays empty (rows are per-edge; use `edges`).
 [[nodiscard]] ParallelResult generate_pa_general(const PaConfig& config,
                                                  const ParallelOptions& options);
 

@@ -1,8 +1,10 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace pagen {
 
@@ -32,18 +34,40 @@ Cli::Cli(int argc, const char* const* argv,
   }
 }
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("bad value for --" + key + ": '" + value +
+                              "' (expected " + expected + ")");
+}
+
+/// The whole of `value` as a T, or invalid_argument naming the flag.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& value,
+              const char* expected) {
+  T out{};
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, out);
+  if (ec != std::errc() || end != last) bad_value(key, value, expected);
+  return out;
+}
+
+}  // namespace
+
 bool Cli::has(const std::string& key) const { return values_.count(key) != 0; }
 
 std::uint64_t Cli::get_u64(const std::string& key, std::uint64_t def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::stoull(it->second);
+  return parse_whole<std::uint64_t>(key, it->second,
+                                    "a decimal integer below 2^64");
 }
 
 double Cli::get_double(const std::string& key, double def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return std::stod(it->second);
+  return parse_whole<double>(key, it->second, "a number");
 }
 
 std::string Cli::get_str(const std::string& key, std::string def) const {
@@ -55,7 +79,10 @@ std::string Cli::get_str(const std::string& key, std::string def) const {
 bool Cli::get_bool(const std::string& key, bool def) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& s = it->second;
+  if (s == "true" || s == "1" || s == "yes") return true;
+  if (s == "false" || s == "0" || s == "no") return false;
+  bad_value(key, s, "one of true, 1, yes, false, 0, no");
 }
 
 std::string Cli::usage(const std::string& prog) const {

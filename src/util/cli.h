@@ -1,8 +1,9 @@
 // Minimal --key=value command-line parsing for examples and benches.
 //
 // Every experiment binary accepts overrides such as --n=1000000 --x=4
-// --ranks=16 --seed=42; unknown keys abort with a usage message so typos
-// never silently run the default workload.
+// --ranks=16 --seed=42; unknown keys and values that do not parse as a
+// whole throw std::invalid_argument, so typos never silently run the
+// default workload.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,12 @@ class Cli {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
+  // Each getter returns `def` when the key is absent and otherwise accepts
+  // one form, throwing std::invalid_argument (naming the flag and the
+  // value) on anything else:
+  //   get_u64     a plain decimal integer below 2^64 ("1e9", "-1", "4x" fail)
+  //   get_double  a number the conversion consumes whole ("0.5x" fails)
+  //   get_bool    true, 1, yes, false, 0 or no (a bare --flag is true)
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;

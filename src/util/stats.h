@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace pagen {
 
@@ -22,13 +21,6 @@ struct Summary {
 
 /// Compute min/max/mean/stddev/sum in one pass. Empty input yields all zeros.
 [[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Overload accepting any integral span by widening to double.
-template <typename T>
-[[nodiscard]] Summary summarize_of(std::span<const T> xs) {
-  std::vector<double> d(xs.begin(), xs.end());
-  return summarize(std::span<const double>(d));
-}
 
 /// q-th percentile (0 <= q <= 1) via linear interpolation on a sorted copy.
 /// Empty input returns 0.

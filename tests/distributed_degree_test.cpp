@@ -1,5 +1,8 @@
 #include "core/distributed_degree.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analysis/degree_dist.h"
@@ -36,6 +39,26 @@ TEST_P(DistributedDegree, MatchesCentralizedComputation) {
   const auto distributed =
       distributed_degree_distribution(result.shards, cfg.n, opt.scheme);
   EXPECT_EQ(distributed, reference_histogram(result.edges, cfg.n));
+}
+
+TEST_P(DistributedDegree, AnyEdgePlacementMatchesCentralized) {
+  // No engine writes this layout: edges dealt round-robin to 4 shards, and
+  // every other edge with its endpoints swapped, so a shard's rank need
+  // own neither endpoint. The kernel routes both, so a shard may hold any
+  // edges.
+  const PaConfig cfg{.n = 20000, .x = 3, .p = 0.5, .seed = 41};
+  ParallelOptions opt;
+  opt.ranks = 1;
+  const auto result = generate(cfg, opt);
+
+  std::vector<graph::EdgeList> shards(4);
+  for (std::size_t i = 0; i < result.edges.size(); ++i) {
+    graph::Edge e = result.edges[i];
+    if (i % 2 == 1) std::swap(e.u, e.v);
+    shards[i % 4].push_back(e);
+  }
+  EXPECT_EQ(distributed_degree_distribution(shards, cfg.n, GetParam()),
+            reference_histogram(result.edges, cfg.n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, DistributedDegree,

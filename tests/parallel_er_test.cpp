@@ -1,10 +1,12 @@
 #include "core/parallel_er.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "graph/edge_list.h"
+#include "util/error.h"
 
 namespace pagen::core {
 namespace {
@@ -33,6 +35,14 @@ TEST(PairFromIndex, LargeIndicesExact) {
     const auto e = pair_from_index(idx);
     EXPECT_EQ(e.u * (e.u - 1) / 2 + e.v, idx);
   }
+}
+
+TEST(PairFromIndex, LargestIndexExact) {
+  // v(v - 1) exceeds 2^64 here, so the correction must not wrap.
+  const Count idx = ~Count{0};
+  const auto e = pair_from_index(idx);
+  EXPECT_LT(e.v, e.u);
+  EXPECT_EQ(static_cast<unsigned __int128>(e.u) * (e.u - 1) / 2 + e.v, idx);
 }
 
 TEST(ParallelEr, CompleteGraphExact) {
@@ -90,6 +100,40 @@ TEST(ParallelEr, ShardsPartitionTheIndexSpace) {
       EXPECT_LT(idx, end) << "rank " << r;
     }
   }
+}
+
+TEST(ParallelEr, ChunkBoundsHoldAtABillionNodes) {
+  // C·(r + 1) passes 2^64 at n = 10⁹ from r + 1 = 37; the bounds must not
+  // wrap, or high ranks sample the wrong chunk and the top of the pair
+  // space is never reached. ~5·10⁵ edges over 64 ranks.
+  using u128 = unsigned __int128;
+  const baseline::ErConfig cfg{.n = 1'000'000'000, .p = 1e-12, .seed = 13};
+  const int ranks = 64;
+  const auto result = generate_er(cfg, ranks, /*gather=*/false);
+  ASSERT_EQ(result.shards.size(), static_cast<std::size_t>(ranks));
+
+  const u128 total_pairs = static_cast<u128>(cfg.n) * (cfg.n - 1) / 2;
+  NodeId largest = 0;
+  for (std::size_t r = 0; r < result.shards.size(); ++r) {
+    const u128 begin = total_pairs * r / ranks;
+    const u128 end = total_pairs * (r + 1) / ranks;
+    EXPECT_FALSE(result.shards[r].empty()) << "rank " << r;
+    for (const auto& e : result.shards[r]) {
+      const u128 idx = static_cast<u128>(e.u) * (e.u - 1) / 2 + e.v;
+      ASSERT_TRUE(idx >= begin && idx < end) << "rank " << r;
+      largest = std::max(largest, e.u);
+    }
+  }
+  EXPECT_GT(static_cast<double>(largest), 0.99 * static_cast<double>(cfg.n));
+  const double expected = cfg.p * static_cast<double>(total_pairs);
+  EXPECT_NEAR(static_cast<double>(result.total_edges), expected,
+              5 * std::sqrt(expected));
+}
+
+TEST(ParallelEr, RejectsMoreThanTwoToThe32Nodes) {
+  // Above n = 2^32, n(n - 1) no longer fits in 64 bits.
+  EXPECT_THROW((void)generate_er({.n = (NodeId{1} << 32) + 1, .p = 0.0}, 1),
+               CheckError);
 }
 
 TEST(ParallelEr, GatherCanBeDisabled) {

@@ -164,19 +164,12 @@ TEST(ParallelPaGeneralDist, DivergenceFromSequentialIsOnlyRetryDeep) {
       << "more than 5% divergence cannot be explained by retry reordering";
 }
 
-TEST(ParallelPaGeneralDist, X1DelegationMatchesSpecializedPath) {
-  const PaConfig cfg{.n = 3000, .x = 1, .p = 0.5, .seed = 23};
-  ParallelOptions opt;
-  opt.ranks = 6;
-  const auto via_general = generate_pa_general(cfg, opt);
-  const auto direct = generate_pa_x1(cfg, opt);
-  EXPECT_EQ(via_general.targets, direct.targets);
-}
-
 TEST(ParallelPaGeneralDist, RejectsBadConfigs) {
   ParallelOptions opt;
   opt.ranks = 2;
   EXPECT_THROW(generate_pa_general({.n = 4, .x = 4, .p = 0.5, .seed = 1}, opt),
+               CheckError);
+  EXPECT_THROW(generate_pa_general({.n = 10, .x = 1, .p = 0.5, .seed = 1}, opt),
                CheckError);
 }
 

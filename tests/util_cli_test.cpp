@@ -12,6 +12,12 @@ Cli make(std::vector<const char*> args, std::vector<std::string> allowed) {
   return Cli(static_cast<int>(args.size()), args.data(), std::move(allowed));
 }
 
+/// A Cli holding the one flag --key=value.
+Cli one(const std::string& key, const std::string& value) {
+  const std::string arg = "--" + key + "=" + value;
+  return make({arg.c_str()}, {key});
+}
+
 TEST(Cli, ParsesKeyValues) {
   const Cli cli = make({"--n=1000", "--p=0.25", "--scheme=RRP"},
                        {"n", "p", "scheme"});
@@ -36,6 +42,51 @@ TEST(Cli, ExplicitBooleans) {
   EXPECT_FALSE(cli.get_bool("a", true));
   EXPECT_TRUE(cli.get_bool("b", false));
   EXPECT_TRUE(cli.get_bool("c", false));
+}
+
+TEST(Cli, IntegersParseWholeOrThrow) {
+  EXPECT_EQ(one("n", "18446744073709551615").get_u64("n", 0), ~0ULL);
+  EXPECT_EQ(one("seed", "007").get_u64("seed", 0), 7u);
+  // Scientific notation, a sign, a suffix, nothing, a leading space.
+  for (const char* bad : {"1e9", "-1", "+5", "4x", "", " 5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)one("n", bad).get_u64("n", 0), std::invalid_argument);
+  }
+  EXPECT_THROW((void)one("n", "18446744073709551616").get_u64("n", 0),
+               std::invalid_argument);
+}
+
+TEST(Cli, DoublesParseWholeOrThrow) {
+  EXPECT_DOUBLE_EQ(one("seconds", "30.0").get_double("seconds", 0.0), 30.0);
+  EXPECT_DOUBLE_EQ(one("p", "1e-12").get_double("p", 0.0), 1e-12);
+  EXPECT_DOUBLE_EQ(one("p", "-2.5").get_double("p", 0.0), -2.5);
+  for (const char* bad : {"0.5x", "", "x0.5", "0.5 "}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)one("p", bad).get_double("p", 0.0),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Cli, BooleansAcceptSixWordsOnly) {
+  EXPECT_FALSE(one("b", "0").get_bool("b", true));
+  EXPECT_FALSE(one("b", "no").get_bool("b", true));
+  EXPECT_TRUE(one("b", "true").get_bool("b", false));
+  for (const char* bad : {"ture", "", "2", "on"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW((void)one("b", bad).get_bool("b", false),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Cli, BadValueErrorNamesFlagAndValue) {
+  try {
+    (void)one("ranks", "4x").get_u64("ranks", 1);
+    FAIL() << "4x parsed as an integer";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--ranks"), std::string::npos) << what;
+    EXPECT_NE(what.find("4x"), std::string::npos) << what;
+  }
 }
 
 TEST(Cli, RejectsUnknownKey) {
