@@ -150,13 +150,14 @@ BENCHMARK(BM_BatageljBrandesBa)->Arg(100000);
 // crash-tolerant rank issuing requests and retiring answers; the store's
 // note_sent / note_answered are O(1) array writes with zero allocation
 // where the map paid an rb-tree insert + erase per request. Recorded in
-// BENCH_genrt.json.
+// BENCH_genrt.json with the 16-byte x = 1 request of the time; both tables
+// now hold the 32-byte RequestXk, the one request struct.
 
 constexpr Count kStormSlots = 10'000'000;
 constexpr Count kStormWindow = 65536;  ///< in-flight requests at any moment
 
 void BM_OutstandingMap(benchmark::State& state) {
-  std::map<Count, core::RequestX1> outstanding;
+  std::map<Count, core::RequestXk> outstanding;
   for (auto _ : state) {
     for (Count s = 0; s < kStormSlots; ++s) {
       outstanding[s] = {s, s / 2};
@@ -173,7 +174,7 @@ void BM_OutstandingMap(benchmark::State& state) {
 BENCHMARK(BM_OutstandingMap)->Unit(benchmark::kMillisecond);
 
 void BM_OutstandingSlotStore(benchmark::State& state) {
-  core::genrt::SlotStore<core::RequestX1> store(kStormSlots,
+  core::genrt::SlotStore<core::RequestXk> store(kStormSlots,
                                                 /*track_requests=*/true,
                                                 /*chain_hist=*/nullptr);
   for (auto _ : state) {

@@ -78,7 +78,6 @@ GeneralResult copy_model_general(const PaConfig& config) {
     result.edges.push_back({x, e});
   }
 
-  constexpr std::uint64_t kMaxAttempts = 100000;
   for (NodeId t = x + 1; t < config.n; ++t) {
     auto* row = &result.targets[t * x];
     auto is_dup = [&](NodeId v) {

@@ -14,11 +14,18 @@
 // (t, e, attempt) overloads redo the node and slot rounds on every call.
 #pragma once
 
+#include <cstdint>
+
 #include "baseline/pa_config.h"
 #include "rng/counter_rng.h"
 #include "util/types.h"
 
 namespace pagen {
+
+/// Duplicate-retry cap per edge slot of Algorithm 3.2, shared by every
+/// generator that retries (the sequential model, mps and commfree), so a
+/// spec that trips it fails identically on each.
+inline constexpr std::uint64_t kMaxAttempts = 100000;
 
 class DrawSchema {
  public:
@@ -58,11 +65,10 @@ class DrawSchema {
   /// Node t's draws: one round per purpose on top of the purpose keys.
   [[nodiscard]] Row row(NodeId t) const { return {t, keys_.absorb(t)}; }
 
-  /// Line 3 / Line 4: the uniformly selected node k for (t, e, attempt).
-  /// Range is [1, t-1] for x = 1 and [x, t-1] for the general algorithm.
+  /// Line 3 / Line 4: the uniformly selected node k for (t, e, attempt),
+  /// in [x, t-1] (for x = 1, Algorithm 3.1's [1, t-1]).
   [[nodiscard]] NodeId pick_k(const Slot& s, std::uint64_t attempt) const {
-    const NodeId lo = x_ == 1 ? NodeId{1} : x_;
-    return rng::CounterRng::range(lo, s.t - 1, s.states.k, attempt);
+    return rng::CounterRng::range(x_, s.t - 1, s.states.k, attempt);
   }
 
   /// Line 5: true means "connect directly to k" (probability p).

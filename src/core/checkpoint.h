@@ -1,19 +1,19 @@
 // Coarse per-rank generation checkpoints for crash recovery.
 //
-// A checkpoint captures the durable core of one rank's Algorithm 3.1/3.2
-// state: the resolved F slice (plus, for x > 1, the per-slot attempt
-// counters and copy-path latches that keep the counter-based draws on
-// track). Waiter queues, send buffers, and transport state are deliberately
-// NOT checkpointed — they are reconstructed by the recovery protocol: the
-// respawned rank replays its unresolved slots (re-issuing requests), and a
-// kTagRecover broadcast makes peers re-offer every request they still wait
-// on (docs/robustness.md §3). Files are written atomically via
-// save_bytes_atomic (util/bytes_file.h) so a crash mid-write never leaves a
-// torn checkpoint, serialized with the edge store's varint coder
-// (store/format.h), and sealed with the FNV-1a (util/hash.h) content
-// checksum verified before any field is parsed — a truncated, extended,
-// or bit-flipped file raises CheckError instead of silently restoring
-// garbage.
+// A checkpoint captures the durable core of one rank's Algorithm 3.2
+// state: the resolved F slice (plus, once the rank has retried a duplicate,
+// the per-slot attempt counters and copy-path latches that keep the
+// counter-based draws on track). Waiter queues, send buffers, and transport
+// state are deliberately NOT checkpointed — they are reconstructed by the
+// recovery protocol: the respawned rank replays its unresolved slots
+// (re-issuing requests), and a kTagRecover broadcast makes peers re-offer
+// every request they still wait on (docs/robustness.md §3). Files are
+// written atomically via save_bytes_atomic (util/bytes_file.h) so a crash
+// mid-write never leaves a torn checkpoint, serialized with the edge
+// store's varint coder (store/format.h), and sealed with the FNV-1a
+// (util/hash.h) content checksum verified before any field is parsed — a
+// truncated, extended, or bit-flipped file raises CheckError instead of
+// silently restoring garbage.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,10 @@
 namespace pagen::core {
 
 /// One rank's durable generation state. `f` holds one entry per slot
-/// (x = 1: one per owned node; x > 1: part_size * x, slot-major), kNil for
-/// unresolved slots. `attempts` / `locked_copy` are empty for x = 1.
+/// (part_size * x, slot-major; x = 1: one per owned node), kNil for
+/// unresolved slots. `attempts` / `locked_copy` are empty until the rank's
+/// first duplicate retry, then hold one entry per slot; x = 1 never
+/// retries, so its extras are always empty.
 struct RankCheckpoint {
   std::uint64_t n = 0;
   std::uint64_t x = 0;

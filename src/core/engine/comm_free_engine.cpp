@@ -60,9 +60,6 @@
 namespace pagen::core {
 namespace {
 
-/// Same duplicate-retry cap as baseline::copy_model_general and XkPolicy.
-constexpr std::uint64_t kMaxAttempts = 100000;
-
 /// x = 1 re-derivation, a stateless chain walk: F_t follows the copy chain
 /// t -> k -> k' ... to the first direct draw, whose k is the value of every
 /// node on the chain, or to the bootstrap node 1 (F_1 = 0).
@@ -256,18 +253,12 @@ class CommFreeEngine final : public Engine {
  public:
   [[nodiscard]] std::string_view name() const override { return "commfree"; }
 
-  [[nodiscard]] std::string_view description() const override {
-    return "communication-free pseudorandomization (re-derive remote draws "
-           "locally; zero request/resolved traffic)";
-  }
-
   [[nodiscard]] EngineCaps capabilities() const override {
     return {.checkpointing = false,
             .fault_tolerance = false,
             .delivery_hook = false,
             .multi_rank = true,
-            .state_spill = true,
-            .determinism = Determinism::kBitwise};
+            .state_spill = true};
   }
 
   [[nodiscard]] ParallelResult run(

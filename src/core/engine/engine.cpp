@@ -6,16 +6,6 @@
 
 namespace pagen::core {
 
-const char* to_string(Determinism d) {
-  switch (d) {
-    case Determinism::kBitwise:
-      return "bitwise";
-    case Determinism::kBitwiseX1:
-      return "bitwise-x1";
-  }
-  return "unknown";
-}
-
 EngineRegistry& EngineRegistry::instance() {
   static EngineRegistry registry;
   return registry;
@@ -71,6 +61,9 @@ void check_engine_options(const Engine& engine, const PaConfig& config,
   // Written so that NaN fails too; x > 1 further needs p < 1 (engine run()).
   PAGEN_CHECK_MSG(config.p >= 0.0 && config.p <= 1.0,
                   "p must be in [0, 1] (got p = " << config.p << ")");
+  PAGEN_CHECK_MSG(options.node_batch >= 1, "node_batch must be >= 1");
+  PAGEN_CHECK_MSG(options.buffer_capacity >= 1,
+                  "buffer_capacity must be >= 1");
   const EngineCaps caps = engine.capabilities();
   PAGEN_CHECK_MSG(caps.multi_rank || options.ranks == 1,
                   "engine '" << engine.name() << "' is single-rank; got ranks = "

@@ -8,7 +8,7 @@
 // silently ignoring it), and delegates. Built-in engines:
 //
 //   mps       the paper's request/resolved message-passing protocol
-//             (Algorithms 3.1 / 3.2 via the genrt runtime)
+//             (Algorithm 3.2 via the genrt runtime; Algorithm 3.1 at x = 1)
 //   commfree  communication-free pseudorandomization (Sanders & Schulz,
 //             arXiv:1602.07106): every rank re-derives remote F_k values
 //             locally from the counter-based draw chain — zero messages
@@ -30,18 +30,6 @@
 
 namespace pagen::core {
 
-/// How reproducible an engine's output is across runs of one spec.
-enum class Determinism : std::uint8_t {
-  /// Bitwise-identical edge *set* for every supported rank count and
-  /// partition scheme, for every x (emission order may still differ).
-  kBitwise,
-  /// Bitwise for x = 1 on any rank count, and for any x at ranks = 1;
-  /// x > 1 multi-rank output depends on message timing (docs/serving.md §5).
-  kBitwiseX1,
-};
-
-[[nodiscard]] const char* to_string(Determinism d);
-
 /// What an engine supports beyond plain generation. generate() enforces
 /// these against the requested ParallelOptions before dispatch, so asking an
 /// engine for a feature it lacks is a loud CheckError, never a silent no-op.
@@ -55,7 +43,6 @@ struct EngineCaps {
   /// (docs/storage.md §5). An engine with no state at some x accepts them
   /// there as no-ops.
   bool state_spill = false;
-  Determinism determinism = Determinism::kBitwise;
 };
 
 /// One generator backend. Implementations are stateless (all run state is
@@ -67,9 +54,6 @@ class Engine {
   /// Registry key and CLI spelling (--engine=<name>).
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// One-line human description for --help and docs.
-  [[nodiscard]] virtual std::string_view description() const = 0;
-
   [[nodiscard]] virtual EngineCaps capabilities() const = 0;
 
   /// Generate. The caller (core::generate) has already verified the options
@@ -79,16 +63,11 @@ class Engine {
       const PaConfig& config, const ParallelOptions& options) const = 0;
 };
 
-/// Process-wide engine table. The built-in engines are registered by the
-/// constructor, so instance() is never empty. add() is not thread-safe —
-/// register custom engines during startup, before concurrent generate()
-/// calls.
+/// Process-wide engine table: the built-in engines, registered once by the
+/// constructor and read-only afterwards.
 class EngineRegistry {
  public:
   [[nodiscard]] static EngineRegistry& instance();
-
-  /// Register an engine; names must be unique.
-  void add(std::unique_ptr<Engine> engine);
 
   /// The named engine, or null when unknown.
   [[nodiscard]] const Engine* find(std::string_view name) const;
@@ -97,7 +76,7 @@ class EngineRegistry {
   /// unknown.
   [[nodiscard]] const Engine& require(std::string_view name) const;
 
-  /// All engines in registration order (built-ins first).
+  /// All engines in registration order.
   [[nodiscard]] std::vector<const Engine*> engines() const;
 
   /// "mps, commfree, seq-copy, seq-bb" — for error messages and --help.
@@ -106,14 +85,17 @@ class EngineRegistry {
  private:
   EngineRegistry();
 
+  /// Register an engine; names must be unique.
+  void add(std::unique_ptr<Engine> engine);
+
   std::vector<std::unique_ptr<Engine>> engines_;
 };
 
-/// Reject a p outside [0, 1] (NaN included) for every engine, and options
-/// the engine's capabilities cannot honor (checkpointing, fault injection,
-/// delivery hook, multi-rank, state spill). Called by generate() before
-/// dispatch; throws CheckError naming p, or the engine and the offending
-/// option.
+/// Reject, for every engine, a p outside [0, 1] (NaN included) and a zero
+/// node_batch or buffer_capacity, and options the engine's capabilities
+/// cannot honor (checkpointing, fault injection, delivery hook, multi-rank,
+/// state spill). Called by generate() before dispatch; throws CheckError
+/// naming p or the option, or the engine and the offending option.
 void check_engine_options(const Engine& engine, const PaConfig& config,
                           const ParallelOptions& options);
 

@@ -1,12 +1,11 @@
 // MpsEngine: the paper's request/resolved message-passing protocol, wrapped
 // behind the Engine facade. This file is the only sanctioned caller of the
-// raw algorithm entry points — pagen-lint's engine-facade rule keeps it that
+// raw algorithm entry point — pagen-lint's engine-facade rule keeps it that
 // way.
 #include <memory>
 #include <string_view>
 
 #include "core/engine/engine.h"
-#include "core/parallel_pa.h"
 #include "core/parallel_pa_general.h"
 
 namespace pagen::core {
@@ -16,22 +15,16 @@ class MpsEngine final : public Engine {
  public:
   [[nodiscard]] std::string_view name() const override { return "mps"; }
 
-  [[nodiscard]] std::string_view description() const override {
-    return "request/resolved message-passing protocol (Algorithms 3.1/3.2)";
-  }
-
   [[nodiscard]] EngineCaps capabilities() const override {
     return {.checkpointing = true,
             .fault_tolerance = true,
             .delivery_hook = true,
-            .multi_rank = true,
-            .determinism = Determinism::kBitwiseX1};
+            .multi_rank = true};
   }
 
   [[nodiscard]] ParallelResult run(
       const PaConfig& config, const ParallelOptions& options) const override {
-    // Algorithm 3.1 for x = 1, 3.2 otherwise: one route per x.
-    if (config.x == 1) return generate_pa_x1(config, options);
+    // Algorithm 3.2 for every x; at x = 1 it is Algorithm 3.1.
     return generate_pa_general(config, options);
   }
 };

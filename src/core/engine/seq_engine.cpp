@@ -68,16 +68,11 @@ class SeqCopyEngine final : public Engine {
  public:
   [[nodiscard]] std::string_view name() const override { return "seq-copy"; }
 
-  [[nodiscard]] std::string_view description() const override {
-    return "sequential copy model (the oracle of Algorithms 3.1/3.2)";
-  }
-
   [[nodiscard]] EngineCaps capabilities() const override {
     return {.checkpointing = false,
             .fault_tolerance = false,
             .delivery_hook = false,
-            .multi_rank = false,
-            .determinism = Determinism::kBitwise};
+            .multi_rank = false};
   }
 
   [[nodiscard]] ParallelResult run(
@@ -98,17 +93,11 @@ class SeqBbEngine final : public Engine {
  public:
   [[nodiscard]] std::string_view name() const override { return "seq-bb"; }
 
-  [[nodiscard]] std::string_view description() const override {
-    return "sequential Batagelj-Brandes BA sampler (p is ignored: pure "
-           "preferential attachment)";
-  }
-
   [[nodiscard]] EngineCaps capabilities() const override {
     return {.checkpointing = false,
             .fault_tolerance = false,
             .delivery_hook = false,
-            .multi_rank = false,
-            .determinism = Determinism::kBitwise};
+            .multi_rank = false};
   }
 
   [[nodiscard]] ParallelResult run(

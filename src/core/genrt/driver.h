@@ -1,30 +1,29 @@
 // genrt layer 3 — the event-loop driver: the shared rank engine of every
 // request/resolved generator.
 //
-// Algorithms 3.1 and 3.2 differ only in slot bookkeeping and duplicate-edge
-// retry; the message loop around them is one machine. Driver<Policy> owns
-// that machine — the generate → drain → termination phases, per-destination
-// send buffering, the post-batch flush rule, counting termination, the flat
-// slot store, load accounting, observability spans, cooperative
-// cancellation (ParallelOptions::cancel_requested, polled at every phase
-// boundary), the rank's edge emitter (emitter.h), and the crash-recovery
-// adapter — and delegates the algorithm to a small policy object.
+// The message loop around a generator's slot bookkeeping and duplicate-edge
+// retry is one machine. Driver<Policy> owns that machine — the generate →
+// drain → termination phases, per-destination send buffering, the
+// post-batch flush rule, counting termination, the flat slot store, load
+// accounting, observability spans, cooperative cancellation
+// (ParallelOptions::cancel_requested, polled at every phase boundary), the
+// rank's edge emitter (emitter.h), and the crash-recovery adapter — and
+// delegates the algorithm to a small policy object.
 //
 // pagen-lint: hot-path — the per-message event loop; flat tables only.
 //
 // A policy plugs in with (see docs/architecture.md for the full contract,
-// parallel_pa.cpp / parallel_pa_general.cpp for the two instances):
+// parallel_pa_general.cpp for the one instance, Algorithm 3.2 at every x):
 //
 //   using Request / Resolved;         // slot-addressed wire pair (protocol.h)
-//   kFlushRequestsAfterPump;          // true if serving messages can create
-//                                     // fresh requests (duplicate retries)
-//   static slots_per_node(config);    // 1 for x = 1, x for the general case
 //   Policy(Driver&);                  // holds algorithm state (draws, ...)
 //   process_own_node(t);              // phase-1 work for one owned node
-//   node_has_slots(t);                // false for seed/clique nodes
+//   node_has_slots(t);                // false for clique nodes
 //   request_slot / request_waiter / make_resolved / waiter_resolved;
 //   resolved_slot / accept_resolved / apply_resolved / deliver_local;
 //   fill_checkpoint / restore_checkpoint_extras;
+//
+// Every node owns config.x slots (F_t(0..x-1)).
 //
 // The driver's state transitions are exactly the rank lifecycle of
 // docs/protocol.md §3; the recovery flow is docs/robustness.md §3.
@@ -83,7 +82,7 @@ class Driver {
         options_(options),
         part_(part),
         comm_(comm),
-        spn_(P::slots_per_node(config)),
+        spn_(config.x),
         tolerant_(options.fault_plan.has_crash()),
         recovering_(comm.incarnation() > 0 ||
                     (options.resume && !options.checkpoint_dir.empty())),
@@ -207,9 +206,9 @@ class Driver {
   /// pre-counts its open slots instead).
   void add_open_slot() { ++unresolved_; }
 
-  /// Globally unique causal id of node `t`'s slot `slot`: t * spn + e. For
-  /// x = 1 this is just t; for x >= 1 it is t * x + e. Used as the flow
-  /// correlation id and the stamp's root across ranks.
+  /// Globally unique causal id of node `t`'s slot `slot`: t * x + e (for
+  /// x = 1 just t). Used as the flow correlation id and the stamp's root
+  /// across ranks.
   [[nodiscard]] std::uint64_t causal_root(NodeId t, Count slot) const {
     return static_cast<std::uint64_t>(t) * spn_ + slot % spn_;
   }
@@ -375,17 +374,16 @@ class Driver {
   ///    option exists only to measure the rule's cost under CP schemes;
   ///    once this rank has nothing unresolved the flush is unconditional
   ///    (it owes the world everything it knows).
-  /// 2. <request> buffers flush only for policies whose message handling
-  ///    can create fresh requests (x >= 1 duplicate retries): in the
-  ///    waiting phases nothing else would flush those, and a parked
-  ///    request is a parked dependency chain.
+  /// 2. <request> buffers flush only when x >= 2: only a duplicate retry
+  ///    creates a request while serving a batch, and in the waiting phases
+  ///    nothing else would flush it — a parked request is a parked
+  ///    dependency chain. x = 1 never retries, so its requests keep
+  ///    batching up to buffer capacity (phase 1 flushes them at its end).
   void flush_after_batch() {
     if (options_.flush_resolved_after_batch || unresolved_ == 0) {
       res_buf_.flush_all();
     }
-    if constexpr (P::kFlushRequestsAfterPump) {
-      req_buf_.flush_all();
-    }
+    if (spn_ >= 2) req_buf_.flush_all();
   }
 
   /// Per-item stamp of a mixed batch, or null when the item is unstamped
@@ -449,7 +447,7 @@ class Driver {
   const ParallelOptions& options_;
   const partition::Partition& part_;
   mps::Comm& comm_;
-  Count spn_;        ///< slots per node (1 for x = 1, x for the general case)
+  Count spn_;        ///< slots per node: config.x
   bool tolerant_;    ///< crash plan active: absorb duplicate resolutions
   bool recovering_;  ///< this Comm is a respawned incarnation
 

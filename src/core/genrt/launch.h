@@ -1,6 +1,5 @@
 // genrt launch scaffolding: everything between "validated config + options"
-// and "assembled ParallelResult" that is identical for the request/resolved
-// generators (Algorithms 3.1 and 3.2).
+// and "assembled ParallelResult" for a request/resolved generator.
 //
 // launch<Policy>() builds (or validates) the partition, runs one
 // genrt::Driver<P> per rank under mps::run_ranks, and assembles the result
@@ -48,7 +47,7 @@ inline std::shared_ptr<const partition::Partition> make_run_partition(
 }
 
 /// Run one Driver<P> per rank and assemble the result. The caller has
-/// already validated config and options (the checks differ per algorithm).
+/// already validated config and options.
 template <typename P>
 ParallelResult launch(const PaConfig& config, const ParallelOptions& options) {
   // A job cancelled before launch never pays for a partition build or a

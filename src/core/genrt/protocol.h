@@ -1,25 +1,24 @@
 // genrt layer 1 — the protocol: tags and slot-addressed messages.
 //
-// The generation protocol of Algorithms 3.1 and 3.2 is one conversation
-// shape: a requester that cannot resolve a local *slot* (an attachment
-// choice F_t(e)) sends a <request> to the owner of the node it copies from,
-// and eventually receives a <resolved> carrying the value. Everything else —
-// per-destination batching, the flush rules, termination, recovery — is
-// independent of what precisely a slot is. The genrt runtime therefore
-// treats messages through the *slot-addressed message concept*:
+// The generation protocol of Algorithm 3.2 (Algorithm 3.1 at x = 1) is one
+// conversation shape: a requester that cannot resolve a local *slot* (an
+// attachment choice F_t(e)) sends a <request> to the owner of the node it
+// copies from, and eventually receives a <resolved> carrying the value.
+// Everything else — per-destination batching, the flush rules, termination,
+// recovery — is independent of what precisely a slot is. The genrt runtime
+// therefore treats messages through the *slot-addressed message concept*:
 //
-//  * `Request` names the requester's slot (via fields `t` and, for x > 1,
-//    `e`) and the owner-side slot it reads (via `k` and, for x > 1, `l`).
-//    The runtime routes it with `partition.owner(req.k)` and re-offers it
-//    verbatim when that owner respawns, so `k` is the one field the runtime
-//    itself reads.
+//  * `Request` names the requester's slot (via fields `t` and `e`) and the
+//    owner-side slot it reads (via `k` and `l`). The runtime routes it with
+//    `partition.owner(req.k)` and re-offers it verbatim when that owner
+//    respawns, so `k` is the one field the runtime itself reads.
 //  * `Resolved` echoes the requester's slot plus the value `v`. The policy
 //    maps it back to a slot index (`resolved_slot`) and decides acceptance
 //    (`accept_resolved` filters stale rounds after a crash re-offer).
 //
-// The concrete x = 1 and x >= 1 wire structs below are exactly the paper's
-// message contents (docs/protocol.md §2); the runtime never inspects the
-// x-specific fields.
+// The one wire pair below carries exactly the paper's message contents
+// (docs/protocol.md §2) for every x; at x = 1, e = l = round = 0. The
+// runtime never inspects the fields beyond `t` and `k`.
 //
 // pagen-lint: wire-structs — every struct here travels through
 // mps::pack/unpack; keep them trivially copyable (static_asserts below) and
@@ -38,7 +37,7 @@ namespace pagen::core {
 /// replayable model-checker traces implicitly assume one layout; bump this
 /// (and treat mismatching artifacts as stale) whenever a tag is added or a
 /// wire struct changes size, field order, or meaning.
-inline constexpr std::uint32_t kProtocolWireVersion = 1;
+inline constexpr std::uint32_t kProtocolWireVersion = 2;
 
 // Tag space of the generation protocol (shared by every genrt policy).
 inline constexpr int kTagRequest = 1;   ///< <request, ...>
@@ -48,18 +47,6 @@ inline constexpr int kTagStop = 4;      ///< 0 -> all stop broadcast
 inline constexpr int kTagRecover = 5;   ///< restarted incarnation -> all:
                                         ///< "my queues died; re-offer what
                                         ///< you still wait on" (robustness)
-
-/// Algorithm 3.1 <request, t, k>: "tell me F_k so I can set F_t".
-struct RequestX1 {
-  NodeId t = 0;
-  NodeId k = 0;
-};
-
-/// Algorithm 3.1 <resolved, t, v>: "F_t = v".
-struct ResolvedX1 {
-  NodeId t = 0;
-  NodeId v = 0;
-};
 
 /// Algorithm 3.2 <request, t, e, k, l>: "tell me F_k(l) for t's e-th edge".
 /// `round` echoes the requester's per-slot attempt counter at issue time;
@@ -100,7 +87,6 @@ concept SlotMessages =
       { req.t } -> std::convertible_to<NodeId>;
     };
 
-static_assert(SlotMessages<RequestX1, ResolvedX1>);
 static_assert(SlotMessages<RequestXk, ResolvedXk>);
 
 }  // namespace genrt

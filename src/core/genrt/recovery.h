@@ -1,10 +1,5 @@
 // genrt layer 4 — the recovery adapter: every crash-tolerance concern of a
-// generator rank, funneled through one code path.
-//
-// PR 3 wired checkpoint restore, epoch-bumped respawn bring-up, and the
-// kTagRecover re-offer into parallel_pa.cpp and parallel_pa_general.cpp by
-// hand — twice, with drift (docs/robustness.md §3). This adapter is the
-// single implementation both policies now share:
+// generator rank (docs/robustness.md §3), funneled through one code path:
 //
 //  * restore_and_announce() — a respawned incarnation restores the durable
 //    F slice (plus policy extras: attempt counters, copy-path latches),
@@ -18,7 +13,7 @@
 //    the respawned peer is offered again from the flat slot store, and the
 //    termination detector repairs whatever done/stop state died with it.
 //    In-flight answers then arrive as duplicates and are absorbed by the
-//    tolerant resolve path (round echoes disambiguate for x > 1).
+//    tolerant resolve path (round echoes disambiguate retried slots).
 //  * note_resolution() / maybe_checkpoint() — the checkpoint write cadence.
 //
 // `D` is the genrt::Driver instantiation; the adapter reaches policy hooks

@@ -3,19 +3,17 @@
 //
 // pagen-lint: hot-path — touched once per message; flat vectors only.
 //
-// A *slot* is one attachment choice this rank owns: for x = 1 the local node
-// index itself, for x >= 1 `local_index(t) * x + e`. Slot indices are dense
+// A *slot* is one attachment choice this rank owns: `local_index(t) * x + e`
+// (for x = 1 the local node index itself). Slot indices are dense
 // and bounded by `part_size * x`, so every per-slot concern lives in flat
 // vectors indexed by slot instead of node-keyed trees:
 //
 //  * `values_` — the resolved F values (kNil = still unresolved);
 //  * `requests_` / `open_` — the in-flight remote request per slot, kept
 //    only under a crash plan so it can be re-offered when its owner
-//    respawns. This replaces the old hot-path
-//    `std::map<NodeId, RequestX1>` / `std::map<Count, RequestXk>`
-//    `outstanding_` maps of the two generators: note_sent / note_answered
-//    are O(1) array writes with zero allocation instead of rb-tree
-//    insert/erase (bench/micro_components.cpp, BM_Outstanding*).
+//    respawns. Flat arrays, not a slot-keyed `std::map`: note_sent /
+//    note_answered are O(1) array writes with zero allocation instead of
+//    rb-tree insert/erase (bench/micro_components.cpp, BM_Outstanding*).
 //  * `pending_since_` — the request-departure stamps behind the
 //    pa.chain_latency_ns histogram (the wait Theorem 3.3 bounds by
 //    O(log n) hops). The store owns the stamping rule, so it is uniform

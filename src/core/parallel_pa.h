@@ -1,15 +1,8 @@
-// Algorithm 3.1: distributed-memory preferential attachment, x = 1.
-//
-// Every rank owns a slice of the nodes (per the chosen partitioning scheme)
-// and computes F_t for its own nodes.  A node whose F_t copies F_k asks k's
-// owner with a <request> message; unanswerable requests park in per-node
-// queues until F_k resolves, then cascade <resolved> messages to all
-// waiters.  Requests and responses are aggregated per destination
-// (send_buffer.h) and the run terminates through counting detection
-// (termination.h).
-//
-// With the counter-based draw schema the generated tree is bitwise identical
-// to baseline::copy_model_x1 for every rank count and partitioning scheme.
+// ParallelResult: what every engine returns for one (PaConfig,
+// ParallelOptions) run — the gathered edges, the x = 1 targets row, per-rank
+// shards, load and transport counters, and the run's recovery and store
+// figures. The mps engine's generator (Algorithm 3.2, which at x = 1 makes
+// exactly Algorithm 3.1's draws) is declared in parallel_pa_general.h.
 #pragma once
 
 #include <vector>
@@ -64,10 +57,5 @@ struct ParallelResult {
   /// figure BENCH_massive.json tracks.
   std::uint64_t store_bytes = 0;
 };
-
-/// Run Algorithm 3.1. Requires config.x == 1 and config.n >= 2, and
-/// options.ranks <= config.n.
-[[nodiscard]] ParallelResult generate_pa_x1(const PaConfig& config,
-                                            const ParallelOptions& options);
 
 }  // namespace pagen::core

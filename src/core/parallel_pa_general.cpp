@@ -13,32 +13,22 @@
 namespace pagen::core {
 namespace {
 
-constexpr std::uint64_t kMaxAttempts = 100000;
-
 /// Algorithm 3.2 as a genrt policy: x slots per node (F_t(e)), an initial
 /// x-clique, and duplicate-edge avoidance — direct-path duplicates retry
 /// with a fresh (k, coin) (paper Lines 9-10), copy-path duplicates re-draw
 /// (k, l) and latch onto the copy path (Lines 26-29). The per-slot attempt
 /// counter doubles as the request round so stale answers after a crash
-/// recovery are filtered. Everything else lives in the genrt runtime.
+/// recovery are filtered. At x = 1 (clique {0}, F_1 = 0) no duplicate can
+/// arise and the run is Algorithm 3.1. Everything else lives in the genrt
+/// runtime.
 class XkPolicy {
  public:
   using Request = RequestXk;
   using Resolved = ResolvedXk;
-  /// Duplicate retries create fresh requests while serving messages; in the
-  /// waiting phases nothing else would flush them.
-  static constexpr bool kFlushRequestsAfterPump = true;
-
-  static Count slots_per_node(const PaConfig& config) { return config.x; }
 
   using D = genrt::Driver<XkPolicy>;
 
-  explicit XkPolicy(D& d)
-      : d_(d),
-        draws_(d.config()),
-        x_(d.config().x),
-        attempts_(d.slots().size(), 0),
-        locked_copy_(d.slots().size(), 0) {}
+  explicit XkPolicy(D& d) : d_(d), draws_(d.config()), x_(d.config().x) {}
 
   /// Clique nodes (t < x) have no attachment choices of their own.
   [[nodiscard]] bool node_has_slots(NodeId t) const { return t >= x_; }
@@ -89,7 +79,7 @@ class XkPolicy {
   /// attempt counter a second time and desync the deterministic draw
   /// sequence (docs/robustness.md §3).
   [[nodiscard]] bool accept_resolved(const Resolved& res) const {
-    return !d_.tolerant() || res.round == attempts_[slot(res.t, res.e)];
+    return !d_.tolerant() || res.round == attempt_of(slot(res.t, res.e));
   }
   void apply_resolved(const Resolved& res) {
     on_resolved(res.t, res.e, res.v);
@@ -98,15 +88,17 @@ class XkPolicy {
     on_resolved(w.t, w.e, v);
   }
 
-  // --- Checkpoint extras: attempt counters and copy-path latches ---
+  // --- Checkpoint extras: attempt counters and copy-path latches, empty
+  // until the rank's first duplicate retry ---
 
   void fill_checkpoint(RankCheckpoint& ck) const {
     ck.attempts = attempts_;
     ck.locked_copy = locked_copy_;
   }
   void restore_checkpoint_extras(const RankCheckpoint& ck) {
-    PAGEN_CHECK_MSG(ck.attempts.size() == d_.slots().size() &&
-                        ck.locked_copy.size() == d_.slots().size(),
+    PAGEN_CHECK_MSG((ck.attempts.empty() ||
+                     ck.attempts.size() == d_.slots().size()) &&
+                        ck.locked_copy.size() == ck.attempts.size(),
                     "checkpoint does not match this run's parameters");
     attempts_ = ck.attempts;
     locked_copy_ = ck.locked_copy;
@@ -115,6 +107,27 @@ class XkPolicy {
  private:
   [[nodiscard]] Count slot(NodeId t, std::uint32_t e) const {
     return d_.part().local_index(t) * x_ + e;
+  }
+
+  /// Slot s's draw attempt and copy-path latch (0 and unlatched until the
+  /// rank's first retry allocates them; x = 1 never retries).
+  [[nodiscard]] std::uint32_t attempt_of(Count s) const {
+    return attempts_.empty() ? 0 : attempts_[s];
+  }
+  [[nodiscard]] bool copy_locked(Count s) const {
+    return !locked_copy_.empty() && locked_copy_[s] != 0;
+  }
+
+  /// Slot s drew a duplicate: next attempt, latched onto the copy path when
+  /// `lock` (Lines 26-29) or free to redraw the coin (Lines 9-10).
+  void retry(Count s, bool lock) {
+    if (attempts_.empty()) {
+      attempts_.assign(d_.slots().size(), 0);
+      locked_copy_.assign(d_.slots().size(), 0);
+    }
+    if (lock) locked_copy_[s] = 1;
+    ++attempts_[s];
+    ++d_.load().retries;
   }
 
   /// True if v already is one of t's resolved endpoints (k ∈ F_t check).
@@ -131,17 +144,16 @@ class XkPolicy {
   void try_edge(NodeId t, std::uint32_t e) {
     const Count s = slot(t, e);
     for (;;) {
-      const std::uint64_t attempt = attempts_[s];
+      const std::uint64_t attempt = attempt_of(s);
       PAGEN_CHECK_MSG(attempt < kMaxAttempts,
                       "duplicate-retry cap exceeded at node " << t);
       const NodeId k = draws_.pick_k(t, e, attempt);
-      if (locked_copy_[s] == 0 && draws_.pick_direct(t, e, attempt)) {
+      if (!copy_locked(s) && draws_.pick_direct(t, e, attempt)) {
         if (!is_duplicate(t, k)) {
           assign(t, e, k);  // Lines 7-8
           return;
         }
-        ++attempts_[s];  // Lines 9-10: fresh k and coin
-        ++d_.load().retries;
+        retry(s, /*lock=*/false);  // Lines 9-10: fresh k and coin
         continue;
       }
       const auto l = static_cast<std::uint32_t>(draws_.pick_l(t, e, attempt));
@@ -163,9 +175,7 @@ class XkPolicy {
         assign(t, e, v);
         return;
       }
-      locked_copy_[s] = 1;  // Lines 26-29: stay on the copy path
-      ++attempts_[s];
-      ++d_.load().retries;
+      retry(s, /*lock=*/true);  // Lines 26-29: stay on the copy path
     }
   }
 
@@ -191,9 +201,7 @@ class XkPolicy {
       return;
     }
     if (is_duplicate(t, v)) {
-      locked_copy_[s] = 1;
-      ++attempts_[s];
-      ++d_.load().retries;
+      retry(s, /*lock=*/true);
       try_edge(t, e);
       return;
     }
@@ -203,8 +211,10 @@ class XkPolicy {
   D& d_;
   DrawSchema draws_;
   NodeId x_;
-  std::vector<std::uint32_t> attempts_;    // per-slot draw attempt counter
-  std::vector<std::uint8_t> locked_copy_;  // per-slot Lines 26-29 latch
+  // Per-slot draw attempt counter and Lines 26-29 latch; both empty until
+  // retry() first runs.
+  std::vector<std::uint32_t> attempts_;
+  std::vector<std::uint8_t> locked_copy_;
 };
 
 }  // namespace
@@ -212,18 +222,17 @@ class XkPolicy {
 ParallelResult generate_pa_general(const PaConfig& config,
                                    const ParallelOptions& options) {
   PAGEN_CHECK(config.x >= 1);
-  PAGEN_CHECK_MSG(config.x != 1,
-                  "generate_pa_general runs Algorithm 3.2 for x >= 2; x = 1 "
-                  "is Algorithm 3.1 (generate_pa_x1, or core::generate)");
   PAGEN_CHECK_MSG(config.n > config.x, "need n > x");
   PAGEN_CHECK_MSG(config.p >= 0.0 && config.p <= 1.0, "p must be in [0, 1]");
-  // p == 1 never takes the copy path, and node x+1's only direct candidate
-  // is node x — the x distinct endpoints Algorithm 3.2 requires cannot
-  // exist. (Algorithm 3.1 accepts p == 1.)
-  PAGEN_CHECK_MSG(config.p < 1.0, "p must be below 1 for x > 1");
+  // For x > 1, p == 1 never takes the copy path, and node x+1's only direct
+  // candidate is node x — the x distinct endpoints Algorithm 3.2 requires
+  // cannot exist. At x = 1 one endpoint suffices, so p == 1 is accepted.
+  PAGEN_CHECK_MSG(config.x == 1 || config.p < 1.0,
+                  "p must be below 1 for x > 1");
   PAGEN_CHECK(options.ranks >= 1);
   PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,
                   "more ranks than nodes");
+  PAGEN_CHECK_MSG(options.node_batch >= 1, "node_batch must be >= 1");
   return genrt::launch<XkPolicy>(config, options);
 }
 

@@ -1,16 +1,22 @@
-// Algorithm 3.2: distributed-memory preferential attachment, x >= 2.
+// Algorithm 3.2: distributed-memory preferential attachment, every x >= 1.
 //
-// Extends Algorithm 3.1 with x edges per node, an initial x-clique, and
-// duplicate-edge avoidance: a duplicate discovered on the direct path
+// Each new node makes x edges; nodes 0..x-1 form the initial clique, and
+// duplicate edges are avoided: a duplicate discovered on the direct path
 // retries with a fresh (k, coin) (paper Lines 9-10); a duplicate discovered
 // when a <resolved> arrives re-draws (k, l) and stays on the copy path
-// (Lines 26-29).  Each rank maintains x wait-queues per owned node
-// (Q_{k,l}) and the same buffering/termination machinery as the x = 1 case.
+// (Lines 26-29). Each rank keeps x wait-queues per owned node (Q_{k,l}),
+// per-destination buffering and counting termination.
 //
-// The duplicate-retry decisions depend on the order in which a node's edges
-// resolve, so — exactly as in the paper — the emitted edge set for x > 1 is
-// scheduling-dependent; the distribution and all structural invariants
-// (simple graph, exact edge count, connectivity) are preserved and tested.
+// At x = 1 the clique is node 0, the bootstrap row is F_1 = 0 and no
+// duplicate can arise, so the run makes exactly Algorithm 3.1's draws: the
+// tree is bitwise identical to baseline::copy_model_targets for every rank
+// count, partitioning scheme and message timing.
+//
+// For x > 1 the duplicate-retry decisions depend on the order in which a
+// node's edges resolve, so — exactly as in the paper — the emitted edge set
+// is scheduling-dependent when P > 1; the distribution and all structural
+// invariants (simple graph, exact edge count, connectivity) are preserved
+// and tested.
 #pragma once
 
 #include "baseline/pa_config.h"
@@ -18,9 +24,9 @@
 
 namespace pagen::core {
 
-/// Run Algorithm 3.2. Requires config.n > config.x >= 2; x == 1 is
-/// Algorithm 3.1 (generate_pa_x1, or core::generate, which routes by x).
-/// ParallelResult::targets stays empty (rows are per-edge; use `edges`).
+/// Run Algorithm 3.2. Requires config.n > config.x >= 1, p in [0, 1] (below
+/// 1 when x > 1), and 1 <= options.ranks <= config.n. ParallelResult::targets
+/// is filled for x = 1 only (rows are per-edge; use `edges`).
 [[nodiscard]] ParallelResult generate_pa_general(const PaConfig& config,
                                                  const ParallelOptions& options);
 

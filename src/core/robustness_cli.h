@@ -3,7 +3,13 @@
 // that never expose the flags pay nothing.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/options.h"
@@ -28,13 +34,29 @@ inline void apply_robustness_cli(const Cli& cli, ParallelOptions& options) {
   if (!spec.empty()) options.fault_plan = mps::FaultPlan::parse(spec);
   options.checkpoint_dir = cli.get_str("checkpoint-dir", "");
   options.reliable = cli.get_bool("reliable", options.reliable);
-  const std::string rto = cli.get_str("rto", "");
-  if (!rto.empty()) {
-    const auto colon = rto.find(':');
-    options.rto_base_ms = std::stoll(rto.substr(0, colon));
-    options.rto_max_ms = colon == std::string::npos
+  if (cli.has("rto")) {
+    // Each part whole, in milliseconds; MAX defaults to 16 * BASE, and the
+    // transport times in nanoseconds, so 16 * 10^6 * part must fit.
+    constexpr std::int64_t kMaxMs =
+        std::numeric_limits<std::int64_t>::max() / 16 / 1'000'000;
+    const std::string rto = cli.get_str("rto", "");
+    const auto ms = [&rto](std::string_view part) {
+      std::int64_t v = 0;
+      const char* last = part.data() + part.size();
+      const auto [end, ec] = std::from_chars(part.data(), last, v);
+      if (ec != std::errc() || end != last || v < 0 || v > kMaxMs) {
+        throw std::invalid_argument(
+            "bad value for --rto: '" + rto +
+            "' (expected BASE or BASE:MAX milliseconds)");
+      }
+      return v;
+    };
+    const std::string_view all(rto);
+    const auto colon = all.find(':');
+    options.rto_base_ms = ms(all.substr(0, colon));
+    options.rto_max_ms = colon == std::string_view::npos
                              ? options.rto_base_ms * 16
-                             : std::stoll(rto.substr(colon + 1));
+                             : ms(all.substr(colon + 1));
   }
 }
 

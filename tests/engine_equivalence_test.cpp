@@ -55,7 +55,6 @@ TEST(EngineRegistry, ListsTheBuiltinEngines) {
     const Engine* engine = reg.find(name);
     ASSERT_NE(engine, nullptr) << name;
     EXPECT_EQ(engine->name(), name);
-    EXPECT_FALSE(engine->description().empty());
   }
   EXPECT_EQ(reg.find("no-such-engine"), nullptr);
   EXPECT_GE(reg.engines().size(), 4U);
@@ -248,14 +247,12 @@ TEST(EngineCapabilities, DeclaredMatrixMatchesTheBackends) {
   EXPECT_TRUE(mps.checkpointing);
   EXPECT_TRUE(mps.fault_tolerance);
   EXPECT_TRUE(mps.multi_rank);
-  EXPECT_EQ(mps.determinism, Determinism::kBitwiseX1);
 
   const EngineCaps commfree = reg.require("commfree").capabilities();
   EXPECT_FALSE(commfree.checkpointing);
   EXPECT_FALSE(commfree.fault_tolerance);
   EXPECT_FALSE(commfree.delivery_hook);
   EXPECT_TRUE(commfree.multi_rank);
-  EXPECT_EQ(commfree.determinism, Determinism::kBitwise);
 
   for (const char* seq : {"seq-copy", "seq-bb"}) {
     EXPECT_FALSE(reg.require(seq).capabilities().multi_rank) << seq;
@@ -311,6 +308,32 @@ TEST(EngineCapabilities, GenerateRejectsUnsupportedOptionsLoudly) {
     ParallelOptions opt;
     opt.engine = "no-such-engine";
     EXPECT_THROW((void)generate(cfg, opt), CheckError);
+  }
+}
+
+// A zero node_batch or buffer_capacity is rejected for every engine, named,
+// before dispatch: mps divides by node_batch once per owned node.
+TEST(EngineCapabilities, GenerateRejectsZeroBatchAndBufferSizes) {
+  for (const Engine* engine : EngineRegistry::instance().engines()) {
+    for (const bool zero_batch : {true, false}) {
+      const std::string option = zero_batch ? "node_batch" : "buffer_capacity";
+      PaConfig cfg;
+      cfg.n = 100;
+      cfg.x = 1;
+      cfg.seed = 1;
+      ParallelOptions opt;
+      opt.engine = std::string(engine->name());
+      opt.ranks = 1;  // every engine runs single-rank
+      (zero_batch ? opt.node_batch : opt.buffer_capacity) = 0;
+      try {
+        (void)generate(cfg, opt);
+        ADD_FAILURE() << "expected CheckError: engine=" << engine->name()
+                      << " " << option << " = 0";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+            << "engine=" << engine->name() << ": " << e.what();
+      }
+    }
   }
 }
 

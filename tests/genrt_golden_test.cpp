@@ -32,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include "core/generate.h"
-#include "core/parallel_pa.h"
 #include "core/parallel_pa_general.h"
 #include "graph/edge_list.h"
 #include "mps/fault.h"
@@ -120,8 +119,7 @@ core::ParallelResult run_case(const GoldenCase& c, std::size_t idx,
   }
   if (c.checkpoint) opt.checkpoint_dir = fresh_dir(idx);
   if (via_facade) return core::generate(cfg, opt);  // engine defaults to mps
-  return c.x == 1 ? core::generate_pa_x1(cfg, opt)
-                  : core::generate_pa_general(cfg, opt);
+  return core::generate_pa_general(cfg, opt);
 }
 
 TEST(GenrtGolden, OutputsMatchPreRefactorHashes) {

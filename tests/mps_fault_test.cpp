@@ -16,10 +16,10 @@
 
 #include "baseline/copy_model_seq.h"
 #include "core/checkpoint.h"
-#include "core/parallel_pa.h"
 #include "core/parallel_pa_general.h"
 #include "graph/edge_list.h"
 #include "mps/engine.h"
+#include "partition/partition.h"
 #include "util/error.h"
 
 namespace pagen {
@@ -203,7 +203,7 @@ TEST(FaultGenerator, X1EdgeListUnaffectedByDropDupReorderStall) {
   core::ParallelOptions opt = fault_test_options();
   opt.fault_plan =
       mps::FaultPlan::parse("seed=11,drop=0.06,dup=0.05,reorder=0.08,stall=2@100:20");
-  const auto faulty = core::generate_pa_x1(cfg, opt);
+  const auto faulty = core::generate_pa_general(cfg, opt);
 
   // Acceptance (a): bitwise-identical targets — the faults were repaired
   // below the algorithm, which never saw them.
@@ -225,8 +225,8 @@ TEST(FaultGenerator, X1FaultRunsAreDeterministicGivenTheSeed) {
   core::ParallelOptions opt = fault_test_options();
   opt.fault_plan = mps::FaultPlan::parse("seed=23,drop=0.05,dup=0.05,reorder=0.05");
 
-  const auto first = core::generate_pa_x1(cfg, opt);
-  const auto second = core::generate_pa_x1(cfg, opt);
+  const auto first = core::generate_pa_general(cfg, opt);
+  const auto second = core::generate_pa_general(cfg, opt);
   // Acceptance (c): with the same fault seed the output is identical (the
   // injection schedule is pure, so this holds bitwise for the edge set).
   EXPECT_EQ(first.targets, second.targets);
@@ -240,7 +240,7 @@ TEST(FaultGenerator, X1CrashRecoversFromCheckpointBitwiseIdentical) {
   core::ParallelOptions opt = fault_test_options();
   opt.fault_plan = mps::FaultPlan::parse("seed=11,drop=0.03,crash=3@200");
   opt.checkpoint_dir = fresh_dir("x1_crash");
-  const auto result = core::generate_pa_x1(cfg, opt);
+  const auto result = core::generate_pa_general(cfg, opt);
 
   // Acceptance (b): the scripted mid-generation crash was absorbed by a
   // respawn + checkpoint restore, and the output is still bitwise right.
@@ -255,7 +255,7 @@ TEST(FaultGenerator, X1CrashWithoutCheckpointDirReplaysFromScratch) {
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 5};
   core::ParallelOptions opt = fault_test_options();
   opt.fault_plan = mps::FaultPlan::parse("seed=2,crash=5@160");
-  const auto result = core::generate_pa_x1(cfg, opt);
+  const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
 }
@@ -267,7 +267,7 @@ TEST(FaultGenerator, X1CrashOfTheTerminationRootRecovers) {
   core::ParallelOptions opt = fault_test_options();
   opt.fault_plan = mps::FaultPlan::parse("seed=4,crash=0@150");
   opt.checkpoint_dir = fresh_dir("x1_crash_root");
-  const auto result = core::generate_pa_x1(cfg, opt);
+  const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
 }
@@ -278,7 +278,7 @@ TEST(FaultGenerator, X1CrashPlusChaosRecovers) {
   opt.fault_plan =
       mps::FaultPlan::parse("seed=13,drop=0.04,dup=0.04,reorder=0.06,crash=2@170");
   opt.checkpoint_dir = fresh_dir("x1_crash_chaos");
-  const auto result = core::generate_pa_x1(cfg, opt);
+  const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
 }
@@ -309,6 +309,41 @@ TEST(FaultGenerator, XkCrashRecoversFromCheckpoint) {
   EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
   EXPECT_EQ(graph::count_duplicates(result.edges), 0u);
   EXPECT_EQ(graph::connected_components(result.edges, cfg.n), 1u);
+}
+
+// Retry state is allocated at a rank's first duplicate retry: x = 1 never
+// retries, so its checkpoints carry no extras, and an x > 1 checkpoint holds
+// either none or one per slot.
+TEST(FaultGenerator, CheckpointExtrasEmptyUntilTheFirstRetry) {
+  for (const std::uint64_t x : {1, 3}) {
+    for (const int ranks : {1, 3}) {
+      SCOPED_TRACE("x=" + std::to_string(x) + " P=" + std::to_string(ranks));
+      const PaConfig cfg{.n = 3000, .x = x, .p = 0.5, .seed = 21};
+      core::ParallelOptions opt;
+      opt.ranks = ranks;
+      opt.checkpoint_every = 64;
+      opt.checkpoint_dir = fresh_dir("extras_x" + std::to_string(x) + "_P" +
+                                     std::to_string(ranks));
+      (void)core::generate_pa_general(cfg, opt);
+
+      const auto part = partition::make_partition(opt.scheme, cfg.n, ranks);
+      for (Rank r = 0; r < ranks; ++r) {
+        core::RankCheckpoint ck;
+        ASSERT_TRUE(core::load_checkpoint(opt.checkpoint_dir, r, ck)) << r;
+        EXPECT_EQ(ck.f.size(), part->part_size(r) * x) << r;
+        if (x == 1) {
+          EXPECT_TRUE(ck.attempts.empty()) << r;
+          EXPECT_TRUE(ck.locked_copy.empty()) << r;
+        } else {
+          EXPECT_TRUE(ck.attempts.empty() || ck.attempts.size() == ck.f.size())
+              << r;
+          EXPECT_TRUE(ck.locked_copy.empty() ||
+                      ck.locked_copy.size() == ck.f.size())
+              << r;
+        }
+      }
+    }
+  }
 }
 
 TEST(FaultGenerator, CheckpointRoundTripsThroughDisk) {

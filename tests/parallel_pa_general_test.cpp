@@ -169,8 +169,6 @@ TEST(ParallelPaGeneralDist, RejectsBadConfigs) {
   opt.ranks = 2;
   EXPECT_THROW(generate_pa_general({.n = 4, .x = 4, .p = 0.5, .seed = 1}, opt),
                CheckError);
-  EXPECT_THROW(generate_pa_general({.n = 10, .x = 1, .p = 0.5, .seed = 1}, opt),
-               CheckError);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/options.h"
+#include "core/robustness_cli.h"
+
 namespace pagen {
 namespace {
 
@@ -86,6 +89,36 @@ TEST(Cli, BadValueErrorNamesFlagAndValue) {
     const std::string what = e.what();
     EXPECT_NE(what.find("--ranks"), std::string::npos) << what;
     EXPECT_NE(what.find("4x"), std::string::npos) << what;
+  }
+}
+
+/// The options --rto=value leaves behind (robustness_cli.h).
+core::ParallelOptions with_rto(const std::string& value) {
+  const std::string arg = "--rto=" + value;
+  core::ParallelOptions options;
+  core::apply_robustness_cli(make({arg.c_str()}, core::robustness_cli_keys()),
+                             options);
+  return options;
+}
+
+TEST(Cli, RtoParsesBaseAndOptionalMaxWhole) {
+  const core::ParallelOptions base_only = with_rto("25");
+  EXPECT_EQ(base_only.rto_base_ms, 25);
+  EXPECT_EQ(base_only.rto_max_ms, 400);
+  const core::ParallelOptions both = with_rto("5:80");
+  EXPECT_EQ(both.rto_base_ms, 5);
+  EXPECT_EQ(both.rto_max_ms, 80);
+  for (const char* bad :
+       {"25x", "abc", "25:", "25:40x", ":5", "-5", "1000000000000"}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)with_rto(bad);
+      ADD_FAILURE() << "--rto=" << bad << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--rto"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
   }
 }
 
