@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   // completes); --checkpoint-dir roots the per-job retry checkpoints
   // (default: a scratch dir wiped at start).
   core::ParallelOptions robust;
-  robust.fault_plan = mps::FaultPlan::parse(
+  robust.transport.fault_plan = mps::FaultPlan::parse(
       "seed=9,jobfail=0.6@2,storecorrupt=0.5,ckptcorrupt=0.5");
   core::apply_robustness_cli(cli, robust);
   std::string ckpt_root = robust.checkpoint_dir;
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   server_options.checkpoint_every = 64;
   server_options.breaker_threshold = 2;
   server_options.breaker_cooldown = 1000;  // stays open for this run
-  server_options.chaos = robust.fault_plan;
+  server_options.chaos = robust.transport.fault_plan;
   svc::Server server(server_options);
   GoldenBook golden;
   rng::SplitMix64 draw(seed);

@@ -146,20 +146,20 @@ int main(int argc, char** argv) {
   server_options.queue_capacity = queue_cap;
   server_options.cache_entries = cache_entries;
   server_options.checkpoint_root = robust.checkpoint_dir;
-  server_options.chaos = robust.fault_plan;
+  server_options.chaos = robust.transport.fault_plan;
   svc::Server server(server_options);
 
   const std::string engine = cli.get_str("engine", "mps");
   const auto arm_spec = [&](svc::JobSpec spec) {
     spec.engine = engine;
     spec.max_attempts = attempts;
-    spec.fault_plan = robust.fault_plan;
+    spec.fault_plan = robust.transport.fault_plan;
     spec.fault_plan.jobfail = 0.0;  // svc-scope keys stay server-side
     spec.fault_plan.storecorrupt = 0.0;
     spec.fault_plan.ckptcorrupt = 0.0;
-    spec.reliable = robust.reliable;
-    spec.rto_base_ms = robust.rto_base_ms;
-    spec.rto_max_ms = robust.rto_max_ms;
+    spec.reliable = robust.transport.reliable;
+    spec.rto_base_ms = robust.transport.rto_base_ms;
+    spec.rto_max_ms = robust.transport.rto_max_ms;
     return spec;
   };
   GoldenBook golden;

@@ -7,7 +7,7 @@ namespace pagen::baseline {
 
 ChainTrace::ChainTrace(const PaConfig& config) {
   PAGEN_CHECK_MSG(config.x == 1, "chains are defined for the x = 1 model");
-  PAGEN_CHECK(config.n >= 2);
+  check_pa_config(config);
   const DrawSchema draws(config);
   k_.assign(config.n, kNil);
   direct_.assign(config.n, 0);

@@ -9,7 +9,7 @@ namespace pagen::baseline {
 
 std::vector<NodeId> copy_model_targets(const PaConfig& config) {
   PAGEN_CHECK_MSG(config.x == 1, "copy_model_targets is the x = 1 model");
-  PAGEN_CHECK(config.n >= 2);
+  check_pa_config(config);
   const DrawSchema draws(config);
 
   std::vector<NodeId> f(config.n, kNil);
@@ -47,17 +47,13 @@ graph::EdgeList copy_model_x1(const PaConfig& config) {
 }
 
 GeneralResult copy_model_general(const PaConfig& config) {
-  PAGEN_CHECK(config.x >= 1);
+  check_pa_config(config);
   if (config.x == 1) {
     GeneralResult r;
     r.targets = copy_model_targets(config);
     r.edges = copy_model_x1(config);
     return r;
   }
-  PAGEN_CHECK_MSG(config.n > config.x, "need n > x");
-  PAGEN_CHECK_MSG(config.p >= 0.0 && config.p < 1.0,
-                  "general model needs p in [0, 1): p = 1 cannot supply x "
-                  "distinct endpoints for node x+1");
   const DrawSchema draws(config);
   const NodeId x = config.x;
 

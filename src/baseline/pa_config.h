@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "util/error.h"
 #include "util/types.h"
 
 namespace pagen {
@@ -27,6 +28,19 @@ struct PaConfig {
   /// graphs for x = 1 regardless of rank count or partitioning scheme.
   std::uint64_t seed = 1;
 };
+
+/// The domain Algorithms 3.1-3.2 are defined on (DESIGN.md §1): x >= 1,
+/// n > x, p in [0, 1] (NaN fails), and p < 1 once x >= 2 — at p = 1 node
+/// x+1's only candidate is node x, so its x distinct endpoints cannot
+/// exist. Throws CheckError naming the violated condition.
+inline void check_pa_config(const PaConfig& c) {
+  PAGEN_CHECK_MSG(c.x >= 1, "x must be >= 1 (got x = " << c.x << ")");
+  PAGEN_CHECK_MSG(c.n > c.x,
+                  "need n > x (got n = " << c.n << ", x = " << c.x << ")");
+  PAGEN_CHECK_MSG(c.p >= 0.0 && c.p <= 1.0,
+                  "p must be in [0, 1] (got p = " << c.p << ")");
+  PAGEN_CHECK_MSG(c.x == 1 || c.p < 1.0, "p must be below 1 for x > 1");
+}
 
 /// Total edges the generators emit for a config: an x-clique plus x edges
 /// per subsequent node (for x = 1: the single bootstrap edge (1,0) plus one

@@ -17,8 +17,7 @@ constexpr int kRetryCap = 10000;
 
 ApproxPaResult generate_approx_pa(const PaConfig& config,
                                   const ApproxPaOptions& options) {
-  PAGEN_CHECK(config.x >= 1);
-  PAGEN_CHECK(config.n > config.x);
+  check_pa_config(config);
   PAGEN_CHECK(options.ranks >= 1);
   PAGEN_CHECK(options.sync_interval >= 1);
   PAGEN_CHECK(options.sample_size >= 1);

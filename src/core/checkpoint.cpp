@@ -10,10 +10,11 @@
 namespace pagen::core {
 namespace {
 
-/// "pagnckp2": format magic + version in one varint-framed constant. v2
-/// appends an FNV-1a content checksum trailer (v1 files fail the magic
-/// check and are treated as corrupt — regenerate, never restore garbage).
-constexpr std::uint64_t kMagic = 0x7061676e636b7032ULL;
+/// "pagnckp3": format magic + version in one varint-framed constant. v2
+/// appended an FNV-1a content checksum trailer; v3 adds p's bit pattern and
+/// the owned-node fingerprint to the header. Older files fail the magic
+/// check and are treated as corrupt — regenerate, never restore garbage.
+constexpr std::uint64_t kMagic = 0x7061676e636b7033ULL;
 
 /// Bytes of the fixed-width FNV-1a trailer.
 constexpr std::size_t kChecksumBytes = 8;
@@ -61,13 +62,15 @@ void save_checkpoint(const std::string& dir, const RankCheckpoint& ck) {
   // fails on a real error, not on "already exists".
   std::filesystem::create_directories(dir);
   std::vector<std::uint8_t> buf;
-  buf.reserve(24 + ck.f.size() * 2);
+  buf.reserve(48 + ck.f.size() * 2);
   store::put_varint(buf, kMagic);
   store::put_varint(buf, ck.n);
   store::put_varint(buf, ck.x);
+  store::put_varint(buf, ck.p_bits);
   store::put_varint(buf, ck.seed);
   store::put_varint(buf, static_cast<std::uint64_t>(ck.rank));
   store::put_varint(buf, static_cast<std::uint64_t>(ck.nranks));
+  store::put_varint(buf, ck.owned_hash);
   store::put_varint(buf, ck.f.size());
   for (const NodeId v : ck.f) store::put_varint(buf, encode_f(v));
   store::put_varint(buf, ck.attempts.size());
@@ -96,9 +99,11 @@ bool load_checkpoint(const std::string& dir, Rank rank, RankCheckpoint& out) {
                   "bad checkpoint magic for rank " << rank);
   out.n = store::get_varint(body, pos);
   out.x = store::get_varint(body, pos);
+  out.p_bits = store::get_varint(body, pos);
   out.seed = store::get_varint(body, pos);
   out.rank = static_cast<std::int32_t>(store::get_varint(body, pos));
   out.nranks = static_cast<std::int32_t>(store::get_varint(body, pos));
+  out.owned_hash = store::get_varint(body, pos);
   PAGEN_CHECK_MSG(out.rank == rank, "checkpoint rank mismatch");
   out.f.resize(checked_count(body, pos, store::get_varint(body, pos), rank));
   for (NodeId& v : out.f) v = decode_f(store::get_varint(body, pos));

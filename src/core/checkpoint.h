@@ -28,13 +28,17 @@ namespace pagen::core {
 /// (part_size * x, slot-major; x = 1: one per owned node), kNil for
 /// unresolved slots. `attempts` / `locked_copy` are empty until the rank's
 /// first duplicate retry, then hold one entry per slot; x = 1 never
-/// retries, so its extras are always empty.
+/// retries, so its extras are always empty. The header names the run it
+/// belongs to — n, x, p's bits, seed, nranks and a fingerprint of the
+/// rank's owned nodes in slot order — and restores only into that run.
 struct RankCheckpoint {
   std::uint64_t n = 0;
   std::uint64_t x = 0;
+  std::uint64_t p_bits = 0;
   std::uint64_t seed = 0;
   std::int32_t rank = -1;
   std::int32_t nranks = 0;
+  std::uint64_t owned_hash = 0;
   std::vector<NodeId> f;
   std::vector<std::uint32_t> attempts;
   std::vector<std::uint8_t> locked_copy;

@@ -263,19 +263,6 @@ class CommFreeEngine final : public Engine {
 
   [[nodiscard]] ParallelResult run(
       const PaConfig& config, const ParallelOptions& options) const override {
-    PAGEN_CHECK_MSG(config.x >= 1, "x must be >= 1");
-    if (config.x == 1) {
-      PAGEN_CHECK_MSG(config.n >= 2, "x == 1 needs n >= 2");
-    } else {
-      PAGEN_CHECK_MSG(config.n > config.x, "need n > x");
-      PAGEN_CHECK_MSG(config.p >= 0.0 && config.p < 1.0,
-                      "general model needs p in [0, 1)");
-    }
-    PAGEN_CHECK_MSG(options.ranks >= 1, "ranks must be >= 1");
-    PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,
-                    "more ranks than nodes");
-    PAGEN_CHECK_MSG(options.node_batch >= 1, "node_batch must be >= 1");
-
     if (options.cancel_requested && options.cancel_requested()) {
       throw Cancelled();
     }

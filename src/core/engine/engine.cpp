@@ -2,7 +2,9 @@
 
 #include <utility>
 
+#include "mps/world_options.h"
 #include "util/error.h"
+#include "util/types.h"
 
 namespace pagen::core {
 
@@ -56,14 +58,39 @@ std::string EngineRegistry::names() const {
   return out;
 }
 
-void check_engine_options(const Engine& engine, const PaConfig& config,
-                          const ParallelOptions& options) {
-  // Written so that NaN fails too; x > 1 further needs p < 1 (engine run()).
-  PAGEN_CHECK_MSG(config.p >= 0.0 && config.p <= 1.0,
-                  "p must be in [0, 1] (got p = " << config.p << ")");
+void check_request(const Engine& engine, const PaConfig& config,
+                   const ParallelOptions& options) {
+  const mps::WorldOptions& transport = options.transport;
+  check_pa_config(config);
+  PAGEN_CHECK_MSG(options.ranks >= 1,
+                  "ranks must be >= 1 (got ranks = " << options.ranks << ")");
+  PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,
+                  "more ranks (" << options.ranks << ") than nodes ("
+                                 << config.n << ")");
   PAGEN_CHECK_MSG(options.node_batch >= 1, "node_batch must be >= 1");
   PAGEN_CHECK_MSG(options.buffer_capacity >= 1,
                   "buffer_capacity must be >= 1");
+  const auto& part = options.custom_partition;
+  PAGEN_CHECK_MSG(!part || (part->num_nodes() == config.n &&
+                            part->num_parts() == options.ranks),
+                  "custom partition does not match (n, ranks)");
+  // The store must see every edge exactly once, which rules out the
+  // at-least-once re-emission paths: a crash respawn or a checkpoint
+  // resume would append restored edges again.
+  PAGEN_CHECK_MSG(
+      options.store_dir.empty() || !transport.fault_plan.has_crash(),
+      "store_dir cannot be combined with crash injection: a respawned rank "
+      "re-emits restored edges, duplicating blocks in the store");
+  PAGEN_CHECK_MSG(options.store_dir.empty() || !options.resume,
+                  "store_dir cannot be combined with resume: restored edges "
+                  "are re-emitted, duplicating blocks in the store");
+  PAGEN_CHECK_MSG(
+      transport.delivery_hook == nullptr || options.checkpoint_dir.empty(),
+      "delivery_hook is incompatible with checkpointing");
+  PAGEN_CHECK_MSG(options.spill_dir.empty() || options.spill_budget_bytes > 0,
+                  "spill_budget_bytes must be > 0 when spill_dir is set");
+  mps::check_world_options(transport);
+
   const EngineCaps caps = engine.capabilities();
   PAGEN_CHECK_MSG(caps.multi_rank || options.ranks == 1,
                   "engine '" << engine.name() << "' is single-rank; got ranks = "
@@ -74,18 +101,17 @@ void check_engine_options(const Engine& engine, const PaConfig& config,
                  << "' does not support checkpointing; drop checkpoint_dir / "
                     "resume or pick an engine with the capability (e.g. mps)");
   PAGEN_CHECK_MSG(
-      caps.fault_tolerance || (!options.fault_plan.active() && !options.reliable),
+      caps.fault_tolerance ||
+          (!transport.fault_plan.active() && !transport.reliable),
       "engine '" << engine.name()
                  << "' does not support fault injection or reliable transport");
-  PAGEN_CHECK_MSG(caps.delivery_hook || options.delivery_hook == nullptr,
+  PAGEN_CHECK_MSG(caps.delivery_hook || transport.delivery_hook == nullptr,
                   "engine '" << engine.name()
                              << "' does not support a delivery hook");
   PAGEN_CHECK_MSG(caps.state_spill || options.spill_dir.empty(),
                   "engine '" << engine.name()
                              << "' does not support external-memory state "
                                 "spill (spill_dir); use commfree");
-  PAGEN_CHECK_MSG(options.spill_dir.empty() || options.spill_budget_bytes > 0,
-                  "spill_budget_bytes must be > 0 when spill_dir is set");
 }
 
 }  // namespace pagen::core

@@ -3,9 +3,10 @@
 // An Engine is a complete strategy for producing the preferential-attachment
 // graph of a (PaConfig, ParallelOptions) pair. core::generate() is a thin
 // dispatcher over the EngineRegistry: it looks up ParallelOptions::engine,
-// verifies the requested options against the engine's declared capabilities
-// (an engine without checkpoint support *rejects* checkpoint_dir instead of
-// silently ignoring it), and delegates. Built-in engines:
+// runs check_request — which also verifies the options against the
+// engine's declared capabilities (an engine without checkpoint support
+// *rejects* checkpoint_dir instead of silently ignoring it) — and
+// delegates. Built-in engines:
 //
 //   mps       the paper's request/resolved message-passing protocol
 //             (Algorithm 3.2 via the genrt runtime; Algorithm 3.1 at x = 1)
@@ -56,9 +57,8 @@ class Engine {
 
   [[nodiscard]] virtual EngineCaps capabilities() const = 0;
 
-  /// Generate. The caller (core::generate) has already verified the options
-  /// against capabilities(); engines re-check their own PaConfig
-  /// preconditions so direct run() calls stay safe.
+  /// Generate. Only core::generate calls this, after check_request has
+  /// accepted the request.
   [[nodiscard]] virtual ParallelResult run(
       const PaConfig& config, const ParallelOptions& options) const = 0;
 };
@@ -91,13 +91,12 @@ class EngineRegistry {
   std::vector<std::unique_ptr<Engine>> engines_;
 };
 
-/// Reject, for every engine, a p outside [0, 1] (NaN included) and a zero
-/// node_batch or buffer_capacity, and options the engine's capabilities
-/// cannot honor (checkpointing, fault injection, delivery hook, multi-rank,
-/// state spill). Called by generate() before dispatch; throws CheckError
-/// naming p or the option, or the engine and the offending option.
-void check_engine_options(const Engine& engine, const PaConfig& config,
-                          const ParallelOptions& options);
+/// The one statement of what a run accepts — the PaConfig domain, the run
+/// shape, option combinations no engine honors, the transport, and the
+/// engine's capabilities — called by generate(), generate_pa_general() and
+/// svc::validate(). Throws CheckError naming the violated condition.
+void check_request(const Engine& engine, const PaConfig& config,
+                   const ParallelOptions& options);
 
 // Built-in engine factories (one translation unit each).
 [[nodiscard]] std::unique_ptr<Engine> make_mps_engine();

@@ -20,7 +20,6 @@
 #include "graph/edge_list.h"
 #include "mps/stats.h"
 #include "obs/session.h"
-#include "util/error.h"
 #include "util/timer.h"
 #include "util/types.h"
 
@@ -57,8 +56,7 @@ ParallelResult assemble_sequential(const PaConfig& config,
   return result;
 }
 
-void check_sequential_options(const ParallelOptions& options) {
-  PAGEN_CHECK_MSG(options.ranks == 1, "sequential engines are single-rank");
+void throw_if_cancelled(const ParallelOptions& options) {
   if (options.cancel_requested && options.cancel_requested()) {
     throw Cancelled();
   }
@@ -77,7 +75,7 @@ class SeqCopyEngine final : public Engine {
 
   [[nodiscard]] ParallelResult run(
       const PaConfig& config, const ParallelOptions& options) const override {
-    check_sequential_options(options);
+    throw_if_cancelled(options);
     const Timer timer;
     if (config.x == 1) {
       return assemble_sequential(config, options,
@@ -102,7 +100,7 @@ class SeqBbEngine final : public Engine {
 
   [[nodiscard]] ParallelResult run(
       const PaConfig& config, const ParallelOptions& options) const override {
-    check_sequential_options(options);
+    throw_if_cancelled(options);
     const Timer timer;
     return assemble_sequential(config, options,
                                baseline::ba_batagelj_brandes(config), 0, timer);

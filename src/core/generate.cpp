@@ -11,24 +11,15 @@ namespace pagen::core {
 
 ParallelResult generate(const PaConfig& config, const ParallelOptions& options) {
   const Engine& engine = EngineRegistry::instance().require(options.engine);
-  check_engine_options(engine, config, options);
+  check_request(engine, config, options);
   if (options.store_dir.empty()) return engine.run(config, options);
 
   // Compressed-store tap: every engine already streams its edges through
   // the batched sink, so the store rides that path — one truncating shard
   // writer per rank slot (each rank thread appends only to its own writer,
-  // no locking), sealed with the v3 manifest after the run. The store must
-  // see every edge exactly once, which rules out the at-least-once
-  // re-emission paths: a crash respawn or a checkpoint resume would append
-  // restored edges again.
-  PAGEN_CHECK_MSG(!options.fault_plan.has_crash(),
-                  "store_dir cannot be combined with crash injection: a "
-                  "respawned rank re-emits restored edges, duplicating "
-                  "blocks in the store");
-  PAGEN_CHECK_MSG(!options.resume,
-                  "store_dir cannot be combined with resume: restored edges "
-                  "are re-emitted, duplicating blocks in the store");
-
+  // no locking), sealed with the v3 manifest after the run. check_request
+  // has ruled out the re-emission paths (crash respawn, resume), so the
+  // store sees every edge exactly once.
   store::StoreWriter writer(options.store_dir, options.ranks,
                             options.store_block_edges);
   ParallelOptions inner = options;

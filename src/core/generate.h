@@ -19,9 +19,9 @@ namespace pagen::core {
 /// paper's request/resolved protocol — Algorithm 3.1 for x = 1, 3.2
 /// otherwise — "commfree" the communication-free pseudorandomization
 /// backend, "seq-copy"/"seq-bb" the sequential references. Unknown engine
-/// names and options the engine's capabilities cannot honor (e.g. a
-/// checkpoint_dir for an engine without checkpoint support) are rejected
-/// with a CheckError before any work starts.
+/// names and every request check_request refuses (core/engine/engine.h:
+/// e.g. x = 0, or a checkpoint_dir for an engine without checkpoint
+/// support) are rejected with a CheckError before any work starts.
 [[nodiscard]] ParallelResult generate(const PaConfig& config,
                                       const ParallelOptions& options);
 

@@ -83,7 +83,7 @@ class Driver {
         part_(part),
         comm_(comm),
         spn_(config.x),
-        tolerant_(options.fault_plan.has_crash()),
+        tolerant_(options.transport.fault_plan.has_crash()),
         recovering_(comm.incarnation() > 0 ||
                     (options.resume && !options.checkpoint_dir.empty())),
         ob_(comm.obs()),

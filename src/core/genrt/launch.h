@@ -1,7 +1,8 @@
-// genrt launch scaffolding: everything between "validated config + options"
-// and "assembled ParallelResult" for a request/resolved generator.
+// genrt launch scaffolding: everything between a request check_request
+// accepted (core/engine/engine.h) and "assembled ParallelResult" for a
+// request/resolved generator.
 //
-// launch<Policy>() builds (or validates) the partition, runs one
+// launch<Policy>() builds (or takes the caller's) partition, runs one
 // genrt::Driver<P> per rank under mps::run_ranks, and assembles the result
 // through the shared assemble_result() (emitter.h) plus the runtime's comm
 // stats.
@@ -21,7 +22,6 @@
 #include "mps/engine.h"
 #include "obs/session.h"
 #include "partition/partition.h"
-#include "util/error.h"
 
 namespace pagen::core::genrt {
 
@@ -30,24 +30,17 @@ inline obs::RankObserver* driver_observer(const ParallelOptions& options) {
   return options.obs != nullptr ? &options.obs->driver() : nullptr;
 }
 
-/// The run's partition: the caller's custom one (validated against
-/// (n, ranks)) or a fresh build of the configured scheme.
+/// The run's partition: the caller's custom one (check_request matched it
+/// to (n, ranks)) or a fresh build of the configured scheme.
 inline std::shared_ptr<const partition::Partition> make_run_partition(
     NodeId n, const ParallelOptions& options, obs::RankObserver* drv) {
-  std::shared_ptr<const partition::Partition> part = options.custom_partition;
-  if (part) {
-    PAGEN_CHECK_MSG(
-        part->num_nodes() == n && part->num_parts() == options.ranks,
-        "custom partition does not match (n, ranks)");
-  } else {
-    const auto sp = obs::span(drv, "partition_build");
-    part = partition::make_partition(options.scheme, n, options.ranks);
-  }
-  return part;
+  if (options.custom_partition) return options.custom_partition;
+  const auto sp = obs::span(drv, "partition_build");
+  return partition::make_partition(options.scheme, n, options.ranks);
 }
 
-/// Run one Driver<P> per rank and assemble the result. The caller has
-/// already validated config and options.
+/// Run one Driver<P> per rank and assemble the result. The caller's
+/// check_request has accepted config and options.
 template <typename P>
 ParallelResult launch(const PaConfig& config, const ParallelOptions& options) {
   // A job cancelled before launch never pays for a partition build or a
@@ -63,25 +56,11 @@ ParallelResult launch(const PaConfig& config, const ParallelOptions& options) {
   LoadVector load_slots(nranks);
   std::vector<Count> restored_slots(nranks, 0);
 
-  mps::WorldOptions world_options;
-  world_options.fault_plan = options.fault_plan;
-  world_options.reliable = options.reliable;
-  world_options.max_respawns = options.max_respawns;
-  world_options.rto_base_ms = options.rto_base_ms;
-  world_options.rto_max_ms = options.rto_max_ms;
-  world_options.delivery_hook = options.delivery_hook;
-  if (options.delivery_hook != nullptr) {
-    // The World's own constructor re-checks reliable/fault incompatibility;
-    // checkpointing is a generator-level concern, so gate it here.
-    PAGEN_CHECK_MSG(options.checkpoint_dir.empty(),
-                    "delivery_hook is incompatible with checkpointing");
-  }
-
   mps::RunResult run;
   {
     const auto world_span = obs::span(drv, "run_ranks");
     run = mps::run_ranks(
-        options.ranks, world_options,
+        options.ranks, options.transport,
         [&](mps::Comm& comm) {
           Driver<P> rank(config, options, *part, comm);
           rank.run();

@@ -20,19 +20,41 @@
 // (fill_checkpoint / restore_checkpoint_extras / node_has_slots) through it.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+
 #include "core/checkpoint.h"
 #include "core/genrt/protocol.h"
 #include "core/options.h"
 #include "obs/session.h"
+#include "partition/partition.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/types.h"
 
 namespace pagen::core::genrt {
 
+/// FNV-1a over rank `rank`'s owned nodes in partition-local order — the
+/// order of its checkpoint slots. Two partitions fingerprint alike only when
+/// they hand the rank the same nodes in the same order.
+inline std::uint64_t owned_nodes_hash(const partition::Partition& part,
+                                      Rank rank) {
+  Fnv1a h;
+  const Count size = part.part_size(rank);
+  for (Count i = 0; i < size; ++i) h.word(part.node_at(rank, i));
+  return h.digest();
+}
+
 template <typename D>
 class Recovery {
  public:
-  explicit Recovery(D& d) : d_(d) {}
+  /// Constructed by the driver after its config, options, partition and
+  /// Comm; fingerprints the rank's nodes only when checkpointing is on.
+  explicit Recovery(D& d)
+      : d_(d),
+        owned_hash_(d.options().checkpoint_dir.empty()
+                        ? 0
+                        : owned_nodes_hash(d.part(), d.rank())) {}
 
   /// Respawned-incarnation bring-up (replaces the start barrier: that
   /// rendezvous already completed in a previous life — sends, where crashes
@@ -86,9 +108,11 @@ class Recovery {
     RankCheckpoint ck;
     ck.n = d_.config().n;
     ck.x = d_.config().x;
+    ck.p_bits = std::bit_cast<std::uint64_t>(d_.config().p);
     ck.seed = d_.config().seed;
     ck.rank = d_.rank();
     ck.nranks = d_.comm().size();
+    ck.owned_hash = owned_hash_;
     ck.f = d_.slots().values();
     d_.policy().fill_checkpoint(ck);
     save_checkpoint(d_.options().checkpoint_dir, ck);
@@ -103,11 +127,12 @@ class Recovery {
     if (d_.options().checkpoint_dir.empty()) return;
     RankCheckpoint ck;
     if (!load_checkpoint(d_.options().checkpoint_dir, d_.rank(), ck)) return;
-    PAGEN_CHECK_MSG(ck.n == d_.config().n && ck.x == d_.config().x &&
-                        ck.seed == d_.config().seed &&
-                        ck.nranks == d_.comm().size() &&
-                        ck.f.size() == d_.slots().size(),
-                    "checkpoint does not match this run's parameters");
+    PAGEN_CHECK_MSG(
+        ck.n == d_.config().n && ck.x == d_.config().x &&
+            ck.p_bits == std::bit_cast<std::uint64_t>(d_.config().p) &&
+            ck.seed == d_.config().seed && ck.nranks == d_.comm().size() &&
+            ck.owned_hash == owned_hash_ && ck.f.size() == d_.slots().size(),
+        "checkpoint does not match this run's parameters");
     d_.policy().restore_checkpoint_extras(ck);
     const Count spn = d_.slots_per_node();
     for (Count s = 0; s < ck.f.size(); ++s) {
@@ -133,6 +158,7 @@ class Recovery {
   }
 
   D& d_;
+  std::uint64_t owned_hash_;  ///< owned_nodes_hash, 0 without checkpointing
   Count resolved_since_ckpt_ = 0;
   Count restored_ = 0;
 };

@@ -28,11 +28,13 @@
 // RunOutcome for the explorer to attribute.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,7 @@
 #include "mps/modelcheck.h"
 #include "obs/session.h"
 #include "partition/partition.h"
+#include "util/error.h"
 #include "util/hash.h"
 #include "util/types.h"
 
@@ -105,12 +108,19 @@ class PropertyRunner {
     return ref_edges_hash_;
   }
 
+  /// p in its shortest round-trip form: a dumped trace replays the exact p
+  /// it ran (std::to_string would keep six decimals).
+  [[nodiscard]] static std::string p_string(double p) {
+    char buf[32];
+    return {buf, std::to_chars(buf, buf + sizeof buf, p).ptr};
+  }
+
   /// Record the generator config into a trace's meta block so a dumped
   /// schedule is replayable without the command line that produced it.
   void fill_meta(mps::mc::ScheduleTrace& trace) const {
     trace.meta["n"] = std::to_string(options_.pa.n);
     trace.meta["x"] = std::to_string(options_.pa.x);
-    trace.meta["p"] = std::to_string(options_.pa.p);
+    trace.meta["p"] = p_string(options_.pa.p);
     trace.meta["seed"] = std::to_string(options_.pa.seed);
     trace.meta["ranks"] = std::to_string(options_.ranks);
     trace.meta["scheme"] = partition::to_string(options_.scheme);
@@ -121,37 +131,47 @@ class PropertyRunner {
   }
 
   /// Rebuild runner options from a dumped trace's meta block (the inverse
-  /// of fill_meta). Returns false with `error` set on a missing key.
+  /// of fill_meta). Every value must parse whole; returns false with
+  /// `error` naming the key when one is missing or malformed.
   static bool options_from_meta(const mps::mc::ScheduleTrace& trace,
                                 Options& out, std::string& error) {
-    const auto need = [&](const char* key, std::string& into) {
+    const auto find = [&](const char* key) -> const std::string* {
       const auto it = trace.meta.find(key);
-      if (it == trace.meta.end()) {
-        error = std::string("trace meta is missing \"") + key + '"';
-        return false;
-      }
-      into = it->second;
+      if (it != trace.meta.end()) return &it->second;
+      error = std::string("trace meta is missing \"") + key + '"';
+      return nullptr;
+    };
+    const auto malformed = [&](const char* key, const std::string& v) {
+      error = std::string("trace meta \"") + key + "\" is malformed: '" + v +
+              "'";
+      return false;
+    };
+    const auto get = [&](const char* key, auto& into) {
+      const std::string* v = find(key);
+      if (v == nullptr) return false;
+      const char* last = v->data() + v->size();
+      const auto [end, ec] = std::from_chars(v->data(), last, into);
+      if (ec != std::errc() || end != last) return malformed(key, *v);
       return true;
     };
-    std::string v;
-    if (!need("n", v)) return false;
-    out.pa.n = std::stoull(v);
-    if (!need("x", v)) return false;
-    out.pa.x = std::stoull(v);
-    if (!need("p", v)) return false;
-    out.pa.p = std::stod(v);
-    if (!need("seed", v)) return false;
-    out.pa.seed = std::stoull(v);
-    if (!need("ranks", v)) return false;
-    out.ranks = std::stoi(v);
-    if (!need("scheme", v)) return false;
-    out.scheme = partition::scheme_from_string(v);
-    if (!need("buffer_capacity", v)) return false;
-    out.buffer_capacity = std::stoull(v);
-    if (!need("node_batch", v)) return false;
-    out.node_batch = std::stoull(v);
-    if (!need("flush_resolved_after_batch", v)) return false;
-    out.flush_resolved_after_batch = v == "1";
+    if (!get("n", out.pa.n) || !get("x", out.pa.x) || !get("p", out.pa.p) ||
+        !get("seed", out.pa.seed) || !get("ranks", out.ranks)) {
+      return false;
+    }
+    const std::string* scheme = find("scheme");
+    if (scheme == nullptr) return false;
+    try {
+      out.scheme = partition::scheme_from_string(*scheme);
+    } catch (const CheckError&) {
+      return malformed("scheme", *scheme);
+    }
+    unsigned flush = 0;
+    if (!get("buffer_capacity", out.buffer_capacity) ||
+        !get("node_batch", out.node_batch) ||
+        !get("flush_resolved_after_batch", flush)) {
+      return false;
+    }
+    out.flush_resolved_after_batch = flush != 0;
     return true;
   }
 
@@ -164,7 +184,7 @@ class PropertyRunner {
     opt.buffer_capacity = options_.buffer_capacity;
     opt.node_batch = options_.node_batch;
     opt.flush_resolved_after_batch = options_.flush_resolved_after_batch;
-    opt.delivery_hook = &sched;
+    opt.transport.delivery_hook = &sched;
 
     const bool causal = options_.causal_check && options_.pa.x == 1;
     std::optional<obs::Session> session;

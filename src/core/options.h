@@ -10,16 +10,12 @@
 #include <string>
 
 #include "graph/edge_list.h"
-#include "mps/fault.h"
+#include "mps/world_options.h"
 #include "partition/partition.h"
 #include "util/types.h"
 
 namespace pagen::obs {
 class Session;
-}
-
-namespace pagen::mps {
-class DeliveryHook;
 }
 
 namespace pagen::core {
@@ -143,16 +139,11 @@ struct ParallelOptions {
 
   // --- Robustness (docs/robustness.md) ---
 
-  /// Deterministic fault script for the mps transport (mps/fault.h). An
-  /// active plan implies `reliable`; a crash entry additionally switches
-  /// the generators into crash-tolerant mode (duplicate resolutions are
-  /// ignored instead of fatal, and outstanding requests are tracked for
-  /// re-offer when a peer respawns).
-  mps::FaultPlan fault_plan;
-
-  /// Route sends through the ack/retransmit/dedup layer even without an
-  /// active fault plan (mps/reliable.h).
-  bool reliable = false;
+  /// The mps transport's options, handed to mps::run_ranks as they are.
+  /// For the generators a crash plan also turns on crash-tolerant mode, a
+  /// delivery hook excludes checkpointing, and service retries set
+  /// max_respawns = 0 so an injected crash fails the whole attempt.
+  mps::WorldOptions transport;
 
   /// Directory for per-rank generation checkpoints. Empty (the default)
   /// disables checkpointing: a crashed rank then replays from scratch,
@@ -171,26 +162,6 @@ struct ParallelOptions {
   /// needed — all ranks start from their own checkpoints together. Missing
   /// or unreadable checkpoint files make the resume a plain cold start.
   bool resume = false;
-
-  /// In-run crash tolerance budget: how many times a rank scripted to crash
-  /// (fault_plan crash=) is respawned before the failure is surfaced to the
-  /// caller as a job-level error (mps engine default: 3). Service retries
-  /// set this to 0 so an injected crash fails the *attempt*, exercising the
-  /// job-level retry path instead of the rank-level one.
-  int max_respawns = 3;
-
-  /// Reliable-delivery retransmission timeout, base and cap (milliseconds).
-  std::int64_t rto_base_ms = 25;
-  std::int64_t rto_max_ms = 400;
-
-  // --- Model checking (docs/static-analysis.md, tools/mpsmc) ---
-
-  /// Schedule-control seam: hand every delivery decision of the run's mps
-  /// world to this hook (mps/delivery_hook.h; in practice an
-  /// mps::mc::Scheduler). Incompatible with `reliable`, an active
-  /// `fault_plan`, and checkpointing — a schedule-controlled world is
-  /// plain best-effort transport. Non-owning; must outlive the call.
-  mps::DeliveryHook* delivery_hook = nullptr;
 };
 
 }  // namespace pagen::core

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "baseline/pa_draws.h"
+#include "core/engine/engine.h"
 #include "core/genrt/driver.h"
 #include "core/genrt/launch.h"
 #include "core/genrt/protocol.h"
@@ -221,18 +222,7 @@ class XkPolicy {
 
 ParallelResult generate_pa_general(const PaConfig& config,
                                    const ParallelOptions& options) {
-  PAGEN_CHECK(config.x >= 1);
-  PAGEN_CHECK_MSG(config.n > config.x, "need n > x");
-  PAGEN_CHECK_MSG(config.p >= 0.0 && config.p <= 1.0, "p must be in [0, 1]");
-  // For x > 1, p == 1 never takes the copy path, and node x+1's only direct
-  // candidate is node x — the x distinct endpoints Algorithm 3.2 requires
-  // cannot exist. At x = 1 one endpoint suffices, so p == 1 is accepted.
-  PAGEN_CHECK_MSG(config.x == 1 || config.p < 1.0,
-                  "p must be below 1 for x > 1");
-  PAGEN_CHECK(options.ranks >= 1);
-  PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,
-                  "more ranks than nodes");
-  PAGEN_CHECK_MSG(options.node_batch >= 1, "node_batch must be >= 1");
+  check_request(EngineRegistry::instance().require("mps"), config, options);
   return genrt::launch<XkPolicy>(config, options);
 }
 

@@ -24,8 +24,8 @@
 
 namespace pagen::core {
 
-/// Run Algorithm 3.2. Requires config.n > config.x >= 1, p in [0, 1] (below
-/// 1 when x > 1), and 1 <= options.ranks <= config.n. ParallelResult::targets
+/// Run Algorithm 3.2 on a request the mps engine accepts (check_request,
+/// core/engine/engine.h; throws CheckError otherwise). ParallelResult::targets
 /// is filled for x = 1 only (rows are per-edge; use `edges`).
 [[nodiscard]] ParallelResult generate_pa_general(const PaConfig& config,
                                                  const ParallelOptions& options);

@@ -30,10 +30,11 @@ inline std::vector<std::string> robustness_cli_keys() {
 ///   --reliable              ack/retransmit layer even without a fault plan
 ///   --rto=BASE[:MAX]        retransmission timeout in ms, base and cap
 inline void apply_robustness_cli(const Cli& cli, ParallelOptions& options) {
+  mps::WorldOptions& t = options.transport;
   const std::string spec = cli.get_str("fault-plan", "");
-  if (!spec.empty()) options.fault_plan = mps::FaultPlan::parse(spec);
+  if (!spec.empty()) t.fault_plan = mps::FaultPlan::parse(spec);
   options.checkpoint_dir = cli.get_str("checkpoint-dir", "");
-  options.reliable = cli.get_bool("reliable", options.reliable);
+  t.reliable = cli.get_bool("reliable", t.reliable);
   if (cli.has("rto")) {
     // Each part whole, in milliseconds; MAX defaults to 16 * BASE, and the
     // transport times in nanoseconds, so 16 * 10^6 * part must fit.
@@ -53,10 +54,9 @@ inline void apply_robustness_cli(const Cli& cli, ParallelOptions& options) {
     };
     const std::string_view all(rto);
     const auto colon = all.find(':');
-    options.rto_base_ms = ms(all.substr(0, colon));
-    options.rto_max_ms = colon == std::string_view::npos
-                             ? options.rto_base_ms * 16
-                             : ms(all.substr(colon + 1));
+    t.rto_base_ms = ms(all.substr(0, colon));
+    t.rto_max_ms = colon == std::string_view::npos ? t.rto_base_ms * 16
+                                                   : ms(all.substr(colon + 1));
   }
 }
 

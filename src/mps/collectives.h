@@ -38,18 +38,17 @@ class CollectiveContext {
   /// Allgather of raw bytes: deposit `in`, receive all ranks' deposits
   /// indexed by rank. Blocks until every rank has arrived.
   /// Throws WorldAborted if the world was poisoned while waiting.
-  std::vector<std::vector<std::byte>> exchange(Rank rank,
-                                               std::vector<std::byte> in);
-
-  /// exchange() with a service hook: while waiting for the round to
-  /// complete, `service` is invoked (without the rendezvous lock) at least
-  /// every `tick`. Reliable-mode Comms use it to keep ingesting acks and
-  /// firing retransmission timers inside a collective — otherwise a rank
-  /// blocked in the final barrier could never repair a dropped or held
-  /// envelope a still-polling peer depends on (docs/robustness.md §2).
-  std::vector<std::vector<std::byte>> exchange_serviced(
-      Rank rank, std::vector<std::byte> in, std::chrono::milliseconds tick,
-      const std::function<void()>& service);
+  ///
+  /// With a `service` hook the wait wakes at least every `tick` to run it
+  /// without the rendezvous lock. Reliable-mode Comms use it to keep
+  /// ingesting acks and firing retransmission timers inside a collective —
+  /// otherwise a rank blocked in the final barrier could never repair a
+  /// dropped or held envelope a still-polling peer depends on
+  /// (docs/robustness.md §2). Without one the wait has no timed wakeups.
+  std::vector<std::vector<std::byte>> exchange(
+      Rank rank, std::vector<std::byte> in,
+      const std::function<void()>& service = {},
+      std::chrono::milliseconds tick = {});
 
   /// Mark the world failed (a rank died). Every blocked or future exchange()
   /// throws WorldAborted, so one rank's exception cannot deadlock the rest.

@@ -1,6 +1,7 @@
 #include "mps/comm.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "mps/delivery_hook.h"
 #include "mps/engine.h"
@@ -238,22 +239,22 @@ std::vector<std::vector<std::byte>> Comm::exchange(const char* op,
   // rendezvous itself does) and, on the way out, park the rank until the
   // scheduler resumes it. The exception path (poisoned world) skips the
   // park so teardown can't re-enter the scheduler.
+  std::function<void()> service;
+  if (reliable_ != nullptr) {
+    service = [this] {
+      scratch_.clear();
+      world_.mailbox(rank_).try_drain(scratch_);
+      reliable_->ingest(scratch_, stash_);
+      reliable_->maybe_retransmit();
+    };
+  }
   if (hook != nullptr) hook->on_collective_enter(rank_);
   InvariantChecker& inv = world_.invariants();
   inv.enter_wait(rank_, "collective");
   try {
-    auto result =
-        reliable_ != nullptr
-            ? world_.collectives().exchange_serviced(
-                  rank_, std::move(blob),
-                  std::chrono::milliseconds(kReliableWaitChunkMs),
-                  [this] {
-                    scratch_.clear();
-                    world_.mailbox(rank_).try_drain(scratch_);
-                    reliable_->ingest(scratch_, stash_);
-                    reliable_->maybe_retransmit();
-                  })
-            : world_.collectives().exchange(rank_, std::move(blob));
+    auto result = world_.collectives().exchange(
+        rank_, std::move(blob), service,
+        std::chrono::milliseconds(kReliableWaitChunkMs));
     inv.leave_wait(rank_, /*made_progress=*/true);
     if (hook != nullptr) hook->on_collective_exit(rank_, /*park=*/true);
     return result;

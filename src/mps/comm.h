@@ -149,7 +149,7 @@ class Comm {
   /// Raw-drain staging buffer for the reliable poll paths.
   std::vector<Envelope> scratch_;
   /// Data envelopes delivered while this rank was blocked inside a
-  /// *serviced* collective (exchange_serviced keeps the reliable channel's
+  /// *serviced* collective (the rendezvous keeps the reliable channel's
   /// ingest/retransmit loop alive there). Surfaced — and only then counted
   /// — by the next poll/poll_wait.
   std::vector<Envelope> stash_;

@@ -11,6 +11,21 @@
 
 namespace pagen::mps {
 
+void check_world_options(const WorldOptions& options) {
+  PAGEN_CHECK_MSG(
+      options.rto_base_ms > 0 && options.rto_max_ms >= options.rto_base_ms,
+      "need 0 < rto_base_ms <= rto_max_ms (got " << options.rto_base_ms
+                                                 << ", " << options.rto_max_ms
+                                                 << ")");
+  // A hooked world is plain best-effort transport under a virtual
+  // scheduler: the hook owns every delivery, so the reliable channel's
+  // timers and the fault injector's decisions have nothing to attach to.
+  PAGEN_CHECK_MSG(options.delivery_hook == nullptr ||
+                      (!options.reliable && !options.fault_plan.active()),
+                  "delivery_hook is incompatible with reliable transport "
+                  "and fault plans");
+}
+
 World::World(int nranks, WorldOptions options)
     : nranks_(nranks),
       options_(std::move(options)),
@@ -18,16 +33,7 @@ World::World(int nranks, WorldOptions options)
       invariants_(nranks),
       epochs_(static_cast<std::size_t>(nranks), 0) {
   PAGEN_CHECK_MSG(nranks >= 1, "world needs at least one rank");
-  PAGEN_CHECK(options_.rto_base_ms > 0 &&
-              options_.rto_max_ms >= options_.rto_base_ms);
-  if (options_.delivery_hook != nullptr) {
-    // A hooked world is plain best-effort transport under a virtual
-    // scheduler: the hook owns every delivery, so the reliable channel's
-    // timers and the fault injector's decisions have nothing to attach to.
-    PAGEN_CHECK_MSG(!options_.reliable && !options_.fault_plan.active(),
-                    "delivery_hook is incompatible with reliable transport "
-                    "and fault plans");
-  }
+  check_world_options(options_);
   if (options_.fault_plan.active()) {
     // Injected faults without the repair layer would just be corruption.
     options_.reliable = true;

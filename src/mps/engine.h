@@ -19,6 +19,7 @@
 #include "mps/invariant.h"
 #include "mps/mailbox.h"
 #include "mps/stats.h"
+#include "mps/world_options.h"
 #include "util/types.h"
 
 namespace pagen::obs {
@@ -26,38 +27,6 @@ class Session;
 }
 
 namespace pagen::mps {
-
-class DeliveryHook;
-
-/// Runtime configuration of one World beyond its rank count. Defaults give
-/// the historical fault-free, best-effort transport.
-struct WorldOptions {
-  /// Deterministic fault script (mps/fault.h). An active plan implies
-  /// `reliable` — injected faults without the repair layer would just be
-  /// corruption.
-  FaultPlan fault_plan;
-
-  /// Route every send through the ack/retransmit/dedup layer
-  /// (mps/reliable.h). Safe — but pointless overhead — without faults.
-  bool reliable = false;
-
-  /// Retransmission timeout base and cap (exponential backoff between
-  /// them). The base should comfortably exceed a poll round-trip.
-  std::int64_t rto_base_ms = 25;
-  std::int64_t rto_max_ms = 400;
-
-  /// How many times a rank that dies of an InjectedCrash is respawned
-  /// before the failure is treated as fatal (aborting the world).
-  int max_respawns = 3;
-
-  /// Schedule-control seam (mps/delivery_hook.h): when set, every data
-  /// envelope is parked with the hook instead of a mailbox and the poll
-  /// paths become the hook's scheduling points. Mutually exclusive with
-  /// `reliable` and an active `fault_plan` — a hooked world is plain
-  /// best-effort transport under a virtual scheduler. Non-owning; must
-  /// outlive the World.
-  DeliveryHook* delivery_hook = nullptr;
-};
 
 /// Shared runtime state for one group of ranks. Owns the mailboxes and the
 /// collective rendezvous; ranks access it only through their Comm endpoint.

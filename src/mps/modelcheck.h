@@ -201,7 +201,7 @@ struct SchedulerOptions {
 
 /// The virtual scheduler: a DeliveryHook that owns every delivery decision
 /// of one World run. Construct one per run, pass it via
-/// WorldOptions::delivery_hook (core: ParallelOptions::delivery_hook), run
+/// WorldOptions::delivery_hook (core: ParallelOptions::transport), run
 /// the world, then read the verdict accessors.
 ///
 /// Concurrency model: rank threads park in the hook entry points on one

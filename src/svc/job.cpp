@@ -1,9 +1,9 @@
 #include "svc/job.h"
 
 #include <bit>
-#include <sstream>
 
 #include "core/engine/engine.h"
+#include "util/error.h"
 #include "util/hash.h"
 
 namespace pagen::svc {
@@ -31,49 +31,39 @@ std::uint64_t spec_hash(const JobSpec& spec) {
   return h.digest();
 }
 
-std::string validate(const JobSpec& spec) {
-  const PaConfig& c = spec.config;
-  std::ostringstream why;
-  if (c.x < 1) {
-    why << "x must be >= 1 (got " << c.x << ")";
-  } else if (c.x == 1 && c.n < 2) {
-    why << "x == 1 needs n >= 2 (got n = " << c.n << ")";
-  } else if (c.x > 1 && c.n <= c.x) {
-    why << "x > 1 needs n > x (got n = " << c.n << ", x = " << c.x << ")";
-  } else if (!(c.p >= 0.0 && c.p <= 1.0)) {  // NaN fails too
-    why << "p must be in [0, 1] (got " << c.p << ")";
-  } else if (c.x > 1 && c.p >= 1.0) {
-    why << "p must be below 1 for x > 1";
-  } else if (spec.ranks < 1) {
-    why << "ranks must be >= 1 (got " << spec.ranks << ")";
-  } else if (static_cast<NodeId>(spec.ranks) > c.n) {
-    why << "more ranks (" << spec.ranks << ") than nodes (" << c.n << ")";
-  } else if (spec.buffer_capacity < 1) {
-    why << "buffer_capacity must be >= 1";
-  } else if (spec.node_batch < 1) {
-    why << "node_batch must be >= 1";
-  } else if (spec.sink == Sink::kCompressedStore && spec.store_dir.empty()) {
-    why << "Sink::kCompressedStore requires store_dir";
-  } else if (spec.sink == Sink::kCompressedStore &&
-             spec.fault_plan.has_crash()) {
-    why << "Sink::kCompressedStore cannot run under a crash plan: a "
-           "respawned rank re-emits restored edges, duplicating store blocks";
-  } else if (spec.max_attempts < 1) {
-    why << "max_attempts must be >= 1";
-  } else if (const core::Engine* engine =
-                 core::EngineRegistry::instance().find(spec.engine);
-             engine == nullptr) {
-    why << "unknown engine '" << spec.engine << "' (registered: "
-        << core::EngineRegistry::instance().names() << ")";
-  } else if (!engine->capabilities().multi_rank && spec.ranks > 1) {
-    why << "engine '" << spec.engine << "' is single-rank (got ranks = "
-        << spec.ranks << ")";
-  } else if (!engine->capabilities().fault_tolerance &&
-             (spec.fault_plan.active() || spec.reliable)) {
-    why << "engine '" << spec.engine
-        << "' does not support fault injection or reliable transport";
+core::ParallelOptions job_options(const JobSpec& spec) {
+  core::ParallelOptions opt;
+  opt.engine = spec.engine;
+  opt.ranks = spec.ranks;
+  opt.scheme = spec.scheme;
+  opt.buffer_capacity = spec.buffer_capacity;
+  opt.node_batch = spec.node_batch;
+  opt.gather_edges = spec.sink == Sink::kGather;
+  if (spec.sink == Sink::kCompressedStore) {
+    // Edges stream from the sink straight into the compressed store —
+    // never gathered, regardless of graph size.
+    opt.store_dir = spec.store_dir;
   }
-  return why.str();
+  opt.transport.fault_plan = spec.fault_plan;
+  opt.transport.reliable = spec.reliable;
+  opt.transport.max_respawns = spec.max_respawns;
+  opt.transport.rto_base_ms = spec.rto_base_ms;
+  opt.transport.rto_max_ms = spec.rto_max_ms;
+  return opt;
+}
+
+std::string validate(const JobSpec& spec) {
+  try {
+    core::check_request(core::EngineRegistry::instance().require(spec.engine),
+                        spec.config, job_options(spec));
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  if (spec.sink == Sink::kCompressedStore && spec.store_dir.empty()) {
+    return "Sink::kCompressedStore requires store_dir";
+  }
+  if (spec.max_attempts < 1) return "max_attempts must be >= 1";
+  return {};
 }
 
 const char* to_string(JobState s) {

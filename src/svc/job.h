@@ -16,8 +16,9 @@
 #include <vector>
 
 #include "baseline/pa_config.h"
+#include "core/options.h"
 #include "graph/edge_list.h"
-#include "mps/fault.h"
+#include "mps/world_options.h"
 #include "partition/partition.h"
 #include "util/types.h"
 
@@ -76,19 +77,20 @@ struct JobSpec {
   /// beyond the first resume from the job's checkpoint directory (when the
   /// server has one) after a deterministic virtual-tick backoff.
   std::uint32_t max_attempts = 1;
-  /// Per-job transport fault plan (tests/chaos; inert by default). Applied
-  /// to the ParallelOptions of every attempt.
+  /// Per-job transport options (ParallelOptions::transport of every
+  /// attempt; defaults are mps::WorldOptions'). The fault plan is for
+  /// tests and chaos runs and inert by default.
   mps::FaultPlan fault_plan;
   /// Route the run through the reliable-delivery layer even without faults.
-  bool reliable = false;
-  /// In-run rank respawn budget for scripted crashes (mps engine default
-  /// 3). 0 turns a crash into an attempt-level failure, exercising the
-  /// job retry path instead of the rank respawn path.
-  int max_respawns = 3;
-  /// Reliable-transport retransmission timeout, base and cap in ms
-  /// (core::ParallelOptions defaults; only consulted on reliable runs).
-  std::int64_t rto_base_ms = 25;
-  std::int64_t rto_max_ms = 400;
+  bool reliable = mps::WorldOptions{}.reliable;
+  /// In-run rank respawn budget for scripted crashes. 0 turns a crash into
+  /// an attempt-level failure, exercising the job retry path instead of the
+  /// rank respawn path.
+  int max_respawns = mps::WorldOptions{}.max_respawns;
+  /// Reliable-transport retransmission timeout, base and cap in ms (only
+  /// consulted on reliable runs, but checked on every spec).
+  std::int64_t rto_base_ms = mps::WorldOptions{}.rto_base_ms;
+  std::int64_t rto_max_ms = mps::WorldOptions{}.rto_max_ms;
 };
 
 /// Canonical FNV-1a identity of the graph a spec generates: config fields,
@@ -98,9 +100,16 @@ struct JobSpec {
 /// (the engine field rotated it to '02).
 [[nodiscard]] std::uint64_t spec_hash(const JobSpec& spec);
 
-/// Spec admission check: empty string = admissible, otherwise the reason
-/// (mirrors the PAGEN_CHECK preconditions of core::generate so an invalid
-/// spec is rejected at submit instead of killing a worker).
+/// The ParallelOptions of a job's first attempt: the runtime shape, the
+/// sink routing and the transport. Server::run_job adds the per-attempt
+/// fields (checkpointing, resume, the cancel hook, the chaos sink).
+[[nodiscard]] core::ParallelOptions job_options(const JobSpec& spec);
+
+/// Spec admission check: empty string = admissible, otherwise the reason.
+/// Runs core::check_request on job_options(spec) — the options the job will
+/// run — so an invalid spec is rejected at submit instead of killing a
+/// worker; then the service's own rules (a kCompressedStore sink needs
+/// store_dir, max_attempts >= 1).
 [[nodiscard]] std::string validate(const JobSpec& spec);
 
 enum class JobState : std::uint8_t {

@@ -395,23 +395,7 @@ void Server::quarantine_bad_checkpoints(JobId id, const std::string& dir,
 void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
   const JobSpec& spec = rec->spec;  // immutable once admitted
   const std::uint32_t attempt = rec->attempts;  // bumped at dispatch
-  core::ParallelOptions opt;
-  opt.engine = spec.engine;
-  opt.ranks = spec.ranks;
-  opt.scheme = spec.scheme;
-  opt.buffer_capacity = spec.buffer_capacity;
-  opt.node_batch = spec.node_batch;
-  opt.gather_edges = spec.sink == Sink::kGather;
-  if (spec.sink == Sink::kCompressedStore) {
-    // Edges stream from the sink straight into the compressed store —
-    // never gathered, regardless of graph size.
-    opt.store_dir = spec.store_dir;
-  }
-  opt.fault_plan = spec.fault_plan;
-  opt.reliable = spec.reliable;
-  opt.max_respawns = spec.max_respawns;
-  opt.rto_base_ms = spec.rto_base_ms;
-  opt.rto_max_ms = spec.rto_max_ms;
+  core::ParallelOptions opt = job_options(spec);  // validated at submit
   opt.cancel_requested = [rec] {
     return rec->cancel.load(std::memory_order_relaxed);
   };

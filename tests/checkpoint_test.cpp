@@ -1,4 +1,4 @@
-// Checkpoint file integrity (docs/robustness.md §6): the v2 format seals
+// Checkpoint file integrity (docs/robustness.md §6): the format seals
 // the payload with an FNV-1a trailer verified before parsing, so every
 // torn, truncated, extended, or bit-flipped file raises CheckError instead
 // of silently restoring garbage state into a resuming rank.
@@ -40,9 +40,11 @@ RankCheckpoint sample() {
   RankCheckpoint ck;
   ck.n = 64;
   ck.x = 2;
+  ck.p_bits = 0x3fd3333333333333ULL;  // 0.3
   ck.seed = 7;
   ck.rank = 1;
   ck.nranks = 4;
+  ck.owned_hash = 0x9e3779b97f4a7c15ULL;
   ck.f = {3, kNil, 7, 0, 41, kNil, 2, 9};
   ck.attempts = {0, 1, 2, 0, 3, 0, 1, 1};
   ck.locked_copy = {0, 0, 1, 0, 1, 0, 0, 1};
@@ -66,9 +68,11 @@ TEST_F(CheckpointTest, Roundtrip) {
   ASSERT_TRUE(load_checkpoint(dir_, ck.rank, out));
   EXPECT_EQ(out.n, ck.n);
   EXPECT_EQ(out.x, ck.x);
+  EXPECT_EQ(out.p_bits, ck.p_bits);
   EXPECT_EQ(out.seed, ck.seed);
   EXPECT_EQ(out.rank, ck.rank);
   EXPECT_EQ(out.nranks, ck.nranks);
+  EXPECT_EQ(out.owned_hash, ck.owned_hash);
   EXPECT_EQ(out.f, ck.f);
   EXPECT_EQ(out.attempts, ck.attempts);
   EXPECT_EQ(out.locked_copy, ck.locked_copy);
@@ -129,14 +133,16 @@ TEST_F(CheckpointTest, OverlongElementCountRaisesNotAllocates) {
   // behind it must raise (counts are bounded by the remaining payload), not
   // attempt a terabyte allocation. Correctly sealed on purpose, so only the
   // count check can reject it.
-  constexpr std::uint64_t kMagic = 0x7061676e636b7032ULL;
+  constexpr std::uint64_t kMagic = 0x7061676e636b7033ULL;  // "pagnckp3"
   std::vector<std::uint8_t> buf;
   store::put_varint(buf, kMagic);
   store::put_varint(buf, 64);              // n
   store::put_varint(buf, 1);               // x
+  store::put_varint(buf, 0x3fe0000000000000ULL);  // p bits: 0.5
   store::put_varint(buf, 7);               // seed
   store::put_varint(buf, 0);               // rank
   store::put_varint(buf, 2);               // nranks
+  store::put_varint(buf, 12345);           // owned-node fingerprint
   store::put_varint(buf, 1ULL << 40);      // f count: absurd
   const std::uint64_t h = fnv1a(buf);
   for (int i = 0; i < 8; ++i) {

@@ -290,7 +290,7 @@ TEST(EngineCapabilities, GenerateRejectsUnsupportedOptionsLoudly) {
   {
     ParallelOptions opt;
     opt.engine = "commfree";
-    opt.reliable = true;
+    opt.transport.reliable = true;
     EXPECT_THROW((void)generate(cfg, opt), CheckError);
   }
   {

@@ -110,7 +110,7 @@ core::ParallelResult run_case(const GoldenCase& c, std::size_t idx,
   opt.ranks = c.ranks;
   opt.scheme = c.scheme;
   if (c.fault[0] != '\0') {
-    opt.fault_plan = mps::FaultPlan::parse(c.fault);
+    opt.transport.fault_plan = mps::FaultPlan::parse(c.fault);
     // Small buffers => enough envelopes for the fault script to chew on and
     // for scripted crash steps to land mid-generation.
     opt.buffer_capacity = 4;
@@ -173,7 +173,8 @@ TEST(GenrtGolden, GeneralAlgorithmInvariantsAcrossRanksAndSchemes) {
         opt.ranks = ranks;
         opt.scheme = scheme;
         if (crash) {
-          opt.fault_plan = mps::FaultPlan::parse("seed=8,crash=1@200");
+          opt.transport.fault_plan =
+              mps::FaultPlan::parse("seed=8,crash=1@200");
           opt.buffer_capacity = 4;
           opt.node_batch = 128;
           opt.checkpoint_every = 256;

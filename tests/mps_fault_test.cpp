@@ -201,7 +201,7 @@ TEST(FaultGenerator, X1EdgeListUnaffectedByDropDupReorderStall) {
   const auto reference = baseline::copy_model_targets(cfg);
 
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan =
+  opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=11,drop=0.06,dup=0.05,reorder=0.08,stall=2@100:20");
   const auto faulty = core::generate_pa_general(cfg, opt);
 
@@ -223,7 +223,8 @@ TEST(FaultGenerator, X1EdgeListUnaffectedByDropDupReorderStall) {
 TEST(FaultGenerator, X1FaultRunsAreDeterministicGivenTheSeed) {
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 19};
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan = mps::FaultPlan::parse("seed=23,drop=0.05,dup=0.05,reorder=0.05");
+  opt.transport.fault_plan =
+      mps::FaultPlan::parse("seed=23,drop=0.05,dup=0.05,reorder=0.05");
 
   const auto first = core::generate_pa_general(cfg, opt);
   const auto second = core::generate_pa_general(cfg, opt);
@@ -238,7 +239,8 @@ TEST(FaultGenerator, X1CrashRecoversFromCheckpointBitwiseIdentical) {
   const auto reference = baseline::copy_model_targets(cfg);
 
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan = mps::FaultPlan::parse("seed=11,drop=0.03,crash=3@200");
+  opt.transport.fault_plan =
+      mps::FaultPlan::parse("seed=11,drop=0.03,crash=3@200");
   opt.checkpoint_dir = fresh_dir("x1_crash");
   const auto result = core::generate_pa_general(cfg, opt);
 
@@ -254,7 +256,7 @@ TEST(FaultGenerator, X1CrashRecoversFromCheckpointBitwiseIdentical) {
 TEST(FaultGenerator, X1CrashWithoutCheckpointDirReplaysFromScratch) {
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 5};
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan = mps::FaultPlan::parse("seed=2,crash=5@160");
+  opt.transport.fault_plan = mps::FaultPlan::parse("seed=2,crash=5@160");
   const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
@@ -265,7 +267,7 @@ TEST(FaultGenerator, X1CrashOfTheTerminationRootRecovers) {
   // done dedup and the stop re-broadcast of the recovery protocol.
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 7};
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan = mps::FaultPlan::parse("seed=4,crash=0@150");
+  opt.transport.fault_plan = mps::FaultPlan::parse("seed=4,crash=0@150");
   opt.checkpoint_dir = fresh_dir("x1_crash_root");
   const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
@@ -275,7 +277,7 @@ TEST(FaultGenerator, X1CrashOfTheTerminationRootRecovers) {
 TEST(FaultGenerator, X1CrashPlusChaosRecovers) {
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 13};
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan =
+  opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=13,drop=0.04,dup=0.04,reorder=0.06,crash=2@170");
   opt.checkpoint_dir = fresh_dir("x1_crash_chaos");
   const auto result = core::generate_pa_general(cfg, opt);
@@ -286,7 +288,8 @@ TEST(FaultGenerator, X1CrashPlusChaosRecovers) {
 TEST(FaultGenerator, XkStructureSurvivesDropDupReorder) {
   const PaConfig cfg{.n = 4000, .x = 4, .p = 0.5, .seed = 17};
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan = mps::FaultPlan::parse("seed=6,drop=0.05,dup=0.05,reorder=0.08");
+  opt.transport.fault_plan =
+      mps::FaultPlan::parse("seed=6,drop=0.05,dup=0.05,reorder=0.08");
   const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_EQ(result.total_edges, expected_edge_count(cfg));
   EXPECT_EQ(result.edges.size(), expected_edge_count(cfg));
@@ -298,7 +301,7 @@ TEST(FaultGenerator, XkStructureSurvivesDropDupReorder) {
 TEST(FaultGenerator, XkCrashRecoversFromCheckpoint) {
   const PaConfig cfg{.n = 4000, .x = 4, .p = 0.5, .seed = 17};
   core::ParallelOptions opt = fault_test_options();
-  opt.fault_plan = mps::FaultPlan::parse("seed=8,crash=3@200");
+  opt.transport.fault_plan = mps::FaultPlan::parse("seed=8,crash=3@200");
   opt.checkpoint_dir = fresh_dir("xk_crash");
   const auto result = core::generate_pa_general(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
@@ -344,6 +347,41 @@ TEST(FaultGenerator, CheckpointExtrasEmptyUntilTheFirstRetry) {
       }
     }
   }
+}
+
+// A checkpoint restores only into the run that wrote it: resuming a
+// finished p = 0.3 run at p = 0.7, or a UCP run under RRP, must refuse the
+// files instead of returning the old run's graph.
+TEST(FaultGenerator, ResumeRefusesAnotherPOrPartition) {
+  const PaConfig cfg{.n = 4000, .x = 1, .p = 0.3, .seed = 31};
+  const auto written = [&](const PaConfig& c, partition::Scheme scheme,
+                           const std::string& name) {
+    core::ParallelOptions opt;
+    opt.ranks = 2;
+    opt.scheme = scheme;
+    opt.checkpoint_every = 16;
+    opt.checkpoint_dir = fresh_dir(name);
+    (void)core::generate_pa_general(c, opt);
+    opt.resume = true;
+    return opt;
+  };
+
+  core::ParallelOptions resume_p =
+      written(cfg, partition::Scheme::kRrp, "resume_other_p");
+  PaConfig other_p = cfg;
+  other_p.p = 0.7;
+  EXPECT_THROW((void)core::generate_pa_general(other_p, resume_p), CheckError);
+
+  core::ParallelOptions resume_part =
+      written(cfg, partition::Scheme::kUcp, "resume_other_partition");
+  resume_part.scheme = partition::Scheme::kRrp;
+  EXPECT_THROW((void)core::generate_pa_general(cfg, resume_part), CheckError);
+
+  // The matching resume still restores every slot.
+  resume_part.scheme = partition::Scheme::kUcp;
+  const auto same = core::generate_pa_general(cfg, resume_part);
+  EXPECT_EQ(same.restored_slots, cfg.n - 1);
+  EXPECT_EQ(same.targets, baseline::copy_model_targets(cfg));
 }
 
 TEST(FaultGenerator, CheckpointRoundTripsThroughDisk) {

@@ -10,9 +10,12 @@
 //    deadlock;
 //  * small-config exhaustive sweeps complete (tree exhausted) with zero
 //    violations and exactly one distinct output for x = 1;
-//  * the "pagen.mpsmc.v1" trace format round-trips.
+//  * the "pagen.mpsmc.v1" trace format round-trips, and a dumped trace's
+//    meta block gives back the config that ran, p bit for bit.
 #include "mps/modelcheck.h"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -196,6 +199,40 @@ TEST(ModelCheck, TraceJsonRoundTrips) {
   EXPECT_FALSE(mc::trace_from_json(R"({"actions": []})", dummy, error));
   EXPECT_FALSE(mc::trace_from_json(json.substr(0, json.size() / 2), dummy,
                                    error));
+}
+
+TEST(ModelCheck, TraceMetaReplaysItsOwnConfigExactly) {
+  // fill_meta -> JSON -> options_from_meta must give back the very config
+  // that ran, p bit for bit (a six-decimal p would replay 1e-7 as 0).
+  for (const double p : {1.0 / 3.0, 1e-7, 0.1}) {
+    PropertyRunner::Options options = small_config(2, 32);
+    options.pa.p = p;
+    mc::ScheduleTrace trace;
+    PropertyRunner(options).fill_meta(trace);
+    mc::ScheduleTrace parsed;
+    std::string error;
+    ASSERT_TRUE(mc::trace_from_json(mc::trace_to_json(trace), parsed, error))
+        << error;
+    PropertyRunner::Options back;
+    ASSERT_TRUE(PropertyRunner::options_from_meta(parsed, back, error))
+        << error;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.pa.p),
+              std::bit_cast<std::uint64_t>(p))
+        << "p = " << p << " replayed as " << back.pa.p;
+    EXPECT_EQ(back.pa.n, options.pa.n);
+    EXPECT_EQ(back.ranks, options.ranks);
+  }
+
+  // A value that does not parse whole is an error naming its key.
+  for (const char* bad : {"32x", "abc"}) {
+    mc::ScheduleTrace trace;
+    PropertyRunner(small_config(2, 32)).fill_meta(trace);
+    trace.meta["n"] = bad;
+    PropertyRunner::Options back;
+    std::string error;
+    EXPECT_FALSE(PropertyRunner::options_from_meta(trace, back, error)) << bad;
+    EXPECT_NE(error.find("\"n\""), std::string::npos) << error;
+  }
 }
 
 TEST(ModelCheck, ReplayDivergenceIsDetected) {

@@ -3,12 +3,16 @@
 // and the store provenance marker (docs/serving.md §2–3).
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine/engine.h"
 #include "core/generate.h"
 #include "store/edge_writer.h"
 #include "obs/metrics.h"
@@ -156,6 +160,92 @@ TEST(SpecValidate, AcceptsAndRejects) {
   s = small_spec();
   s.sink = Sink::kCompressedStore;
   EXPECT_NE(validate(s), "") << "store sink without a directory";
+}
+
+/// The core::generate request a spec stands for, spelled out field by
+/// field (independent of job_options, which validate() itself uses).
+core::ParallelOptions request_options(const JobSpec& spec) {
+  core::ParallelOptions opt;
+  opt.engine = spec.engine;
+  opt.ranks = spec.ranks;
+  opt.scheme = spec.scheme;
+  opt.buffer_capacity = spec.buffer_capacity;
+  opt.node_batch = spec.node_batch;
+  opt.gather_edges = spec.sink == Sink::kGather;
+  if (spec.sink == Sink::kCompressedStore) opt.store_dir = spec.store_dir;
+  opt.transport.fault_plan = spec.fault_plan;
+  opt.transport.reliable = spec.reliable;
+  opt.transport.max_respawns = spec.max_respawns;
+  opt.transport.rto_base_ms = spec.rto_base_ms;
+  opt.transport.rto_max_ms = spec.rto_max_ms;
+  return opt;
+}
+
+// The service admits exactly what the library runs: for every engine and
+// every request below, generate() throws CheckError exactly when validate()
+// gives a reason.
+TEST(SpecValidate, AgreesWithGenerateOnEveryEngine) {
+  const std::string store = ::testing::TempDir() + "pagen_parity_store";
+  const std::vector<std::pair<const char*, std::function<void(JobSpec&)>>>
+      requests = {
+          {"x = 0", [](JobSpec& s) { s.config.x = 0; }},
+          {"n = x", [](JobSpec& s) { s.config.x = s.config.n = 3; }},
+          {"p = -0.1", [](JobSpec& s) { s.config.p = -0.1; }},
+          {"p = NaN",
+           [](JobSpec& s) {
+             s.config.p = std::numeric_limits<double>::quiet_NaN();
+           }},
+          {"x = 3, p = 1",
+           [](JobSpec& s) {
+             s.config.x = 3;
+             s.config.p = 1.0;
+           }},
+          {"ranks = 0", [](JobSpec& s) { s.ranks = 0; }},
+          {"ranks > n", [](JobSpec& s) { s.ranks = 65; }},
+          {"node_batch = 0", [](JobSpec& s) { s.node_batch = 0; }},
+          {"buffer_capacity = 0", [](JobSpec& s) { s.buffer_capacity = 0; }},
+          {"rto_base_ms = 0", [](JobSpec& s) { s.rto_base_ms = 0; }},
+          {"rto_max_ms < rto_base_ms",
+           [](JobSpec& s) {
+             s.rto_base_ms = 50;
+             s.rto_max_ms = 10;
+           }},
+          {"crash plan into a store",
+           [&store](JobSpec& s) {
+             s.sink = Sink::kCompressedStore;
+             s.store_dir = store;
+             s.fault_plan = mps::FaultPlan::parse("seed=7,crash=0@50");
+           }},
+          {"fault plan",
+           [](JobSpec& s) {
+             s.fault_plan = mps::FaultPlan::parse("seed=3,drop=0.05");
+           }},
+          {"ranks = 2", [](JobSpec& s) { s.ranks = 2; }},
+      };
+  for (const core::Engine* engine : core::EngineRegistry::instance().engines()) {
+    JobSpec valid = small_spec();
+    valid.engine = engine->name();
+    valid.ranks = 1;  // every engine runs one rank
+    EXPECT_EQ(validate(valid), "") << engine->name();
+    EXPECT_NO_THROW(
+        (void)core::generate(valid.config, request_options(valid)))
+        << engine->name();
+
+    for (const auto& [name, edit] : requests) {
+      JobSpec s = valid;
+      edit(s);
+      const std::string reason = validate(s);
+      bool threw = false;
+      try {
+        (void)core::generate(s.config, request_options(s));
+      } catch (const CheckError&) {
+        threw = true;
+      }
+      EXPECT_EQ(threw, !reason.empty())
+          << engine->name() << ", " << name << ": validate() gave '" << reason
+          << "'";
+    }
+  }
 }
 
 TEST(JobEnums, StringsAndTerminality) {

@@ -231,6 +231,15 @@ TEST(SvcServer, InvalidSpecRejectedAtAdmission) {
   EXPECT_EQ(server.submit(bad).reject, Reject::kInvalidSpec);
 }
 
+TEST(SvcServer, TransportTheWorldRefusesIsRejectedAtAdmission) {
+  // A retransmission timeout the mps World would refuse on every attempt
+  // is a reject at submit, not a job that fails in the worker.
+  Server server({.workers = 1});
+  JobSpec bad = gather_spec(128, 1, 1, 2);
+  bad.rto_base_ms = 0;
+  EXPECT_EQ(server.submit(bad).reject, Reject::kInvalidSpec);
+}
+
 TEST(SvcServer, CountSinkAndCacheShapeRules) {
   Server server({.workers = 1});
   JobSpec count = gather_spec(180, 4, 9, 2);

@@ -103,11 +103,11 @@ core::ParallelOptions with_rto(const std::string& value) {
 
 TEST(Cli, RtoParsesBaseAndOptionalMaxWhole) {
   const core::ParallelOptions base_only = with_rto("25");
-  EXPECT_EQ(base_only.rto_base_ms, 25);
-  EXPECT_EQ(base_only.rto_max_ms, 400);
+  EXPECT_EQ(base_only.transport.rto_base_ms, 25);
+  EXPECT_EQ(base_only.transport.rto_max_ms, 400);
   const core::ParallelOptions both = with_rto("5:80");
-  EXPECT_EQ(both.rto_base_ms, 5);
-  EXPECT_EQ(both.rto_max_ms, 80);
+  EXPECT_EQ(both.transport.rto_base_ms, 5);
+  EXPECT_EQ(both.transport.rto_max_ms, 80);
   for (const char* bad :
        {"25x", "abc", "25:", "25:40x", ":5", "-5", "1000000000000"}) {
     SCOPED_TRACE(bad);

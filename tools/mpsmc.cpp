@@ -59,7 +59,7 @@ struct ConfigReport {
 std::string describe(const PropertyRunner::Options& o) {
   std::ostringstream os;
   os << "P=" << o.ranks << " n=" << o.pa.n << " x=" << o.pa.x
-     << " seed=" << o.pa.seed << " scheme=" << pagen::partition::to_string(o.scheme)
+     << " p=" << PropertyRunner::p_string(o.pa.p) << " seed=" << o.pa.seed << " scheme=" << pagen::partition::to_string(o.scheme)
      << (o.flush_resolved_after_batch ? "" : " [flush rule OFF]");
   return os.str();
 }
