@@ -1,11 +1,11 @@
 #include "core/checkpoint.h"
 
 #include <filesystem>
+#include <utility>
 
 #include "store/format.h"
 #include "util/bytes_file.h"
 #include "util/error.h"
-#include "util/hash.h"
 
 namespace pagen::core {
 namespace {
@@ -16,26 +16,11 @@ namespace {
 /// check and are treated as corrupt — regenerate, never restore garbage.
 constexpr std::uint64_t kMagic = 0x7061676e636b7033ULL;
 
-/// Bytes of the fixed-width FNV-1a trailer.
-constexpr std::size_t kChecksumBytes = 8;
-
 /// F entries are biased by one on disk so kNil (all-ones) stays a one-byte
 /// varint instead of ten.
 constexpr std::uint64_t encode_f(NodeId v) { return v == kNil ? 0 : v + 1; }
 constexpr NodeId decode_f(std::uint64_t raw) {
   return raw == 0 ? kNil : static_cast<NodeId>(raw - 1);
-}
-
-void append_u64_le(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t read_u64_le(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
 }
 
 /// A declared element count can never exceed the bytes left in the payload
@@ -77,23 +62,14 @@ void save_checkpoint(const std::string& dir, const RankCheckpoint& ck) {
   for (const std::uint32_t a : ck.attempts) store::put_varint(buf, a);
   store::put_varint(buf, ck.locked_copy.size());
   for (const std::uint8_t l : ck.locked_copy) store::put_varint(buf, l);
-  append_u64_le(buf, fnv1a(buf));
-  save_bytes_atomic(checkpoint_path(dir, ck.rank), buf);
+  save_sealed(checkpoint_path(dir, ck.rank), std::move(buf));
 }
 
 bool load_checkpoint(const std::string& dir, Rank rank, RankCheckpoint& out) {
-  std::vector<std::uint8_t> buf;
-  if (!try_load_bytes(checkpoint_path(dir, rank), buf)) return false;
-  // Verify the content checksum before parsing a single field: a truncated,
+  // The seal is checked before a single field is parsed: a truncated,
   // extended, or bit-flipped file fails here, never restores garbage.
-  PAGEN_CHECK_MSG(buf.size() > kChecksumBytes,
-                  "checkpoint for rank " << rank << " is too short");
-  const std::size_t payload = buf.size() - kChecksumBytes;
-  PAGEN_CHECK_MSG(fnv1a(std::span(buf).first(payload)) ==
-                      read_u64_le(buf.data() + payload),
-                  "checkpoint checksum mismatch for rank " << rank);
-  const std::vector<std::uint8_t> body(buf.begin(),
-                                       buf.begin() + static_cast<std::ptrdiff_t>(payload));
+  std::vector<std::uint8_t> body;
+  if (!try_load_sealed(checkpoint_path(dir, rank), body)) return false;
   std::size_t pos = 0;
   PAGEN_CHECK_MSG(store::get_varint(body, pos) == kMagic,
                   "bad checkpoint magic for rank " << rank);

@@ -8,12 +8,11 @@
 // recovery protocol: the respawned rank replays its unresolved slots
 // (re-issuing requests), and a kTagRecover broadcast makes peers re-offer
 // every request they still wait on (docs/robustness.md §3). Files are
-// written atomically via save_bytes_atomic (util/bytes_file.h) so a crash
-// mid-write never leaves a torn checkpoint, serialized with the edge
-// store's varint coder (store/format.h), and sealed with the FNV-1a
-// (util/hash.h) content checksum verified before any field is parsed — a
-// truncated, extended, or bit-flipped file raises CheckError instead of
-// silently restoring garbage.
+// serialized with the edge store's varint coder (store/format.h) and
+// written as sealed files (util/bytes_file.h): atomically, so a crash
+// mid-write never leaves a torn checkpoint, with an FNV-1a seal checked
+// before any field is parsed — a truncated, extended, or bit-flipped file
+// raises CheckError instead of silently restoring garbage.
 #pragma once
 
 #include <cstdint>

@@ -17,7 +17,7 @@ ParallelResult generate(const PaConfig& config, const ParallelOptions& options) 
   // Compressed-store tap: every engine already streams its edges through
   // the batched sink, so the store rides that path — one truncating shard
   // writer per rank slot (each rank thread appends only to its own writer,
-  // no locking), sealed with the v3 manifest after the run. check_request
+  // no locking), sealed with the v4 manifest after the run. check_request
   // has ruled out the re-emission paths (crash respawn, resume), so the
   // store sees every edge exactly once.
   store::StoreWriter writer(options.store_dir, options.ranks,

@@ -111,7 +111,7 @@ struct ParallelOptions {
   // --- Out-of-core storage (docs/storage.md) ---
 
   /// Stream every emitted edge into the compressed store at this
-  /// directory (src/store/), one shard per rank, finalized with the v3
+  /// directory (src/store/), one shard per rank, finalized with the v4
   /// manifest when the run completes. Engine-independent: generate() wraps
   /// the batched sink path, so any engine that emits edges feeds the store
   /// without materializing them. Incompatible with crash injection and

@@ -3,9 +3,9 @@
 // that never expose the flags pay nothing.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -36,16 +36,14 @@ inline void apply_robustness_cli(const Cli& cli, ParallelOptions& options) {
   options.checkpoint_dir = cli.get_str("checkpoint-dir", "");
   t.reliable = cli.get_bool("reliable", t.reliable);
   if (cli.has("rto")) {
-    // Each part whole, in milliseconds; MAX defaults to 16 * BASE, and the
-    // transport times in nanoseconds, so 16 * 10^6 * part must fit.
-    constexpr std::int64_t kMaxMs =
-        std::numeric_limits<std::int64_t>::max() / 16 / 1'000'000;
+    // Each part whole, in milliseconds, at most the transport's bound;
+    // MAX defaults to 16 * BASE, capped at that bound.
     const std::string rto = cli.get_str("rto", "");
     const auto ms = [&rto](std::string_view part) {
       std::int64_t v = 0;
       const char* last = part.data() + part.size();
       const auto [end, ec] = std::from_chars(part.data(), last, v);
-      if (ec != std::errc() || end != last || v < 0 || v > kMaxMs) {
+      if (ec != std::errc() || end != last || v < 0 || v > mps::kMaxRtoMs) {
         throw std::invalid_argument(
             "bad value for --rto: '" + rto +
             "' (expected BASE or BASE:MAX milliseconds)");
@@ -55,8 +53,9 @@ inline void apply_robustness_cli(const Cli& cli, ParallelOptions& options) {
     const std::string_view all(rto);
     const auto colon = all.find(':');
     t.rto_base_ms = ms(all.substr(0, colon));
-    t.rto_max_ms = colon == std::string_view::npos ? t.rto_base_ms * 16
-                                                   : ms(all.substr(colon + 1));
+    t.rto_max_ms = colon == std::string_view::npos
+                       ? std::min(t.rto_base_ms * 16, mps::kMaxRtoMs)
+                       : ms(all.substr(colon + 1));
   }
 }
 

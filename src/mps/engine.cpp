@@ -12,11 +12,12 @@
 namespace pagen::mps {
 
 void check_world_options(const WorldOptions& options) {
-  PAGEN_CHECK_MSG(
-      options.rto_base_ms > 0 && options.rto_max_ms >= options.rto_base_ms,
-      "need 0 < rto_base_ms <= rto_max_ms (got " << options.rto_base_ms
-                                                 << ", " << options.rto_max_ms
-                                                 << ")");
+  PAGEN_CHECK_MSG(options.rto_base_ms > 0 &&
+                      options.rto_max_ms >= options.rto_base_ms &&
+                      options.rto_max_ms <= kMaxRtoMs,
+                  "need 0 < rto_base_ms <= rto_max_ms <= "
+                      << kMaxRtoMs << " (got " << options.rto_base_ms << ", "
+                      << options.rto_max_ms << ")");
   // A hooked world is plain best-effort transport under a virtual
   // scheduler: the hook owns every delivery, so the reliable channel's
   // timers and the fault injector's decisions have nothing to attach to.

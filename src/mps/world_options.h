@@ -4,12 +4,20 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "mps/fault.h"
 
 namespace pagen::mps {
 
 class DeliveryHook;
+
+/// Upper bound on rto_base_ms and rto_max_ms. ReliableChannel converts them
+/// to nanoseconds (x 10^6), backs off by up to 2^5, and adds the result to
+/// now_ns(); at this bound the first two stay within half of int64's range
+/// and leave the other half (146 years of process uptime) to the third.
+inline constexpr std::int64_t kMaxRtoMs =
+    std::numeric_limits<std::int64_t>::max() / 2 / 32 / 1'000'000;
 
 /// Runtime configuration of one World beyond its rank count. Defaults give
 /// the historical fault-free, best-effort transport.
@@ -24,7 +32,8 @@ struct WorldOptions {
   bool reliable = false;
 
   /// Retransmission timeout base and cap (exponential backoff between
-  /// them). The base should comfortably exceed a poll round-trip.
+  /// them), at most kMaxRtoMs. The base should comfortably exceed a poll
+  /// round-trip.
   std::int64_t rto_base_ms = 25;
   std::int64_t rto_max_ms = 400;
 
@@ -41,9 +50,9 @@ struct WorldOptions {
   DeliveryHook* delivery_hook = nullptr;
 };
 
-/// Reject a non-positive rto_base_ms, an rto_max_ms below it, and a
-/// delivery hook combined with reliable transport or an active fault plan.
-/// Throws CheckError naming the option.
+/// Reject a non-positive rto_base_ms, an rto_max_ms below it or above
+/// kMaxRtoMs, and a delivery hook combined with reliable transport or an
+/// active fault plan. Throws CheckError naming the option.
 void check_world_options(const WorldOptions& options);
 
 }  // namespace pagen::mps

@@ -1,6 +1,7 @@
 #include "store/edge_writer.h"
 
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "util/bytes_file.h"
@@ -16,35 +17,55 @@ std::string manifest_path(const std::string& dir) {
   return dir + "/store.manifest";
 }
 
-void write_manifest(const std::string& dir, const StoreManifest& manifest) {
+namespace {
+
+/// The manifest body, one canonical spelling per manifest: load_manifest
+/// accepts a body only when it re-spells to the same bytes.
+std::string manifest_text(const StoreManifest& manifest) {
   std::ostringstream os;
-  os << "pagen-store 3\n";
+  os << "pagen-store 4\n";
   os << "nodes " << manifest.num_nodes << "\n";
   os << "shards " << manifest.num_shards << "\n";
   os << "block_edges " << manifest.block_edges << "\n";
   for (int r = 0; r < manifest.num_shards; ++r) {
     const ShardSummary& s = manifest.shards[static_cast<std::size_t>(r)];
     os << "shard " << r << " " << s.edges << " " << s.blocks << " " << s.bytes
-       << " " << std::hex << s.file_checksum << std::dec << "\n";
+       << " " << std::hex << s.header_chain << std::dec << "\n";
   }
-  const std::string text = os.str();
-  save_bytes_atomic(manifest_path(dir),
-                    std::vector<std::uint8_t>(text.begin(), text.end()));
+  return os.str();
+}
+
+}  // namespace
+
+std::uint64_t write_manifest(const std::string& dir,
+                             const StoreManifest& manifest) {
+  const std::string text = manifest_text(manifest);
+  return save_sealed(manifest_path(dir),
+                     std::vector<std::uint8_t>(text.begin(), text.end()));
 }
 
 StoreManifest load_manifest(const std::string& dir) {
-  std::ifstream is(manifest_path(dir));
-  PAGEN_CHECK_MSG(is.is_open(), "no compressed-store manifest in " << dir);
+  std::vector<std::uint8_t> body;
+  const std::optional<std::uint64_t> seal =
+      try_load_sealed(manifest_path(dir), body);
+  PAGEN_CHECK_MSG(seal, "no compressed-store manifest in " << dir);
+  const std::string text(body.begin(), body.end());
+  std::istringstream is(text);
   std::string tag;
   int version = 0;
   is >> tag >> version;
-  PAGEN_CHECK_MSG(is.good() && tag == "pagen-store" && version == 3,
+  PAGEN_CHECK_MSG(is.good() && tag == "pagen-store" && version == 4,
                   "bad compressed-store manifest header in " << dir);
   StoreManifest manifest;
+  manifest.seal = *seal;
   is >> tag >> manifest.num_nodes;
   PAGEN_CHECK_MSG(is.good() && tag == "nodes", "malformed manifest: nodes");
   is >> tag >> manifest.num_shards;
-  PAGEN_CHECK_MSG(is.good() && tag == "shards" && manifest.num_shards >= 1,
+  // Every shard line takes more than one byte, so a count beyond the body
+  // size is forged and must not drive the allocation below.
+  PAGEN_CHECK_MSG(is.good() && tag == "shards" && manifest.num_shards >= 1 &&
+                      static_cast<std::size_t>(manifest.num_shards) <=
+                          text.size(),
                   "malformed manifest: shards");
   is >> tag >> manifest.block_edges;
   PAGEN_CHECK_MSG(is.good() && tag == "block_edges" &&
@@ -56,27 +77,15 @@ StoreManifest load_manifest(const std::string& dir) {
     int rank = -1;
     ShardSummary& s = manifest.shards[static_cast<std::size_t>(r)];
     is >> tag >> rank >> s.edges >> s.blocks >> s.bytes >> std::hex >>
-        s.file_checksum >> std::dec;
+        s.header_chain >> std::dec;
     PAGEN_CHECK_MSG(is.good() && tag == "shard" && rank == r,
                     "malformed manifest: shard " << r);
   }
+  PAGEN_CHECK_MSG(manifest_text(manifest) == text,
+                  "malformed manifest in " << dir
+                                           << ": not in canonical form, or "
+                                              "bytes after the last shard");
   return manifest;
-}
-
-bool streaming_file_fnv1a(const std::string& path, std::uint64_t& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) return false;
-  std::uint64_t h = kFnvOffset;
-  std::vector<std::uint8_t> chunk(std::size_t{1} << 20);
-  for (;;) {
-    is.read(reinterpret_cast<char*>(chunk.data()),
-            static_cast<std::streamsize>(chunk.size()));
-    const auto got = static_cast<std::size_t>(is.gcount());
-    h = fnv1a(std::span(chunk).first(got), h);
-    if (got < chunk.size()) break;
-  }
-  out = h;
-  return true;
 }
 
 CompressedEdgeWriter::CompressedEdgeWriter(const std::string& path,
@@ -136,13 +145,12 @@ ShardSummary CompressedEdgeWriter::finish() {
   PAGEN_CHECK_MSG(os_.good(), "shard write failed for " << path_);
   os_.close();
   finished_ = true;
-  return {edges_, blocks_, bytes_, file_fnv_};
+  return {edges_, blocks_, bytes_, header_chain_};
 }
 
 void CompressedEdgeWriter::write_bytes(const std::vector<std::uint8_t>& bytes) {
   os_.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-  file_fnv_ = fnv1a(bytes, file_fnv_);
   bytes_ += bytes.size();
 }
 
@@ -169,7 +177,7 @@ StoreManifest StoreWriter::finish(NodeId num_nodes) {
   manifest.block_edges = block_edges_;
   manifest.shards.reserve(writers_.size());
   for (auto& w : writers_) manifest.shards.push_back(w->finish());
-  write_manifest(dir_, manifest);
+  manifest.seal = write_manifest(dir_, manifest);
   return manifest;
 }
 

@@ -5,14 +5,15 @@
 // encoded (store/format.h), and the header+payload bytes go straight to
 // disk — memory held is one block, regardless of how many billions of
 // edges pass through. finish() seals the file with the trailer and returns
-// the shard's summary (counts, bytes, whole-file FNV-1a, computed
-// incrementally while writing, so sealing never re-reads the file).
+// the shard's summary (counts, bytes, and the trailer's header chain —
+// the shard's identity, so sealing never re-reads the file).
 //
 // StoreWriter fans a multi-rank generation run into one writer per rank —
 // the drop-in consumer for ParallelOptions::edge_batch_sink, where each
 // rank thread appends only to its own slot (no locking, matching the
 // paper's "processors write their files independently" model) — and
-// finalizes the directory with the v3 manifest.
+// finalizes the directory with the v4 manifest: every shard's summary,
+// written as a sealed file (util/bytes_file.h) whose seal pins the store.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +33,22 @@ namespace pagen::store {
 struct ShardSummary {
   Count edges = 0;
   Count blocks = 0;
-  std::uint64_t bytes = 0;          ///< file size, magic through trailer
-  std::uint64_t file_checksum = 0;  ///< FNV-1a over the whole file
+  std::uint64_t bytes = 0;  ///< file size, magic through trailer
+  /// The trailer's chain over every block's header checksum, which pins
+  /// the count, order and content of the shard's blocks.
+  std::uint64_t header_chain = kFnvOffset;
 };
 
-/// The v3 store manifest (file `store.manifest`).
+/// The v4 store manifest (file `store.manifest`).
 struct StoreManifest {
   NodeId num_nodes = 0;
   int num_shards = 0;
   std::size_t block_edges = kDefaultBlockEdges;
   std::vector<ShardSummary> shards;
+  /// The manifest file's FNV-1a seal, set by write_manifest and
+  /// load_manifest. It pins every field above, so with the shards' header
+  /// chains it is the store's identity.
+  std::uint64_t seal = 0;
 
   [[nodiscard]] Count total_edges() const {
     Count total = 0;
@@ -58,20 +65,18 @@ struct StoreManifest {
 /// Path of compressed shard `rank` inside `dir` (edges.<rank>.pcs).
 [[nodiscard]] std::string shard_path(const std::string& dir, int rank);
 
-/// Path of the v3 manifest inside `dir`.
+/// Path of the v4 manifest inside `dir`.
 [[nodiscard]] std::string manifest_path(const std::string& dir);
 
-/// Write the manifest atomically (temp + rename).
-void write_manifest(const std::string& dir, const StoreManifest& manifest);
+/// Write the manifest as a sealed file (atomic; util/bytes_file.h).
+/// Returns its seal. `manifest.seal` is not read.
+std::uint64_t write_manifest(const std::string& dir,
+                             const StoreManifest& manifest);
 
-/// Read and strictly parse the manifest; throws CheckError when absent or
-/// malformed.
+/// Read the manifest, check its seal, and parse the whole body strictly;
+/// throws CheckError when it is absent, fails its seal, or is malformed —
+/// including any byte after the last shard line and any other version.
 [[nodiscard]] StoreManifest load_manifest(const std::string& dir);
-
-/// Streaming FNV-1a of a file's raw bytes in fixed-size chunks (never loads
-/// the file); false when it cannot be opened.
-[[nodiscard]] bool streaming_file_fnv1a(const std::string& path,
-                                        std::uint64_t& out);
 
 class CompressedEdgeWriter {
  public:
@@ -106,7 +111,6 @@ class CompressedEdgeWriter {
   graph::EdgeList pending_;
   std::vector<std::uint8_t> payload_;  // encode scratch
   std::vector<std::uint8_t> buf_;      // serialized header/trailer scratch
-  std::uint64_t file_fnv_ = kFnvOffset;
   std::uint64_t header_chain_ = kFnvOffset;
   Count edges_ = 0;
   Count blocks_ = 0;

@@ -93,13 +93,18 @@ BlockHeader encode_block(std::span<const graph::Edge> edges,
   return header;
 }
 
-void decode_block(const BlockHeader& header,
-                  std::span<const std::uint8_t> payload, graph::EdgeList& out) {
+void check_payload(const BlockHeader& header,
+                   std::span<const std::uint8_t> payload) {
   PAGEN_CHECK_MSG(payload.size() == header.payload_bytes,
                   "block payload is " << payload.size() << " bytes, header "
                                       << "claims " << header.payload_bytes);
   PAGEN_CHECK_MSG(fnv1a(payload) == header.payload_checksum,
                   "block payload checksum mismatch");
+}
+
+void decode_block(const BlockHeader& header,
+                  std::span<const std::uint8_t> payload, graph::EdgeList& out) {
+  check_payload(header, payload);
   out.push_back({header.first_u, header.first_v});
   NodeId prev_u = header.first_u;
   NodeId prev_v = header.first_v;

@@ -104,10 +104,15 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
 [[nodiscard]] BlockHeader encode_block(std::span<const graph::Edge> edges,
                                        std::vector<std::uint8_t>& payload);
 
-/// Decode a block whose header already passed get_block_header. Verifies
-/// payload size and checksum, decodes exactly edge_count edges, and appends
-/// them to `out`; throws CheckError on any mismatch, truncation, or
-/// trailing bytes — garbage never decodes.
+/// Check `payload` against a header that already passed get_block_header:
+/// its size and its FNV-1a. Throws CheckError on a mismatch.
+void check_payload(const BlockHeader& header,
+                   std::span<const std::uint8_t> payload);
+
+/// Decode a block whose header already passed get_block_header. Runs
+/// check_payload, decodes exactly edge_count edges, and appends them to
+/// `out`; throws CheckError on any mismatch, truncation, or trailing
+/// bytes — garbage never decodes.
 void decode_block(const BlockHeader& header,
                   std::span<const std::uint8_t> payload, graph::EdgeList& out);
 

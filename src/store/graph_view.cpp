@@ -5,6 +5,7 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -18,20 +19,27 @@ namespace {
 /// Decoded blocks the merged stream may queue ahead of its visitor.
 constexpr std::uint64_t kReadAheadBlocks = 4;
 
-/// One shard stream, verified against the manifest's per-shard count.
+/// One shard stream, verified against the manifest's per-shard edge count
+/// and header chain; an empty `visit` verifies without decoding. A
+/// CheckError names the shard.
 void stream_shard(const std::string& dir, const StoreManifest& manifest,
                   int shard, const graph::EdgeVisitor& visit) {
   PAGEN_CHECK_MSG(shard >= 0 && shard < manifest.num_shards,
                   "shard " << shard << " out of range [0, "
                            << manifest.num_shards << ")");
-  EdgeShardReader reader(
-      shard_path(dir, shard),
-      static_cast<std::uint32_t>(manifest.block_edges));
-  const ShardTrailer trailer = reader.visit(visit);
-  PAGEN_CHECK_MSG(
-      trailer.num_edges ==
-          manifest.shards[static_cast<std::size_t>(shard)].edges,
-      "shard " << shard << " edge count disagrees with the manifest");
+  const ShardSummary& want = manifest.shards[static_cast<std::size_t>(shard)];
+  try {
+    EdgeShardReader reader(
+        shard_path(dir, shard),
+        static_cast<std::uint32_t>(manifest.block_edges));
+    const ShardTrailer trailer = reader.visit(visit);
+    PAGEN_CHECK_MSG(trailer.num_edges == want.edges,
+                    "edge count disagrees with the manifest");
+    PAGEN_CHECK_MSG(trailer.header_chain == want.header_chain,
+                    "header chain disagrees with the manifest");
+  } catch (const CheckError& e) {
+    throw CheckError("shard " + std::to_string(shard) + ": " + e.what());
+  }
 }
 
 /// The merged stream's read-ahead. One helper thread streams shards
@@ -164,6 +172,12 @@ std::uint64_t ShardedGraphView::merged_stream_bytes() const {
   const auto block = static_cast<std::uint64_t>(manifest_.block_edges);
   return per_shard_stream_bytes() +
          (kReadAheadBlocks + 1) * block * sizeof(graph::Edge);
+}
+
+void ShardedGraphView::verify() const {
+  for (int r = 0; r < manifest_.num_shards; ++r) {
+    stream_shard(dir_, manifest_, r, {});
+  }
 }
 
 graph::EdgeSource ShardedGraphView::edge_source() const {

@@ -25,8 +25,8 @@ class ShardedGraphView {
   /// Opens `dir`'s manifest. `memory_budget_bytes` bounds the decoded +
   /// compressed working set of streaming every shard concurrently, and of
   /// the merged stream; 0 means unbudgeted. Throws CheckError when the
-  /// manifest is missing/malformed or the budget cannot hold the larger of
-  /// the two.
+  /// manifest is missing, fails its seal or is malformed, or the budget
+  /// cannot hold the larger of the two.
   explicit ShardedGraphView(std::string dir,
                             std::uint64_t memory_budget_bytes = 0);
 
@@ -40,12 +40,19 @@ class ShardedGraphView {
   /// decoded blocks of its read-ahead queue and the caller's current block.
   [[nodiscard]] std::uint64_t merged_stream_bytes() const;
 
+  /// The verify pass over every shard, in rank order, decoding nothing:
+  /// each block's header checksum and bounds, each payload checksum, and
+  /// each trailer's counts and header chain, compared with the manifest.
+  /// Throws CheckError naming the first failing shard.
+  void verify() const;
+
   /// The store as a kernel-ready source: num_shards streams, each decoding
   /// its shard block by block and verifying every checksum plus the
-  /// manifest's edge count. Safe for concurrent distinct-shard visits
-  /// (every visit opens its own reader); a shard outside [0, num_shards)
-  /// throws CheckError before any file is opened. The source owns copies
-  /// of what it needs and stays valid after the view is destroyed.
+  /// manifest's edge count and header chain; a CheckError names the shard.
+  /// Safe for concurrent distinct-shard visits (every visit opens its own
+  /// reader); a shard outside [0, num_shards) throws CheckError before any
+  /// file is opened. The source owns copies of what it needs and stays
+  /// valid after the view is destroyed.
   [[nodiscard]] graph::EdgeSource edge_source() const;
 
   /// The store as a single merged stream (shard 0..P-1 in rank order, one

@@ -52,10 +52,14 @@ ShardTrailer EdgeShardReader::visit(
     PAGEN_CHECK_MSG(
         is_.gcount() == static_cast<std::streamsize>(header.payload_bytes),
         "truncated shard " << path_ << " (mid-block " << blocks << ")");
-    block_buf_.clear();
-    decode_block(header, payload_buf_, block_buf_);
     ++blocks;
     edges += header.edge_count;
+    if (!fn) {
+      check_payload(header, payload_buf_);
+      continue;
+    }
+    block_buf_.clear();
+    decode_block(header, payload_buf_, block_buf_);
     fn(block_buf_);
   }
 }

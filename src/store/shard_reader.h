@@ -35,10 +35,17 @@ class EdgeShardReader {
   EdgeShardReader& operator=(const EdgeShardReader&) = delete;
 
   /// Stream every block through `fn` in file order, verifying everything;
-  /// returns the validated trailer. Single use: the reader's file position
-  /// is at EOF afterwards. Not thread-safe — use one reader per thread.
+  /// returns the validated trailer. An empty `fn` skips only the decode:
+  /// every other check still runs (see verify()). Single use: the reader's
+  /// file position is at EOF afterwards. Not thread-safe — use one reader
+  /// per thread.
   ShardTrailer visit(
       const std::function<void(std::span<const graph::Edge>)>& fn);
+
+  /// The verify pass: visit() without decoding a block. Checks every
+  /// header checksum and bound, every payload checksum, the trailer's
+  /// header chain and its counts; returns the validated trailer.
+  ShardTrailer verify() { return visit({}); }
 
   /// Decode the whole shard into one list (tests and small stores).
   [[nodiscard]] graph::EdgeList read_all();

@@ -3,10 +3,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "store/edge_writer.h"
+#include "store/graph_view.h"
 #include "util/error.h"
 
 namespace pagen::svc {
@@ -61,12 +60,11 @@ void ResultCache::bind_metrics(obs::Counter* hits, obs::Counter* misses,
 
 namespace {
 
-using store::streaming_file_fnv1a;
-
 /// The one marker tag a probe accepts. Older tags (v1: no content
-/// checksums; v2: the retired raw sharded layout) read as a plain miss, so
-/// such a directory is regenerated under a current seal.
-constexpr const char* kMarkerTag = "pagen.svc.store.v3";
+/// checksums; v2: the retired raw sharded layout; v3: per-file checksums
+/// over a v3 manifest) read as a plain miss, so such a directory is
+/// regenerated under a current seal.
+constexpr const char* kMarkerTag = "pagen.svc.store.v4";
 
 }  // namespace
 
@@ -75,20 +73,10 @@ std::string store_marker_path(const std::string& dir) {
 }
 
 void write_store_marker(const std::string& dir, std::uint64_t hash) {
-  const int num_shards = store::load_manifest(dir).num_shards;
+  const std::uint64_t seal = store::load_manifest(dir).seal;
   std::ofstream os(store_marker_path(dir), std::ios::trunc);
-  PAGEN_CHECK_MSG(os.is_open(),
-                  "cannot write store marker in " << dir);
-  os << kMarkerTag << " " << std::hex << hash << "\n";
-  std::uint64_t sum = 0;
-  PAGEN_CHECK_MSG(streaming_file_fnv1a(store::manifest_path(dir), sum),
-                  "cannot checksum manifest in " << dir);
-  os << "manifest " << std::hex << sum << "\n";
-  for (int r = 0; r < num_shards; ++r) {
-    PAGEN_CHECK_MSG(streaming_file_fnv1a(store::shard_path(dir, r), sum),
-                    "cannot checksum shard " << r << " in " << dir);
-    os << "shard " << std::dec << r << " " << std::hex << sum << "\n";
-  }
+  PAGEN_CHECK_MSG(os.is_open(), "cannot write store marker in " << dir);
+  os << kMarkerTag << " " << std::hex << hash << " " << seal << "\n";
   PAGEN_CHECK_MSG(os.good(), "store marker write failed in " << dir);
 }
 
@@ -102,46 +90,18 @@ StoreProbe probe_store(const std::string& dir, const JobSpec& spec) {
   if (!is || tag != kMarkerTag) return probe;
   if (recorded != spec_hash(spec)) return probe;  // another spec's store
   // The marker claims this spec: from here every defect is corruption.
-  std::ostringstream why;
-  std::uint64_t want = 0;
-  std::uint64_t got = 0;
-  if (!(is >> tag >> std::hex >> want) || tag != "manifest") {
-    why << "marker truncated before manifest checksum";
-  } else if (!streaming_file_fnv1a(store::manifest_path(dir), got)) {
-    why << "manifest unreadable";
-  } else if (got != want) {
-    why << "manifest checksum mismatch";
-  } else {
-    int shard = -1;
-    while (is >> tag) {
-      if (tag != "shard" || !(is >> std::dec >> shard >> std::hex >> want)) {
-        why << "malformed marker shard line";
-        break;
-      }
-      if (!streaming_file_fnv1a(store::shard_path(dir, shard), got)) {
-        why << "shard " << shard << " unreadable";
-        break;
-      }
-      if (got != want) {
-        why << "shard " << shard << " checksum mismatch";
-        break;
-      }
-    }
-  }
-  if (!why.str().empty()) {
-    probe.corrupt = true;
-    probe.detail = why.str();
-    return probe;
-  }
+  std::uint64_t seal = 0;
+  const bool sealed = static_cast<bool>(is >> seal);
   try {
-    const store::StoreManifest manifest = store::load_manifest(dir);
-    if (manifest.num_nodes == spec.config.n &&
-        manifest.total_edges() == expected_edge_count(spec.config)) {
-      probe.match = true;
-    } else {
-      probe.corrupt = true;
-      probe.detail = "manifest counts disagree with spec";
-    }
+    const store::ShardedGraphView view(dir);
+    PAGEN_CHECK_MSG(sealed && view.manifest().seal == seal,
+                    "manifest seal disagrees with the store marker");
+    view.verify();
+    PAGEN_CHECK_MSG(
+        view.manifest().num_nodes == spec.config.n &&
+            view.manifest().total_edges() == expected_edge_count(spec.config),
+        "manifest counts disagree with spec");
+    probe.match = true;
   } catch (const CheckError& e) {
     probe.corrupt = true;
     probe.detail = e.what();

@@ -13,9 +13,10 @@
 //  * Store probe — a spec whose store_dir already holds a compressed store
 //    (src/store/) *produced by the same spec* is served from disk without
 //    regeneration, surviving process restarts. Provenance is a marker file
-//    recording the producing spec hash next to the manifest; the manifest
-//    alone (num_nodes + counts) could not tell two seeds apart. See
-//    docs/serving.md §3.
+//    recording the producing spec hash and the manifest's seal next to the
+//    manifest; the manifest alone (num_nodes + counts) could not tell two
+//    seeds apart. The memory cache never serves kCompressedStore: the probe,
+//    which verifies the store, is that sink's cache. See docs/serving.md §3.
 #pragma once
 
 #include <cstdint>
@@ -75,31 +76,37 @@ class ResultCache {
 
 /// Record that `dir`'s compressed store was produced by a spec hashing to
 /// `hash`. Written after the shards and manifest, so a marker implies a
-/// complete store. The marker (tag `pagen.svc.store.v3`) seals the store's
-/// content: it records an FNV-1a checksum of `store.manifest` and of every
-/// `edges.<r>.pcs` shard file, so a later probe detects on-disk corruption
-/// instead of serving poison. Throws CheckError when `dir` holds no store.
+/// complete store. The marker is one line: tag `pagen.svc.store.v4`, the
+/// spec hash and the manifest's seal, which pins every shard's header
+/// chain, so a later probe detects on-disk corruption instead of serving
+/// poison. Reads only the manifest, never a shard. Throws CheckError when
+/// `dir` holds no store.
 void write_store_marker(const std::string& dir, std::uint64_t hash);
 
 /// Outcome of probing `dir` for a store serving `spec` (docs/robustness.md
 /// §6). Exactly one of three shapes: a verified match; a plain miss (no
 /// marker, a marker of an older layout, or a different spec's store); or
 /// *corrupt* — the marker claims this spec but the content fails
-/// verification (checksum mismatch, torn manifest, wrong counts). Corrupt
-/// stores must be quarantined, never served.
+/// verification (the manifest's seal, the store's verify pass, or counts
+/// that disagree with the spec). Corrupt stores must be quarantined, never
+/// served.
 struct StoreProbe {
   bool match = false;
   bool corrupt = false;
   std::string detail;  ///< human-readable reason when corrupt
 };
 
-/// Verify-on-read probe. Never throws — every defect is a miss or a
-/// corruption verdict, not an error.
+/// Verify-on-read probe. A marker with another tag or spec hash is a
+/// miss. Otherwise the probe opens the store (checking the manifest's
+/// seal), compares that seal with the marker's, runs the store's verify
+/// pass (ShardedGraphView::verify) and compares n and the edge count with
+/// the spec; the first CheckError is the corrupt verdict and its detail.
+/// Never throws — every defect is a miss or a corruption verdict.
 [[nodiscard]] StoreProbe probe_store(const std::string& dir,
                                      const JobSpec& spec);
 
-/// True when `dir` holds a complete, checksum-verified store produced by
-/// `spec` (probe_store(...).match).
+/// True when `dir` holds a complete, verified store produced by `spec`
+/// (probe_store(...).match).
 [[nodiscard]] bool store_matches(const std::string& dir, const JobSpec& spec);
 
 /// Quarantine a corrupt artifact: atomically rename `path` to

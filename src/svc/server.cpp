@@ -205,18 +205,13 @@ Server::Submitted Server::submit(const JobSpec& spec) {
 
   // Tier 2: an existing store produced by this very spec, verify-on-read.
   // A verified match serves from disk; a *corrupt* store (the marker claims
-  // this spec but the content fails its checksums) is quarantined and the
-  // job regenerates — poison is never served. Any other defect is a plain
+  // this spec but the content fails its seal or its store's verify pass,
+  // or the serve's own decode fails) is quarantined and the job
+  // regenerates — poison is never served. Any other defect is a plain
   // miss.
   if (!spec.store_dir.empty()) {
-    const StoreProbe probe = probe_store(spec.store_dir, spec);
-    if (probe.corrupt) {
-      quarantine_store(spec.store_dir);
-      store_quarantined_->add();
-      std::ostringstream os;
-      os << "store " << spec.store_dir << " quarantined: " << probe.detail;
-      push_incident(os.str());
-    } else if (probe.match) {
+    StoreProbe probe = probe_store(spec.store_dir, spec);
+    if (probe.match) {
       try {
         auto out = std::make_shared<JobOutput>();
         out->store_dir = spec.store_dir;
@@ -235,8 +230,17 @@ Server::Submitted Server::submit(const JobSpec& spec) {
         store_hits_->add();
         cache_.insert(hash, out);
         return serve_completed(spec, hash, std::move(out));
-      } catch (const CheckError&) {
+      } catch (const CheckError& e) {
+        probe.corrupt = true;
+        probe.detail = e.what();
       }
+    }
+    if (probe.corrupt) {
+      quarantine_store(spec.store_dir);
+      store_quarantined_->add();
+      std::ostringstream os;
+      os << "store " << spec.store_dir << " quarantined: " << probe.detail;
+      push_incident(os.str());
     }
   }
 
@@ -292,7 +296,9 @@ bool Server::serves(const JobSpec& spec, const JobOutput& out) {
     case Sink::kGather:
       return !out.edges.empty() || out.total_edges == 0;
     case Sink::kCompressedStore:
-      return out.store_dir == spec.store_dir;
+      // Never from memory: the store on disk may have changed since. The
+      // store probe, which verifies it, is this sink's cache.
+      return false;
   }
   return false;
 }

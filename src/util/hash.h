@@ -1,9 +1,10 @@
 // The repository's one checksum: 64-bit FNV-1a.
 //
-// Every integrity check and identity hash goes through here: store block,
-// trailer and whole-file checksums (src/store/), checkpoint trailers
-// (core/checkpoint.h), the svc spec hash (svc/job.h), and the golden edge
-// and target fingerprints the equivalence suites pin. Multi-byte words are
+// Every integrity check and identity hash goes through here: store block
+// and trailer checksums and header chains (src/store/), the seal of sealed
+// files — checkpoints and the store manifest (util/bytes_file.h) — the svc
+// spec hash (svc/job.h), and the golden edge and target fingerprints the
+// equivalence suites pin. Multi-byte words are
 // folded in little-endian byte order, so every value is stable across
 // platforms and processes.
 #pragma once

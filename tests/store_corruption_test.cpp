@@ -1,9 +1,10 @@
 // Corrupt-shard detection (docs/storage.md §2): every way a compressed
 // shard can rot on disk — truncation, a flipped header byte, a flipped
 // payload byte, a forged overlong edge count — must raise CheckError
-// before a single damaged edge escapes, and the damaged artifact must be
-// quarantinable through the svc `*.quarantined` rename path so the serving
-// layer regenerates instead of serving poison.
+// before a single damaged edge escapes, from the decoding reader and from
+// the verify pass alike, and the damaged artifact must be quarantinable
+// through the svc `*.quarantined` rename path so the serving layer
+// regenerates instead of serving poison.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -59,11 +60,20 @@ class StoreCorruptionTest : public ::testing::Test {
     return get_block_header(head, kBlockEdges).payload_bytes;
   }
 
-  /// The reader must reject the shard and the file must be quarantinable
-  /// via the svc rename path (PR 8 contract: artifact -> artifact.quarantined).
+  /// The verify pass, which decodes nothing, must reject the shard.
+  void expect_verify_rejects(
+      std::uint32_t max_block_edges = kBlockEdges) const {
+    EXPECT_THROW((void)EdgeShardReader(path_, max_block_edges).verify(),
+                 CheckError);
+  }
+
+  /// The reader and the verify pass must reject the shard, and the file
+  /// must be quarantinable via the svc rename path (the quarantine
+  /// contract: artifact -> artifact.quarantined).
   void expect_rejected_and_quarantined() const {
     EdgeShardReader reader(path_, kBlockEdges);
     EXPECT_THROW((void)reader.read_all(), CheckError);
+    expect_verify_rejects();
     EXPECT_TRUE(svc::quarantine_file(path_));
     EXPECT_FALSE(std::filesystem::exists(path_));
     EXPECT_TRUE(std::filesystem::exists(path_ + ".quarantined"));
@@ -80,6 +90,14 @@ int StoreCorruptionTest::counter_ = 0;
 TEST_F(StoreCorruptionTest, IntactShardReads) {
   EdgeShardReader reader(path_, kBlockEdges);
   EXPECT_EQ(reader.read_all().size(), 3000u);
+}
+
+TEST_F(StoreCorruptionTest, IntactShardVerifies) {
+  EdgeShardReader reader(path_, kBlockEdges);
+  const ShardTrailer trailer = reader.verify();
+  EXPECT_EQ(trailer.num_edges, 3000u);
+  EXPECT_EQ(trailer.num_blocks, summary_.blocks);
+  EXPECT_EQ(trailer.header_chain, summary_.header_chain);
 }
 
 TEST_F(StoreCorruptionTest, TruncatedBlockRejected) {
@@ -112,6 +130,7 @@ TEST_F(StoreCorruptionTest, FlippedPayloadByteRejected) {
 TEST_F(StoreCorruptionTest, FlippedMagicRejected) {
   flip_byte(0);
   EXPECT_THROW(EdgeShardReader(path_, kBlockEdges), CheckError);
+  expect_verify_rejects();
 }
 
 TEST_F(StoreCorruptionTest, ForgedOverlongEdgeCountRejected) {
@@ -147,6 +166,7 @@ TEST_F(StoreCorruptionTest, ForgedCountBeyondAbsoluteCapRejected) {
   f.close();
   EdgeShardReader reader(path_);  // default: absolute cap only
   EXPECT_THROW((void)reader.read_all(), CheckError);
+  expect_verify_rejects(kMaxBlockEdges);
 }
 
 TEST_F(StoreCorruptionTest, TrailerCountMismatchRejected) {
@@ -180,6 +200,7 @@ TEST_F(StoreCorruptionTest, VisitStopsBeforeDeliveringDamagedEdges) {
   }),
                CheckError);
   EXPECT_EQ(delivered, kBlockEdges) << "only block 0 may be delivered";
+  expect_verify_rejects();
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Unit tests of the compressed edge-store block format (docs/storage.md §1-2):
 // zigzag/varint block codec, header/trailer (de)serialization with checksum
-// domain separation, the streaming writer/reader round trip, and the v3
-// manifest.
+// domain separation, the streaming writer/reader round trip, and the sealed
+// v4 manifest.
 #include "store/format.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -234,11 +236,6 @@ TEST_F(StoreWriterTest, WriterReaderRoundTripAcrossBlocks) {
                 static_cast<double>(edges.size()),
             8.0);
 
-  // The incrementally computed checksum equals a from-scratch file pass.
-  std::uint64_t fnv = 0;
-  ASSERT_TRUE(streaming_file_fnv1a(path, fnv));
-  EXPECT_EQ(fnv, summary.file_checksum);
-
   EdgeShardReader reader(path, /*max_block_edges=*/1024);
   EXPECT_EQ(reader.read_all(), edges);
 }
@@ -277,8 +274,8 @@ TEST_F(StoreWriterTest, StoreWriterManifestRoundTrip) {
   EXPECT_EQ(loaded.total_bytes(), manifest.total_bytes());
   ASSERT_EQ(loaded.shards.size(), 3u);
   for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(loaded.shards[static_cast<std::size_t>(r)].file_checksum,
-              manifest.shards[static_cast<std::size_t>(r)].file_checksum);
+    EXPECT_EQ(loaded.shards[static_cast<std::size_t>(r)].header_chain,
+              manifest.shards[static_cast<std::size_t>(r)].header_chain);
     EdgeShardReader reader(shard_path(dir_ + "/store", r), 256);
     EXPECT_EQ(reader.read_all().size(),
               loaded.shards[static_cast<std::size_t>(r)].edges);
@@ -288,6 +285,40 @@ TEST_F(StoreWriterTest, StoreWriterManifestRoundTrip) {
 TEST_F(StoreWriterTest, ManifestMissingOrForeignDirRejected) {
   EXPECT_FALSE(std::filesystem::exists(manifest_path(dir_)));
   EXPECT_THROW((void)load_manifest(dir_), CheckError);
+}
+
+TEST_F(StoreWriterTest, EveryFlippedManifestByteIsRejected) {
+  // The seal covers the whole manifest, the counts and chains included: a
+  // flipped digit anywhere, or in the seal itself, must never load.
+  const std::string store = dir_ + "/store";
+  StoreWriter writer(store, 2, /*block_edges=*/64);
+  const graph::EdgeList edges = pa_shaped_edges(300);
+  writer.append(0, std::span(edges).first(100));
+  writer.append(1, std::span(edges).subspan(100));
+  const StoreManifest manifest = writer.finish(/*num_nodes=*/500);
+  EXPECT_EQ(load_manifest(store).seal, manifest.seal);
+
+  const std::string path = manifest_path(store);
+  std::vector<std::uint8_t> sealed;
+  {
+    std::ifstream is(path, std::ios::binary);
+    sealed.assign(std::istreambuf_iterator<char>(is),
+                  std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(sealed.size(), 8u);
+  const auto write_file = [&path](const std::vector<std::uint8_t>& bytes) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  };
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    std::vector<std::uint8_t> flipped = sealed;
+    flipped[i] ^= 0x01;
+    write_file(flipped);
+    EXPECT_THROW((void)load_manifest(store), CheckError) << "byte " << i;
+  }
+  write_file(sealed);
+  EXPECT_EQ(load_manifest(store).total_edges(), edges.size());
 }
 
 }  // namespace

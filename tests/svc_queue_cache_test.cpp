@@ -210,6 +210,11 @@ TEST(SpecValidate, AgreesWithGenerateOnEveryEngine) {
              s.rto_base_ms = 50;
              s.rto_max_ms = 10;
            }},
+          {"reliable, rto beyond the transport's nanosecond timers",
+           [](JobSpec& s) {
+             s.reliable = true;
+             s.rto_base_ms = s.rto_max_ms = 10'000'000'000'000;
+           }},
           {"crash plan into a store",
            [&store](JobSpec& s) {
              s.sink = Sink::kCompressedStore;
@@ -408,8 +413,8 @@ TEST_F(StoreMarkerTest, MissingPiecesAreAMissNotAnError) {
   spec.store_dir = dir_;
   EXPECT_FALSE(store_matches(dir_, spec)) << "directory does not even exist";
 
-  // Sealing a storeless directory is impossible: the marker checksums the
-  // manifest and shards at write time.
+  // Sealing a storeless directory is impossible: the marker records the
+  // manifest's seal, read at write time.
   std::filesystem::create_directories(dir_);
   EXPECT_THROW(write_store_marker(dir_, spec_hash(spec)), CheckError);
   EXPECT_FALSE(store_matches(dir_, spec));
@@ -424,19 +429,40 @@ TEST_F(StoreMarkerTest, MissingPiecesAreAMissNotAnError) {
 }
 
 TEST_F(StoreMarkerTest, RetiredMarkerTagsAreAMiss) {
-  // A marker of a retired layout (v2 sealed the raw sharded format) names
-  // this spec but is never trusted: a plain miss, so the directory is
-  // regenerated under a current seal rather than quarantined.
+  // A marker of a retired layout (v2 sealed the raw sharded format, v3
+  // checksummed every file over a v3 manifest) names this spec but is never
+  // trusted: a plain miss, so the directory is regenerated under a current
+  // seal rather than quarantined.
   JobSpec spec = small_spec();
   spec.store_dir = dir_;
   write_store(dir_, spec);
-  {
-    std::ofstream os(store_marker_path(dir_), std::ios::trunc);
-    os << "pagen.svc.store.v2 " << std::hex << spec_hash(spec) << "\n";
+  for (const char* tag : {"pagen.svc.store.v2", "pagen.svc.store.v3"}) {
+    SCOPED_TRACE(tag);
+    {
+      std::ofstream os(store_marker_path(dir_), std::ios::trunc);
+      os << tag << " " << std::hex << spec_hash(spec) << "\n";
+    }
+    const StoreProbe probe = probe_store(dir_, spec);
+    EXPECT_FALSE(probe.match);
+    EXPECT_FALSE(probe.corrupt);
   }
-  const StoreProbe probe = probe_store(dir_, spec);
+}
+
+TEST_F(StoreMarkerTest, MarkerNeverServesAnotherSpecsStore) {
+  // Spec B, written over spec A's sealed store without re-marking it, is a
+  // valid store of the same n, x and ranks: only the marker's seal, which
+  // pins A's manifest and through it A's header chains, tells them apart.
+  JobSpec a = small_spec();
+  a.store_dir = dir_;
+  build_store(dir_, a);
+  ASSERT_TRUE(probe_store(dir_, a).match);
+
+  JobSpec b = a;
+  b.config.seed = a.config.seed + 1;
+  write_store(dir_, b);
+  const StoreProbe probe = probe_store(dir_, a);
   EXPECT_FALSE(probe.match);
-  EXPECT_FALSE(probe.corrupt);
+  EXPECT_TRUE(probe.corrupt) << "A's marker over B's store is corruption";
 }
 
 /// Flip one byte in the middle of `path`.

@@ -1,9 +1,10 @@
 // Service-level compressed-store tests (docs/serving.md §3, storage.md §3):
 // a Sink::kCompressedStore job streams its edges into the block store and
-// seals it with a v3 marker; a fresh server serves repeats straight from
+// seals it with a v4 marker; a fresh server serves repeats straight from
 // the store; a corrupted store is quarantined and regenerated, never
-// served; and crash-injection plans are rejected at submit because
-// re-emission would duplicate blocks.
+// served, not even by the memory cache of the server that wrote it; and
+// crash-injection plans are rejected at submit because re-emission would
+// duplicate blocks.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -62,7 +63,7 @@ TEST_F(SvcStoreTest, CompressedStoreJobSealsAReloadableStore) {
   EXPECT_TRUE(status.output->edges.empty())
       << "a store job never materializes its edges in the output";
 
-  // The directory is a valid compressed store with a v3 marker, and the
+  // The directory is a valid compressed store with a v4 marker, and the
   // reloaded edges match a direct generation of the same spec.
   ASSERT_TRUE(std::filesystem::exists(store::manifest_path(dir_)));
   EXPECT_TRUE(std::filesystem::exists(store_marker_path(dir_)));
@@ -133,6 +134,34 @@ TEST_F(SvcStoreTest, CorruptStoreQuarantinedAndRegenerated) {
   EXPECT_GE(server.stats().quarantined_stores, 1u);
   const store::ShardedGraphView view(dir_);
   EXPECT_EQ(view.manifest().total_edges(), status.output->total_edges);
+}
+
+TEST_F(SvcStoreTest, MemoryCacheNeverServesACorruptedStore) {
+  // The server that wrote the store still holds the job's output in its
+  // memory cache; the store rots after that. The repeat must go through
+  // the probe, which verifies the store, and not be answered from memory.
+  Server server({.workers = 1});
+  ASSERT_EQ(server.wait(must_submit(server, spec_)).state,
+            JobState::kCompleted);
+  {  // as in CorruptStoreQuarantinedAndRegenerated
+    const std::string path = store::shard_path(dir_, 1);
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(60);
+    char c = 0;
+    f.get(c);
+    f.seekp(60);
+    f.put(static_cast<char>(c ^ 1));
+  }
+
+  const Server::Submitted sub = server.submit(spec_);
+  ASSERT_EQ(sub.reject, Reject::kNone);
+  EXPECT_FALSE(sub.from_cache) << "a corrupt store must never be served";
+  EXPECT_TRUE(
+      std::filesystem::exists(store_marker_path(dir_) + ".quarantined"));
+  const JobStatus status = server.wait(sub.id);
+  ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
+  EXPECT_TRUE(store_matches(dir_, spec_)) << "the store was resealed";
 }
 
 TEST_F(SvcStoreTest, CompressedStoreRequiresStoreDir) {
