@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 500000);
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 99);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 16));
+  const int ranks = cli.get_int("ranks", 16);
 
   std::cout << "=== Ablation 1: message-buffer capacity (RRP, n="
             << fmt_count(cfg.n) << ", x=" << cfg.x << ", P=" << ranks

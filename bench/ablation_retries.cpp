@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const NodeId n = cli.get_u64("n", 200000);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 16));
+  const int ranks = cli.get_int("ranks", 16);
   const std::uint64_t seed = cli.get_u64("seed", 12);
 
   std::cout << "=== Ablation: duplicate retries and queue depth vs x ===\n"

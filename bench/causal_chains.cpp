@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const NodeId nmax = cli.get_u64("nmax", 1000000);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 4));
+  const int ranks = cli.get_int("ranks", 4);
   const double p = cli.get_double("p", 0.5);
   const std::uint64_t seed = cli.get_u64("seed", 33);
   const std::string out_path = cli.get_str("out", "CHAINS_report.json");

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 400000);
   cfg.x = cli.get_u64("x", 6);
   cfg.seed = cli.get_u64("seed", 31);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 32));
+  const int ranks = cli.get_int("ranks", 32);
 
   std::cout << "=== Extension: block-cyclic partitioning sweep (n="
             << fmt_count(cfg.n) << ", x=" << cfg.x << ", P=" << ranks

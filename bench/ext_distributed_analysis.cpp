@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 1000000);
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 3);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  const int ranks = cli.get_int("ranks", 8);
 
   std::cout << "=== Extension: analytics without disk I/O (n="
             << fmt_count(cfg.n) << ", x=" << cfg.x << ", P=" << ranks

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 300000);
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 19);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  const int ranks = cli.get_int("ranks", 8);
 
   std::cout << "=== Extension: distributed kernels over generated shards ===\n"
             << "n=" << fmt_count(cfg.n) << " x=" << cfg.x << " P=" << ranks

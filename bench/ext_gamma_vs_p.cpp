@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   cfg.x = 1;
   cfg.seed = cli.get_u64("seed", 17);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  opt.ranks = cli.get_int("ranks", 8);
 
   std::cout << "=== Extension: copy-model exponent vs p (x = 1, n="
             << fmt_count(cfg.n) << ") ===\n\n";

@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const NodeId n = cli.get_u64("n", 100000000);  // paper: n = 1e8-scale
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 160));
+  const int ranks = cli.get_int("ranks", 160);
   const double b = cli.get_double("b", 2.0);
-  const int step = static_cast<int>(cli.get_u64("step", 8));
+  const int step = cli.get_int("step", 8);
 
   std::cout << "=== Figure 3: exact Eq.10 solution vs linear approximation ===\n"
             << "n=" << fmt_count(n) << " ranks=" << ranks << " b=" << b

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 20131117);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  opt.ranks = cli.get_int("ranks", 8);
   opt.scheme = partition::scheme_from_string(cli.get_str("scheme", "RRP"));
 
   std::cout << "=== Figure 4: degree distribution (log-log) ===\n"

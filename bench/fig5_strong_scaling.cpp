@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 500000);
   cfg.x = cli.get_u64("x", 6);
   cfg.seed = cli.get_u64("seed", 5);
-  const int pmax = static_cast<int>(cli.get_u64("pmax", 768));
+  const int pmax = cli.get_int("pmax", 768);
   const double msg_ratio = cli.get_double("msg_ratio", 0.5);
 
   std::cout << "=== Figure 5: strong scaling (n=" << fmt_count(cfg.n)

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const Count edges_per_rank = cli.get_u64("edges_per_rank", 12500);
   const NodeId x = cli.get_u64("x", 6);
   const std::uint64_t seed = cli.get_u64("seed", 6);
-  const int pmax = static_cast<int>(cli.get_u64("pmax", 768));
+  const int pmax = cli.get_int("pmax", 768);
   const double msg_ratio = cli.get_double("msg_ratio", 0.5);
 
   std::cout << "=== Figure 6: weak scaling (" << fmt_count(edges_per_rank)

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 400000);
   cfg.x = cli.get_u64("x", 10);
   cfg.seed = cli.get_u64("seed", 7);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 160));
-  const int step = static_cast<int>(cli.get_u64("step", 16));
+  const int ranks = cli.get_int("ranks", 160);
+  const int step = cli.get_int("step", 16);
   const obs::Config obs_cfg = obs::config_from_cli(cli);
 
   std::cout << "=== Figure 7: node and message distribution across ranks ===\n"

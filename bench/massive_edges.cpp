@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
   core::ParallelOptions opt;
   opt.engine = cli.get_str("engine", "commfree");
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 4));
+  opt.ranks = cli.get_int("ranks", 4);
   opt.scheme = partition::Scheme::kRrp;
   opt.gather_edges = false;
   opt.store_dir = store_dir;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cfg.x = cli.get_u64("x", 5);
   cfg.seed = cli.get_u64("seed", 45);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  opt.ranks = cli.get_int("ranks", 8);
   opt.scheme = partition::scheme_from_string(cli.get_str("scheme", "RRP"));
   opt.gather_edges = false;
 

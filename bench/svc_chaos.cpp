@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto jobs = cli.get_u64("jobs", 48);
-  const int workers = static_cast<int>(cli.get_u64("workers", 4));
+  const int workers = cli.get_int("workers", 4);
   const auto queue_cap = cli.get_u64("queue", 8);
   const auto scale = static_cast<NodeId>(cli.get_u64("scale", 1200));
   const std::uint64_t seed = cli.get_u64("seed", 3);

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto jobs = cli.get_u64("jobs", 96);
-  const int workers = static_cast<int>(cli.get_u64("workers", 8));
+  const int workers = cli.get_int("workers", 8);
   const auto queue_cap = cli.get_u64("queue", 24);
   const auto cache_entries = cli.get_u64("cache", 16);
   const auto scale = static_cast<NodeId>(cli.get_u64("scale", 4000));

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 77);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  opt.ranks = cli.get_int("ranks", 8);
   opt.gather_edges = false;
   opt.keep_shards = true;
   const std::string dir = cli.get_str(

@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   cfg.p = cli.get_double("p", 0.5);
   cfg.seed = cli.get_u64("seed", 1000);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
-  const int replicas = static_cast<int>(cli.get_u64("replicas", 8));
+  opt.ranks = cli.get_int("ranks", 8);
+  const int replicas = cli.get_int("replicas", 8);
 
   std::cout << "== ensemble of " << replicas << " PA networks (n="
             << fmt_count(cfg.n) << ", x=" << cfg.x << ", p=" << cfg.p

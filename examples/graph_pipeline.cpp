@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 8);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 4));
+  opt.ranks = cli.get_int("ranks", 4);
 
   // PA network via the distributed generator.
   const auto pa = core::generate(cfg, opt);

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   cfg.p = cli.get_double("p", 0.5);
   cfg.seed = cli.get_u64("seed", 1);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  opt.ranks = cli.get_int("ranks", 8);
   opt.scheme = partition::scheme_from_string(cli.get_str("scheme", "RRP"));
   const std::string out = cli.get_str("out", "");
   opt.gather_edges = !out.empty();

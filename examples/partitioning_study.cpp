@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 200000);
   cfg.x = cli.get_u64("x", 6);
   cfg.seed = cli.get_u64("seed", 35);
-  const int ranks = static_cast<int>(cli.get_u64("ranks", 16));
+  const int ranks = cli.get_int("ranks", 16);
 
   std::cout << "== partitioning schemes on n=" << fmt_count(cfg.n)
             << ", x=" << cfg.x << ", P=" << ranks << " ==\n\n";

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   // 2. Describe the run: how many ranks, which partitioning scheme, and
   //    whether to observe it (tracing/metrics are off unless asked for).
   core::ParallelOptions options;
-  options.ranks = static_cast<int>(cli.get_u64("ranks", 4));
+  options.ranks = cli.get_int("ranks", 4);
   options.scheme = partition::Scheme::kRrp;
   core::apply_engine_cli(cli, options);
   core::apply_robustness_cli(cli, options);

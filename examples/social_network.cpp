@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cfg.x = cli.get_u64("x", 8);  // denser graph: a "follows" network
   cfg.seed = cli.get_u64("seed", 2013);
   core::ParallelOptions opt;
-  opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
+  opt.ranks = cli.get_int("ranks", 8);
 
   std::cout << "== synthetic social network: " << fmt_count(cfg.n)
             << " users, " << cfg.x << " follows per new user ==\n\n";

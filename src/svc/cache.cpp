@@ -5,25 +5,48 @@
 #include <fstream>
 #include <utility>
 
+#include "core/genrt/emitter.h"
 #include "store/graph_view.h"
 #include "util/error.h"
 
 namespace pagen::svc {
 
+namespace {
+
+/// The one marker tag a probe accepts. Older tags (v1: no content
+/// checksums; v2: the retired raw sharded layout; v3: per-file checksums
+/// over a v3 manifest) read as a plain miss, so such a directory is
+/// regenerated under a current seal.
+constexpr const char* kMarkerTag = "pagen.svc.store.v4";
+
+/// Can `out` answer a request with `sink`? The cache's one shape rule.
+bool serves(const JobOutput& out, Sink sink) {
+  switch (sink) {
+    case Sink::kCount:
+      return true;  // only the tallies are needed; any shape has them
+    case Sink::kGather:
+      return !out.edges.empty() || out.total_edges == 0;
+    case Sink::kCompressedStore:
+      return false;  // the store probe is this sink's cache
+  }
+  return false;
+}
+
+}  // namespace
+
 ResultCache::ResultCache(std::size_t max_entries) : max_entries_(max_entries) {}
 
-std::shared_ptr<const JobOutput> ResultCache::lookup(std::uint64_t key) {
+std::shared_ptr<const JobOutput> ResultCache::lookup(std::uint64_t key,
+                                                     Sink sink) {
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  if (it == entries_.end() || !serves(*it->second.value, sink)) {
     ++misses_;
     if (misses_metric_ != nullptr) misses_metric_->add();
     return nullptr;
   }
   ++hits_;
   if (hits_metric_ != nullptr) hits_metric_->add();
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(key);
-  it->second.lru_pos = lru_.begin();
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.value;
 }
 
@@ -32,12 +55,13 @@ void ResultCache::insert(std::uint64_t key,
   if (max_entries_ == 0) return;
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // Refresh: newer output wins (e.g. a count-shaped entry upgraded by a
-    // fresh gather run that also carries the edges).
-    it->second.value = std::move(value);
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
+    // A fresh gather upgrades a count-shaped entry; a store job's output
+    // never replaces a gather's.
+    if (!serves(*it->second.value, Sink::kGather) ||
+        serves(*value, Sink::kGather)) {
+      it->second.value = std::move(value);
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return;
   }
   if (entries_.size() >= max_entries_) {
@@ -57,16 +81,6 @@ void ResultCache::bind_metrics(obs::Counter* hits, obs::Counter* misses,
   misses_metric_ = misses;
   evictions_metric_ = evictions;
 }
-
-namespace {
-
-/// The one marker tag a probe accepts. Older tags (v1: no content
-/// checksums; v2: the retired raw sharded layout; v3: per-file checksums
-/// over a v3 manifest) read as a plain miss, so such a directory is
-/// regenerated under a current seal.
-constexpr const char* kMarkerTag = "pagen.svc.store.v4";
-
-}  // namespace
 
 std::string store_marker_path(const std::string& dir) {
   return dir + "/svc-spec";
@@ -94,14 +108,30 @@ StoreProbe probe_store(const std::string& dir, const JobSpec& spec) {
   const bool sealed = static_cast<bool>(is >> seal);
   try {
     const store::ShardedGraphView view(dir);
-    PAGEN_CHECK_MSG(sealed && view.manifest().seal == seal,
+    const store::StoreManifest& manifest = view.manifest();
+    PAGEN_CHECK_MSG(sealed && manifest.seal == seal,
                     "manifest seal disagrees with the store marker");
-    view.verify();
+    // Before any shard is read: load_all() reserves what the spec implies.
     PAGEN_CHECK_MSG(
-        view.manifest().num_nodes == spec.config.n &&
-            view.manifest().total_edges() == expected_edge_count(spec.config),
+        manifest.num_nodes == spec.config.n &&
+            manifest.total_edges() == expected_edge_count(spec.config),
         "manifest counts disagree with spec");
+    auto out = std::make_shared<JobOutput>();
+    out->total_edges = manifest.total_edges();
+    out->store_dir = dir;
+    if (spec.sink == Sink::kGather) {
+      // Rank order is a fresh run's gather order, and the targets row is
+      // read off the edges as a fresh run's is: the serve equals a run.
+      out->edges = view.load_all();
+      if (spec.config.x == 1) {
+        out->targets =
+            core::genrt::targets_from_edges(out->edges, spec.config.n);
+      }
+    } else {
+      view.verify();
+    }
     probe.match = true;
+    probe.output = std::move(out);
   } catch (const CheckError& e) {
     probe.corrupt = true;
     probe.detail = e.what();

@@ -3,20 +3,21 @@
 // pagen-lint: no-wallclock — eviction is LRU over a virtual access
 // counter, never over timestamps (docs/serving.md).
 //
-// Two serving tiers, both keyed by the canonical spec_hash:
+// Two serving tiers, both keyed by the canonical spec_hash, each the only
+// judge of what it serves (docs/serving.md §3):
 //
 //  * ResultCache — an in-memory LRU of JobOutputs. Externally synchronized
 //    (the Server's mutex); recency is a virtual access counter, so eviction
 //    order is a deterministic function of the access history, not of
-//    wall-clock.
+//    wall-clock. It serves a request only what its sink needs.
 //
 //  * Store probe — a spec whose store_dir already holds a compressed store
 //    (src/store/) *produced by the same spec* is served from disk without
 //    regeneration, surviving process restarts. Provenance is a marker file
 //    recording the producing spec hash and the manifest's seal next to the
 //    manifest; the manifest alone (num_nodes + counts) could not tell two
-//    seeds apart. The memory cache never serves kCompressedStore: the probe,
-//    which verifies the store, is that sink's cache. See docs/serving.md §3.
+//    seeds apart. A matching probe returns the output, reading each shard
+//    once.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +37,17 @@ class ResultCache {
   ///   misses, insert is a no-op) for ablation runs.
   explicit ResultCache(std::size_t max_entries);
 
-  /// The cached output for `key`, bumping its recency; null on miss.
-  [[nodiscard]] std::shared_ptr<const JobOutput> lookup(std::uint64_t key);
+  /// The output for `key` if it serves a request with `sink`: any entry
+  /// serves kCount, one holding edges (or a graph without any) serves
+  /// kGather, none serves kCompressedStore — the probe, which checks the
+  /// store on disk, is that sink's cache. A serve counts a hit and bumps
+  /// recency; anything else counts a miss and returns null.
+  [[nodiscard]] std::shared_ptr<const JobOutput> lookup(std::uint64_t key,
+                                                        Sink sink);
 
-  /// Insert (or refresh) `key`. Evicts the least-recently-used entry when
-  /// the bound is exceeded.
+  /// Insert (or refresh) `key` as the most recent entry; on a refresh the
+  /// newer value wins unless it would drop the edges the old one holds.
+  /// Evicts the least-recently-used entry when the bound is exceeded.
   void insert(std::uint64_t key, std::shared_ptr<const JobOutput> value);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -87,21 +94,22 @@ void write_store_marker(const std::string& dir, std::uint64_t hash);
 /// §6). Exactly one of three shapes: a verified match; a plain miss (no
 /// marker, a marker of an older layout, or a different spec's store); or
 /// *corrupt* — the marker claims this spec but the content fails
-/// verification (the manifest's seal, the store's verify pass, or counts
-/// that disagree with the spec). Corrupt stores must be quarantined, never
-/// served.
+/// verification. Corrupt stores must be quarantined, never served.
 struct StoreProbe {
   bool match = false;
   bool corrupt = false;
   std::string detail;  ///< human-readable reason when corrupt
+  /// Non-null exactly on a match: what a fresh run of `spec` outputs.
+  std::shared_ptr<const JobOutput> output;
 };
 
 /// Verify-on-read probe. A marker with another tag or spec hash is a
 /// miss. Otherwise the probe opens the store (checking the manifest's
-/// seal), compares that seal with the marker's, runs the store's verify
-/// pass (ShardedGraphView::verify) and compares n and the edge count with
-/// the spec; the first CheckError is the corrupt verdict and its detail.
-/// Never throws — every defect is a miss or a corruption verdict.
+/// seal), compares that seal with the marker's and n and the edge count
+/// with the spec, and only then reads each shard once: kGather decodes
+/// them in rank order (ShardedGraphView::load_all, whose checks are the
+/// verification), every other sink runs the verify pass. The first
+/// CheckError is the corrupt verdict and its detail. Never throws.
 [[nodiscard]] StoreProbe probe_store(const std::string& dir,
                                      const JobSpec& spec);
 

@@ -11,10 +11,8 @@
 #include "core/checkpoint.h"
 #include "core/engine/engine.h"
 #include "core/generate.h"
-#include "core/genrt/emitter.h"
 #include "obs/prom.h"
 #include "store/edge_writer.h"
-#include "store/graph_view.h"
 #include "util/bytes_file.h"
 #include "util/error.h"
 #include "util/timer.h"
@@ -198,42 +196,21 @@ Server::Submitted Server::submit(const JobSpec& spec) {
 
   const std::uint64_t hash = spec_hash(spec);
 
-  // Tier 1: the in-memory result cache.
-  if (auto cached = cache_.lookup(hash); cached && serves(spec, *cached)) {
+  // Tier 1: the memory cache, which serves only what the sink needs.
+  if (auto cached = cache_.lookup(hash, spec.sink)) {
     return serve_completed(spec, hash, std::move(cached));
   }
 
-  // Tier 2: an existing store produced by this very spec, verify-on-read.
-  // A verified match serves from disk; a *corrupt* store (the marker claims
-  // this spec but the content fails its seal or its store's verify pass,
-  // or the serve's own decode fails) is quarantined and the job
-  // regenerates — poison is never served. Any other defect is a plain
-  // miss.
+  // Tier 2: a store this very spec produced, verify-on-read. A match is
+  // served as the probe read it; a *corrupt* store (the marker claims this
+  // spec but the content disagrees) is quarantined and the job regenerates
+  // — poison is never served. Any other defect is a plain miss.
   if (!spec.store_dir.empty()) {
     StoreProbe probe = probe_store(spec.store_dir, spec);
     if (probe.match) {
-      try {
-        auto out = std::make_shared<JobOutput>();
-        out->store_dir = spec.store_dir;
-        const store::ShardedGraphView view(spec.store_dir);
-        out->total_edges = view.manifest().total_edges();
-        if (spec.sink == Sink::kGather) {
-          // Shards decoded in rank order == the gather order of a fresh
-          // run, and the targets row is read off them as a fresh run's is,
-          // so a store serve is bitwise-identical to generating.
-          out->edges = view.load_all();
-          if (spec.config.x == 1) {
-            out->targets =
-                core::genrt::targets_from_edges(out->edges, spec.config.n);
-          }
-        }
-        store_hits_->add();
-        cache_.insert(hash, out);
-        return serve_completed(spec, hash, std::move(out));
-      } catch (const CheckError& e) {
-        probe.corrupt = true;
-        probe.detail = e.what();
-      }
+      store_hits_->add();
+      cache_.insert(hash, probe.output);
+      return serve_completed(spec, hash, std::move(probe.output));
     }
     if (probe.corrupt) {
       quarantine_store(spec.store_dir);
@@ -287,20 +264,6 @@ Server::Submitted Server::submit(const JobSpec& spec) {
   ++retry_clock_;  // accepts advance the virtual retry clock
   work_cv_.notify_one();
   return Submitted{id, Reject::kNone, false};
-}
-
-bool Server::serves(const JobSpec& spec, const JobOutput& out) {
-  switch (spec.sink) {
-    case Sink::kCount:
-      return true;  // only the tallies are needed; any shape has them
-    case Sink::kGather:
-      return !out.edges.empty() || out.total_edges == 0;
-    case Sink::kCompressedStore:
-      // Never from memory: the store on disk may have changed since. The
-      // store probe, which verifies it, is this sink's cache.
-      return false;
-  }
-  return false;
 }
 
 bool Server::dispatchable() {

@@ -106,9 +106,9 @@ struct ServerStats {
   Count circuit_open_rejects = 0;  ///< submits fast-failed by the breaker
   Count quarantined_stores = 0;    ///< corrupt stores quarantined
   Count quarantined_checkpoints = 0;  ///< corrupt checkpoint files quarantined
-  Count cache_hits = 0;        ///< memory-cache serves
-  Count cache_store_hits = 0;  ///< store serves
-  Count cache_misses = 0;
+  Count cache_hits = 0;        ///< memory-cache lookups that served
+  Count cache_store_hits = 0;  ///< store serves, each also a cache miss
+  Count cache_misses = 0;      ///< memory-cache lookups that did not
   std::size_t queue_depth = 0;
   int running = 0;
 };
@@ -213,8 +213,6 @@ class Server {
   /// Quarantine unreadable checkpoint files before a resume attempt.
   void quarantine_bad_checkpoints(JobId id, const std::string& dir,
                                   int ranks);
-  /// Can `out` satisfy a request shaped like `spec`?
-  [[nodiscard]] static bool serves(const JobSpec& spec, const JobOutput& out);
   /// Tally one admission reject (mu_ held).
   Submitted rejected(Reject why);
   /// Retain a bounded incident line (mu_ held).

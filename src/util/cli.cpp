@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -62,6 +63,17 @@ std::uint64_t Cli::get_u64(const std::string& key, std::uint64_t def) const {
   if (it == values_.end()) return def;
   return parse_whole<std::uint64_t>(key, it->second,
                                     "a decimal integer below 2^64");
+}
+
+int Cli::get_int(const std::string& key, int def) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  constexpr const char* kExpected = "a decimal integer in [0, 2^31 - 1]";
+  const auto v = parse_whole<std::uint64_t>(key, it->second, kExpected);
+  if (v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    bad_value(key, it->second, kExpected);
+  }
+  return static_cast<int>(v);
 }
 
 double Cli::get_double(const std::string& key, double def) const {

@@ -26,10 +26,13 @@ class Cli {
   // one form, throwing std::invalid_argument (naming the flag and the
   // value) on anything else:
   //   get_u64     a plain decimal integer below 2^64 ("1e9", "-1", "4x" fail)
+  //   get_int     a plain decimal integer in [0, 2^31 - 1] (counts such as
+  //               --ranks, which an int holds)
   //   get_double  a number the conversion consumes whole ("0.5x" fails)
   //   get_bool    true, 1, yes, false, 0 or no (a bare --flag is true)
   [[nodiscard]] std::uint64_t get_u64(const std::string& key,
                                       std::uint64_t def) const;
+  [[nodiscard]] int get_int(const std::string& key, int def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] std::string get_str(const std::string& key,
                                     std::string def) const;

@@ -15,6 +15,7 @@
 #include "core/engine/engine.h"
 #include "core/generate.h"
 #include "store/edge_writer.h"
+#include "store/graph_view.h"
 #include "obs/metrics.h"
 #include "svc/cache.h"
 #include "svc/job.h"
@@ -319,11 +320,12 @@ TEST(ResultCache, LruEvictionOrderFollowsAccessHistory) {
   ResultCache cache(2);
   cache.insert(1, output_of(10));
   cache.insert(2, output_of(20));
-  ASSERT_NE(cache.lookup(1), nullptr);  // 1 is now the most recent
-  cache.insert(3, output_of(30));      // evicts 2, the least recent
-  EXPECT_EQ(cache.lookup(2), nullptr);
-  EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
+  // 1 is now the most recent.
+  ASSERT_NE(cache.lookup(1, Sink::kCount), nullptr);
+  cache.insert(3, output_of(30));  // evicts 2, the least recent
+  EXPECT_EQ(cache.lookup(2, Sink::kCount), nullptr);
+  EXPECT_NE(cache.lookup(1, Sink::kCount), nullptr);
+  EXPECT_NE(cache.lookup(3, Sink::kCount), nullptr);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.hits(), 3u);
@@ -335,7 +337,7 @@ TEST(ResultCache, RefreshKeepsOneEntryAndNewestValue) {
   cache.insert(1, output_of(10));
   cache.insert(1, output_of(11));
   EXPECT_EQ(cache.size(), 1u);
-  const auto out = cache.lookup(1);
+  const auto out = cache.lookup(1, Sink::kCount);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->total_edges, 11u) << "newer output wins";
 }
@@ -344,7 +346,7 @@ TEST(ResultCache, ZeroCapacityDisables) {
   ResultCache cache(0);
   cache.insert(1, output_of(10));
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(1), nullptr);
+  EXPECT_EQ(cache.lookup(1, Sink::kCount), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
@@ -355,12 +357,57 @@ TEST(ResultCache, MirrorsTalliesIntoObsCounters) {
                      &reg.counter("svc.cache_misses"),
                      &reg.counter("svc.cache_evictions"));
   cache.insert(1, output_of(10));
-  (void)cache.lookup(1);
-  (void)cache.lookup(2);
+  (void)cache.lookup(1, Sink::kCount);
+  (void)cache.lookup(2, Sink::kCount);
   cache.insert(2, output_of(20));  // evicts 1
   EXPECT_EQ(reg.counter("svc.cache_hits").value(), 1u);
   EXPECT_EQ(reg.counter("svc.cache_misses").value(), 1u);
   EXPECT_EQ(reg.counter("svc.cache_evictions").value(), 1u);
+}
+
+/// A gather-shaped output: it holds its `edges` (a count-shaped one holds
+/// only the total).
+std::shared_ptr<const JobOutput> gathered(graph::EdgeList edges) {
+  auto out = std::make_shared<JobOutput>();
+  out->total_edges = edges.size();
+  out->edges = std::move(edges);
+  return out;
+}
+
+TEST(ResultCache, LookupServesOnlyWhatTheSinkNeeds) {
+  ResultCache cache(4);
+  cache.insert(1, output_of(10));
+  cache.insert(2, gathered({{1, 0}, {2, 0}}));
+  EXPECT_NE(cache.lookup(1, Sink::kCount), nullptr);
+  EXPECT_EQ(cache.lookup(1, Sink::kGather), nullptr)
+      << "a count-shaped entry holds no edges to gather";
+  EXPECT_NE(cache.lookup(2, Sink::kCount), nullptr);
+  EXPECT_NE(cache.lookup(2, Sink::kGather), nullptr);
+  for (const std::uint64_t key : {1, 2}) {
+    EXPECT_EQ(cache.lookup(key, Sink::kCompressedStore), nullptr)
+        << "the store probe is kCompressedStore's cache";
+  }
+  EXPECT_EQ(cache.hits(), 3u) << "a hit is counted exactly when it serves";
+  EXPECT_EQ(cache.misses(), 3u);
+
+  // A lookup that serves nothing leaves recency alone.
+  ResultCache lru(2);
+  lru.insert(1, output_of(10));
+  lru.insert(2, output_of(20));
+  EXPECT_EQ(lru.lookup(1, Sink::kGather), nullptr);
+  lru.insert(3, output_of(30));  // evicts 1, still the least recent
+  EXPECT_EQ(lru.lookup(1, Sink::kCount), nullptr);
+  EXPECT_NE(lru.lookup(2, Sink::kCount), nullptr);
+}
+
+TEST(ResultCache, RefreshNeverDropsTheEdges) {
+  ResultCache cache(2);
+  cache.insert(1, gathered({{1, 0}, {2, 1}}));
+  cache.insert(1, output_of(2));  // e.g. a store job of the same spec
+  EXPECT_EQ(cache.size(), 1u);
+  const auto out = cache.lookup(1, Sink::kGather);
+  ASSERT_NE(out, nullptr) << "the count-shaped refresh dropped the edges";
+  EXPECT_EQ(out->edges, (graph::EdgeList{{1, 0}, {2, 1}}));
 }
 
 // --- Store provenance marker ---
@@ -406,6 +453,39 @@ TEST_F(StoreMarkerTest, CompleteStoreWithMatchingMarkerServes) {
   other.config.seed = 99;
   EXPECT_FALSE(store_matches(dir_, other))
       << "the manifest alone cannot tell two seeds apart — the marker must";
+}
+
+TEST_F(StoreMarkerTest, MatchCarriesTheOutputToServe) {
+  JobSpec spec = small_spec();
+  spec.store_dir = dir_;
+  build_store(dir_, spec);
+
+  // kGather: the rank-order decode, and the x = 1 targets row read off it.
+  const StoreProbe gather = probe_store(dir_, spec);
+  ASSERT_TRUE(gather.match) << gather.detail;
+  ASSERT_NE(gather.output, nullptr);
+  const graph::EdgeList stored = store::ShardedGraphView(dir_).load_all();
+  EXPECT_EQ(gather.output->edges, stored);
+  EXPECT_EQ(gather.output->total_edges, stored.size());
+  EXPECT_EQ(gather.output->store_dir, dir_);
+  ASSERT_EQ(gather.output->targets.size(), spec.config.n);
+  EXPECT_EQ(gather.output->targets[0], kNil);
+  for (const graph::Edge& e : stored) {
+    EXPECT_EQ(gather.output->targets[e.u], e.v);
+  }
+
+  // kCount: the verify pass, and only the tallies.
+  spec.sink = Sink::kCount;
+  const StoreProbe count = probe_store(dir_, spec);
+  ASSERT_TRUE(count.match) << count.detail;
+  ASSERT_NE(count.output, nullptr);
+  EXPECT_TRUE(count.output->edges.empty());
+  EXPECT_TRUE(count.output->targets.empty());
+  EXPECT_EQ(count.output->total_edges, expected_edge_count(spec.config));
+
+  // No match, no output.
+  spec.config.seed = 99;
+  EXPECT_EQ(probe_store(dir_, spec).output, nullptr);
 }
 
 TEST_F(StoreMarkerTest, MissingPiecesAreAMissNotAnError) {

@@ -2,9 +2,10 @@
 // a Sink::kCompressedStore job streams its edges into the block store and
 // seals it with a v4 marker; a fresh server serves repeats straight from
 // the store; a corrupted store is quarantined and regenerated, never
-// served, not even by the memory cache of the server that wrote it; and
-// crash-injection plans are rejected at submit because re-emission would
-// duplicate blocks.
+// served, not even by the memory cache of the server that wrote it; a
+// store serve counts once, and a store job never replaces a cached
+// gather's edges; and crash-injection plans are rejected at submit because
+// re-emission would duplicate blocks.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -162,6 +163,48 @@ TEST_F(SvcStoreTest, MemoryCacheNeverServesACorruptedStore) {
   const JobStatus status = server.wait(sub.id);
   ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
   EXPECT_TRUE(store_matches(dir_, spec_)) << "the store was resealed";
+}
+
+TEST_F(SvcStoreTest, GatherEntrySurvivesAStoreJobOfTheSameSpec) {
+  // A store job's output holds no edges; completing it must not replace
+  // the cached gather of the same spec, so the next gather is a memory
+  // hit and not a decode of the store.
+  JobSpec gather = spec_;
+  gather.sink = Sink::kGather;
+  Server server({.workers = 1});
+  ASSERT_EQ(server.wait(must_submit(server, gather)).state,
+            JobState::kCompleted);
+  ASSERT_FALSE(std::filesystem::exists(store_marker_path(dir_)));
+  ASSERT_EQ(server.wait(must_submit(server, spec_)).state,
+            JobState::kCompleted);
+  ASSERT_TRUE(store_matches(dir_, spec_));
+
+  const ServerStats before = server.stats();
+  const Server::Submitted sub = server.submit(gather);
+  ASSERT_EQ(sub.reject, Reject::kNone);
+  EXPECT_TRUE(sub.from_cache);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.cache_store_hits, before.cache_store_hits)
+      << "served by decoding the store instead of from memory";
+  EXPECT_FALSE(server.poll(sub.id).output->edges.empty());
+}
+
+TEST_F(SvcStoreTest, StoreServeCountsOnce) {
+  // The server that wrote the store holds its output in memory, but a
+  // kCompressedStore repeat is served by the probe alone: one memory miss
+  // plus one store hit, and no memory hit.
+  Server server({.workers = 1});
+  ASSERT_EQ(server.wait(must_submit(server, spec_)).state,
+            JobState::kCompleted);
+  const ServerStats before = server.stats();
+  const Server::Submitted sub = server.submit(spec_);
+  ASSERT_EQ(sub.reject, Reject::kNone);
+  EXPECT_TRUE(sub.from_cache);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.cache_store_hits, before.cache_store_hits + 1);
+  EXPECT_EQ(after.cache_misses, before.cache_misses + 1);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
 }
 
 TEST_F(SvcStoreTest, CompressedStoreRequiresStoreDir) {

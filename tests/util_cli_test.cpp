@@ -59,6 +59,24 @@ TEST(Cli, IntegersParseWholeOrThrow) {
                std::invalid_argument);
 }
 
+TEST(Cli, IntsFitAnIntOrThrowNamingTheFlag) {
+  EXPECT_EQ(one("ranks", "2147483647").get_int("ranks", 1), 2147483647);
+  EXPECT_EQ(one("ranks", "0").get_int("ranks", 1), 0);
+  EXPECT_EQ(make({}, {"ranks"}).get_int("ranks", 4), 4);
+  // 2^32 + 4 once wrapped to 4 ranks through an int cast of get_u64.
+  for (const char* bad : {"4294967300", "2147483648", "-1", "4x"}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)one("ranks", bad).get_int("ranks", 1);
+      FAIL() << bad << " parsed as an int";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--ranks"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Cli, DoublesParseWholeOrThrow) {
   EXPECT_DOUBLE_EQ(one("seconds", "30.0").get_double("seconds", 0.0), 30.0);
   EXPECT_DOUBLE_EQ(one("p", "1e-12").get_double("p", 0.0), 1e-12);

@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
   cfg.runner.pa.x = cli.get_u64("x", 1);
   cfg.runner.pa.p = cli.get_double("p", 0.5);
   cfg.runner.pa.seed = cli.get_u64("seed", 1);
-  cfg.runner.ranks = static_cast<int>(cli.get_u64("ranks", 2));
+  cfg.runner.ranks = cli.get_int("ranks", 2);
   cfg.runner.scheme =
       pagen::partition::scheme_from_string(cli.get_str("scheme", "rrp"));
   cfg.runner.buffer_capacity = cli.get_u64("buffer-capacity", 8);
