@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "core/engine/engine_cli.h"
 #include "core/generate.h"
 #include "core/robustness_cli.h"
 #include "graph/edge_list.h"
@@ -113,8 +112,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> keys = {"jobs",         "workers",   "queue",
                                    "cache",        "scale",     "seed",
                                    "cancel-every", "hot-specs", "attempts",
-                                   "out"};
-  for (const std::string& k : core::engine_cli_keys()) keys.push_back(k);
+                                   "out",          "engine"};
   for (const std::string& k : obs::cli_keys()) keys.push_back(k);
   for (const std::string& k : core::robustness_cli_keys()) keys.push_back(k);
   const Cli cli(argc, argv, std::move(keys));

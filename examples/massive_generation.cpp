@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "core/engine/engine_cli.h"
 #include "core/generate.h"
 #include "core/robustness_cli.h"
 #include "graph/io.h"
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
       "n",          "x",           "ranks",        "seed",
       "scheme",     "out",         "p",            "store-dir",
       "store-budget", "store-block-edges", "spill-dir", "spill-budget"};
-  for (const std::string& k : core::engine_cli_keys()) keys.push_back(k);
+  keys.push_back("engine");
   for (const std::string& k : core::robustness_cli_keys()) keys.push_back(k);
   for (const std::string& k : obs::cli_keys()) keys.push_back(k);
   const Cli cli(argc, argv, keys);
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
   opt.spill_budget_bytes =
       cli.get_u64("spill-budget", opt.spill_budget_bytes);
   const std::uint64_t store_budget = cli.get_u64("store-budget", 0);
-  core::apply_engine_cli(cli, opt);
+  opt.engine = cli.get_str("engine", opt.engine);
   core::apply_robustness_cli(cli, opt);
 
   // Observability: --trace-out/--metrics-out/--prom-out instrument the run

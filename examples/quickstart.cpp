@@ -16,7 +16,6 @@
 #include <optional>
 
 #include "analysis/powerlaw_fit.h"
-#include "core/engine/engine_cli.h"
 #include "core/generate.h"
 #include "core/robustness_cli.h"
 #include "graph/csr.h"
@@ -27,8 +26,7 @@
 
 int main(int argc, char** argv) {
   using namespace pagen;
-  std::vector<std::string> keys{"n", "x", "ranks", "seed"};
-  for (const std::string& k : core::engine_cli_keys()) keys.push_back(k);
+  std::vector<std::string> keys{"n", "x", "ranks", "seed", "engine"};
   for (const std::string& k : obs::cli_keys()) keys.push_back(k);
   for (const std::string& k : core::robustness_cli_keys()) keys.push_back(k);
   const Cli cli(argc, argv, keys);
@@ -49,7 +47,7 @@ int main(int argc, char** argv) {
   core::ParallelOptions options;
   options.ranks = cli.get_int("ranks", 4);
   options.scheme = partition::Scheme::kRrp;
-  core::apply_engine_cli(cli, options);
+  options.engine = cli.get_str("engine", options.engine);
   core::apply_robustness_cli(cli, options);
 
   const obs::Config obs_cfg = obs::config_from_cli(cli);

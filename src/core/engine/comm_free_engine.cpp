@@ -38,19 +38,14 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "baseline/pa_config.h"
 #include "baseline/pa_draws.h"
 #include "core/engine/engine.h"
 #include "core/genrt/emitter.h"
-#include "core/genrt/launch.h"
-#include "core/load_stats.h"
 #include "core/options.h"
-#include "core/parallel_pa.h"
-#include "graph/edge_list.h"
-#include "mps/engine.h"
+#include "mps/comm.h"
 #include "obs/session.h"
 #include "partition/partition.h"
 #include "store/ext_array.h"
@@ -201,8 +196,7 @@ class XkDeriver {
 RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
                      const partition::Partition& part, mps::Comm& comm,
                      genrt::EdgeEmitter& out) {
-  obs::RankObserver* ob = comm.obs();
-  const auto sp = obs::span(ob, "derive");
+  const auto sp = obs::span(comm.obs(), "derive");
 
   RankLoad load;
   const auto check_cancel = [&] {
@@ -223,11 +217,12 @@ RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
       out.emit({t, x1_target(draws, t)});
     }
   } else {
-    const std::string spill_path =
-        options.spill_dir.empty()
-            ? std::string{}
-            : options.spill_dir + "/commfree-rank-" +
-                  std::to_string(comm.rank()) + ".spill";
+    std::string spill_path;
+    if (!options.spill_dir.empty()) {
+      std::filesystem::create_directories(options.spill_dir);
+      spill_path = options.spill_dir + "/commfree-rank-" +
+                   std::to_string(comm.rank()) + ".spill";
+    }
     XkDeriver derive(config, spill_path, options.spill_budget_bytes);
     for (Count idx = 0; idx < own; ++idx) {
       if (idx % options.node_batch == 0) check_cancel();
@@ -242,10 +237,6 @@ RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
     }
     load.retries = derive.retries();
   }
-
-  out.finish();
-  load.edges = out.emitted();
-  if (ob != nullptr) record_metrics(ob->metrics(), load);
   return load;
 }
 
@@ -261,43 +252,11 @@ class CommFreeEngine final : public Engine {
             .state_spill = true};
   }
 
-  [[nodiscard]] ParallelResult run(
-      const PaConfig& config, const ParallelOptions& options) const override {
-    if (options.cancel_requested && options.cancel_requested()) {
-      throw Cancelled();
-    }
-    if (config.x > 1 && !options.spill_dir.empty()) {
-      std::filesystem::create_directories(options.spill_dir);
-    }
-    obs::RankObserver* drv = genrt::driver_observer(options);
-    const auto part = genrt::make_run_partition(config.n, options, drv);
-
-    const auto nranks = static_cast<std::size_t>(options.ranks);
-    std::vector<graph::EdgeList> edge_slots(nranks);
-    LoadVector load_slots(nranks);
-
-    mps::RunResult run;
-    {
-      const auto world_span = obs::span(drv, "run_ranks");
-      run = mps::run_ranks(
-          options.ranks, mps::WorldOptions{},
-          [&](mps::Comm& comm) {
-            const auto slot = static_cast<std::size_t>(comm.rank());
-            genrt::EdgeEmitter out(options, comm.rank());
-            load_slots[slot] = derive_rank(config, options, *part, comm, out);
-            edge_slots[slot] = out.take_kept();
-            // One trailing barrier so wall_seconds covers the slowest
-            // rank's derivation; collectives are not logical messages.
-            comm.barrier();
-          },
-          options.obs);
-    }
-
-    ParallelResult result = genrt::assemble_result(
-        config, options, std::move(load_slots), std::move(edge_slots));
-    result.comm_stats = run.rank_stats;
-    result.wall_seconds = run.wall_seconds;
-    return result;
+  [[nodiscard]] RankRun run(const PaConfig& config,
+                            const ParallelOptions& options,
+                            const partition::Partition& part, mps::Comm& comm,
+                            genrt::EdgeEmitter& out) const override {
+    return {.load = derive_rank(config, options, part, comm, out)};
   }
 };
 

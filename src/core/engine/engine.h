@@ -1,12 +1,13 @@
 // The engine layer: one front door, N interchangeable generator backends.
 //
-// An Engine is a complete strategy for producing the preferential-attachment
-// graph of a (PaConfig, ParallelOptions) pair. core::generate() is a thin
-// dispatcher over the EngineRegistry: it looks up ParallelOptions::engine,
+// An Engine is one rank's strategy for producing its share of the
+// preferential-attachment graph of a (PaConfig, ParallelOptions) pair.
+// core::generate() is the one launch: it looks up ParallelOptions::engine,
 // runs check_request — which also verifies the options against the
 // engine's declared capabilities (an engine without checkpoint support
-// *rejects* checkpoint_dir instead of silently ignoring it) — and
-// delegates. Built-in engines:
+// *rejects* checkpoint_dir instead of silently ignoring it) — builds the
+// partition, and runs the engine's rank body on every rank of an mps world.
+// Built-in engines:
 //
 //   mps       the paper's request/resolved message-passing protocol
 //             (Algorithm 3.2 via the genrt runtime; Algorithm 3.1 at x = 1)
@@ -26,10 +27,20 @@
 #include <vector>
 
 #include "baseline/pa_config.h"
+#include "core/load_stats.h"
 #include "core/options.h"
-#include "core/parallel_pa.h"
+#include "partition/partition.h"
+#include "util/types.h"
+
+namespace pagen::mps {
+class Comm;
+}
 
 namespace pagen::core {
+
+namespace genrt {
+class EdgeEmitter;
+}
 
 /// What an engine supports beyond plain generation. generate() enforces
 /// these against the requested ParallelOptions before dispatch, so asking an
@@ -46,6 +57,14 @@ struct EngineCaps {
   bool state_spill = false;
 };
 
+/// What one rank's run reports to the launch.
+struct RankRun {
+  /// The rank's counters; the launch sets `edges` from the rank's emitter.
+  RankLoad load;
+  /// Slots this incarnation restored from a checkpoint (0 on a cold start).
+  Count restored_slots = 0;
+};
+
 /// One generator backend. Implementations are stateless (all run state is
 /// local to run()), so a single registered instance serves concurrent jobs.
 class Engine {
@@ -57,10 +76,15 @@ class Engine {
 
   [[nodiscard]] virtual EngineCaps capabilities() const = 0;
 
-  /// Generate. Only core::generate calls this, after check_request has
-  /// accepted the request.
-  [[nodiscard]] virtual ParallelResult run(
-      const PaConfig& config, const ParallelOptions& options) const = 0;
+  /// One rank's body: emit the edges of the rank's nodes in `part` through
+  /// `out`. Only core::generate calls this, on every rank of the world (a
+  /// single-rank engine's world has one rank), after check_request has
+  /// accepted the request, with a fresh emitter per rank incarnation.
+  [[nodiscard]] virtual RankRun run(const PaConfig& config,
+                                    const ParallelOptions& options,
+                                    const partition::Partition& part,
+                                    mps::Comm& comm,
+                                    genrt::EdgeEmitter& out) const = 0;
 };
 
 /// Process-wide engine table: the built-in engines, registered once by the
@@ -93,8 +117,8 @@ class EngineRegistry {
 
 /// The one statement of what a run accepts — the PaConfig domain, the run
 /// shape, option combinations no engine honors, the transport, and the
-/// engine's capabilities — called by generate(), generate_pa_general() and
-/// svc::validate(). Throws CheckError naming the violated condition.
+/// engine's capabilities — called by generate() and svc::validate(). Throws
+/// CheckError naming the violated condition.
 void check_request(const Engine& engine, const PaConfig& config,
                    const ParallelOptions& options);
 

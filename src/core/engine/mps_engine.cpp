@@ -1,12 +1,12 @@
-// MpsEngine: the paper's request/resolved message-passing protocol, wrapped
-// behind the Engine facade. This file is the only sanctioned caller of the
-// raw algorithm entry point — pagen-lint's engine-facade rule keeps it that
-// way.
+// MpsEngine: the paper's request/resolved message-passing protocol, one
+// genrt::Driver<XkPolicy> per rank — Algorithm 3.2 for every x, which at
+// x = 1 is Algorithm 3.1 (xk_policy.h).
 #include <memory>
 #include <string_view>
 
 #include "core/engine/engine.h"
-#include "core/parallel_pa_general.h"
+#include "core/engine/xk_policy.h"
+#include "core/genrt/driver.h"
 
 namespace pagen::core {
 namespace {
@@ -22,10 +22,13 @@ class MpsEngine final : public Engine {
             .multi_rank = true};
   }
 
-  [[nodiscard]] ParallelResult run(
-      const PaConfig& config, const ParallelOptions& options) const override {
-    // Algorithm 3.2 for every x; at x = 1 it is Algorithm 3.1.
-    return generate_pa_general(config, options);
+  [[nodiscard]] RankRun run(const PaConfig& config,
+                            const ParallelOptions& options,
+                            const partition::Partition& part, mps::Comm& comm,
+                            genrt::EdgeEmitter& out) const override {
+    genrt::Driver<XkPolicy> rank(config, options, part, comm, out);
+    rank.run();
+    return {.load = rank.load(), .restored_slots = rank.restored_slots()};
   }
 };
 

@@ -1,15 +1,35 @@
+// XkPolicy: Algorithm 3.2, distributed-memory preferential attachment for
+// every x >= 1, as the one genrt policy. MpsEngine (mps_engine.cpp) runs one
+// genrt::Driver<XkPolicy> per rank.
+//
 // pagen-lint: policy-impl — the XkPolicy speaks only through the Driver.
-#include "core/parallel_pa_general.h"
+//
+// At x = 1 the clique is node 0, the bootstrap row is F_1 = 0 and no
+// duplicate can arise, so the run makes exactly Algorithm 3.1's draws: the
+// tree is bitwise identical to baseline::copy_model_targets for every rank
+// count, partitioning scheme and message timing.
+//
+// For x > 1 the duplicate-retry decisions depend on the order in which a
+// node's edges resolve, so — exactly as in the paper — the emitted edge set
+// is scheduling-dependent when P > 1; the distribution and all structural
+// invariants (simple graph, exact edge count, connectivity) are preserved
+// and tested.
+//
+// Included by mps_engine.cpp only. The anonymous namespace keeps
+// Driver<XkPolicy> local to that translation unit, as it was when the policy
+// lived in a .cpp file; with external linkage GCC stopped inlining the
+// packed-item loops into Driver::pump and Driver::run into the rank body.
+#pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "baseline/pa_draws.h"
-#include "core/engine/engine.h"
+#include "core/checkpoint.h"
 #include "core/genrt/driver.h"
-#include "core/genrt/launch.h"
 #include "core/genrt/protocol.h"
 #include "util/error.h"
+#include "util/types.h"
 
 namespace pagen::core {
 namespace {
@@ -219,11 +239,4 @@ class XkPolicy {
 };
 
 }  // namespace
-
-ParallelResult generate_pa_general(const PaConfig& config,
-                                   const ParallelOptions& options) {
-  check_request(EngineRegistry::instance().require("mps"), config, options);
-  return genrt::launch<XkPolicy>(config, options);
-}
-
 }  // namespace pagen::core

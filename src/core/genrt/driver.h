@@ -6,14 +6,14 @@
 // drain → termination phases, per-destination send buffering, the
 // post-batch flush rule, counting termination, the flat slot store, load
 // accounting, observability spans, cooperative cancellation
-// (ParallelOptions::cancel_requested, polled at every phase boundary), the
-// rank's edge emitter (emitter.h), and the crash-recovery adapter — and
-// delegates the algorithm to a small policy object.
+// (ParallelOptions::cancel_requested, polled at every phase boundary), edge
+// emission into the rank's emitter (emitter.h), and the crash-recovery
+// adapter — and delegates the algorithm to a small policy object.
 //
 // pagen-lint: hot-path — the per-message event loop; flat tables only.
 //
 // A policy plugs in with (see docs/architecture.md for the full contract,
-// parallel_pa_general.cpp for the one instance, Algorithm 3.2 at every x):
+// core/engine/xk_policy.h for the one instance, Algorithm 3.2 at every x):
 //
 //   using Request / Resolved;         // slot-addressed wire pair (protocol.h)
 //   Policy(Driver&);                  // holds algorithm state (draws, ...)
@@ -76,8 +76,10 @@ class Driver {
   using Request = typename P::Request;
   using Resolved = typename P::Resolved;
 
+  /// `out` is the rank incarnation's emitter; the caller finishes it after
+  /// run() returns.
   Driver(const PaConfig& config, const ParallelOptions& options,
-         const partition::Partition& part, mps::Comm& comm)
+         const partition::Partition& part, mps::Comm& comm, EdgeEmitter& out)
       : config_(config),
         options_(options),
         part_(part),
@@ -92,7 +94,7 @@ class Driver {
                         : nullptr),
         slots_(part.part_size(comm.rank()) * spn_, tolerant_, chain_hist_),
         waiters_(slots_.size()),
-        emitter_(options, comm.rank(), slots_.size()),
+        emitter_(out),
         req_buf_(comm, kTagRequest, options.buffer_capacity),
         res_buf_(comm, kTagResolved, options.buffer_capacity),
         done_(comm, kTagDone, kTagStop),
@@ -172,8 +174,6 @@ class Driver {
       res_buf_.flush_all();
     }
 
-    emitter_.finish();
-    load_.edges = emitter_.emitted();
     comm_.barrier();  // nobody tears down while peers might still poll
   }
 
@@ -183,8 +183,6 @@ class Driver {
   /// Slots restored from a checkpoint by this incarnation's bring-up
   /// (resume or respawn); 0 on a cold start.
   [[nodiscard]] Count restored_slots() const { return recovery_.restored(); }
-  /// This rank's kept edges (empty unless gathering or keeping shards).
-  [[nodiscard]] graph::EdgeList take_edges() { return emitter_.take_kept(); }
 
   // --- Facilities for the policy and the recovery adapter ---
 
@@ -468,7 +466,7 @@ class Driver {
 
   SlotStore<Request> slots_;
   std::vector<std::vector<Waiter>> waiters_;  ///< Q_{k(,l)} by slot
-  EdgeEmitter emitter_;
+  EdgeEmitter& emitter_;
   std::vector<mps::Envelope> inbox_;
   mps::SendBuffer<Request> req_buf_;
   mps::SendBuffer<Resolved> res_buf_;

@@ -1,16 +1,16 @@
 // The output path of every engine (mps, commfree, seq-copy, seq-bb): one
-// per-rank edge emitter and one result assembler.
+// per-rank edge emitter.
 //
 // pagen-lint: hot-path — emit() runs once per generated edge.
 //
 // A rank hands every edge it produces to its EdgeEmitter, which keeps it in
 // the rank's list (gather_edges / keep_shards) and feeds edge_batch_sink one
 // span of exactly edge_batch_capacity edges whenever its buffer fills, then
-// the remainder at finish() — in emission order, on the rank's thread. A
-// rank that unwinds (cancel, crash) never reaches finish(): its buffered
-// tail is dropped and its kept list dies with it, and a respawn emits into
-// a fresh emitter. assemble_result() then builds the ParallelResult from
-// every rank's load and kept list.
+// the remainder at finish() — in emission order, on the rank's thread.
+// core::generate gives every rank incarnation a fresh emitter and calls
+// finish() once the engine's rank body returns. A rank that unwinds
+// (cancel, crash) never reaches finish(): its buffered tail is dropped and
+// its kept list dies with it, and a respawn emits into a fresh emitter.
 #pragma once
 
 #include <functional>
@@ -18,10 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "baseline/pa_config.h"
-#include "core/load_stats.h"
 #include "core/options.h"
-#include "core/parallel_pa.h"
 #include "graph/edge_list.h"
 #include "util/types.h"
 
@@ -30,9 +27,9 @@ namespace pagen::core::genrt {
 class EdgeEmitter {
  public:
   /// `options` must outlive the emitter, which calls its sink in place.
-  /// @param expected kept-list reservation (an upper bound on the rank's
-  ///   edges, or 0 to grow on demand).
-  EdgeEmitter(const ParallelOptions& options, Rank rank, Count expected = 0)
+  /// @param expected kept-list reservation, an upper bound on the rank's
+  ///   edges.
+  EdgeEmitter(const ParallelOptions& options, Rank rank, Count expected)
       : sink_(options.edge_batch_sink ? &options.edge_batch_sink : nullptr),
         rank_(rank),
         keep_(options.gather_edges || options.keep_shards) {
@@ -82,29 +79,6 @@ class EdgeEmitter {
   std::vector<NodeId> targets(n, kNil);
   for (const graph::Edge& e : edges) targets[e.u] = e.v;
   return targets;
-}
-
-/// Build a run's ParallelResult from each rank's load counters and kept
-/// list (rank-indexed). The caller fills in the runtime fields (comm stats,
-/// wall time, respawns, restored slots).
-[[nodiscard]] inline ParallelResult assemble_result(
-    const PaConfig& config, const ParallelOptions& options, LoadVector loads,
-    std::vector<graph::EdgeList> kept) {
-  ParallelResult result;
-  for (const RankLoad& l : loads) result.total_edges += l.edges;
-  result.loads = std::move(loads);
-  if (options.gather_edges) {
-    result.edges.reserve(result.total_edges);
-    for (graph::EdgeList& shard : kept) {
-      result.edges.insert(result.edges.end(), shard.begin(), shard.end());
-      if (!options.keep_shards) shard = graph::EdgeList{};
-    }
-    if (config.x == 1) {
-      result.targets = targets_from_edges(result.edges, config.n);
-    }
-  }
-  if (options.keep_shards) result.shards = std::move(kept);
-  return result;
 }
 
 }  // namespace pagen::core::genrt

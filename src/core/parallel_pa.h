@@ -1,8 +1,7 @@
-// ParallelResult: what every engine returns for one (PaConfig,
-// ParallelOptions) run — the gathered edges, the x = 1 targets row, per-rank
-// shards, load and transport counters, and the run's recovery and store
-// figures. The mps engine's generator (Algorithm 3.2, which at x = 1 makes
-// exactly Algorithm 3.1's draws) is declared in parallel_pa_general.h.
+// ParallelResult: what core::generate returns for one (PaConfig,
+// ParallelOptions) run, whichever engine ran it — the gathered edges, the
+// x = 1 targets row, per-rank shards, load and transport counters, and the
+// run's recovery and store figures.
 #pragma once
 
 #include <vector>

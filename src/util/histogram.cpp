@@ -1,36 +1,10 @@
 #include "util/histogram.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
 
 namespace pagen {
-
-IntHistogram::IntHistogram(std::uint64_t max_value)
-    : max_value_(max_value), counts_(max_value + 1, 0) {
-  PAGEN_CHECK(max_value >= 1);
-}
-
-void IntHistogram::add(std::uint64_t value, std::uint64_t weight) {
-  counts_[std::min(value, max_value_)] += weight;
-  total_ += weight;
-}
-
-std::uint64_t IntHistogram::count(std::uint64_t value) const {
-  PAGEN_CHECK(value <= max_value_);
-  return counts_[value];
-}
-
-std::vector<HistBin> IntHistogram::bins() const {
-  std::vector<HistBin> out;
-  for (std::uint64_t v = 0; v <= max_value_; ++v) {
-    if (counts_[v] != 0) {
-      out.push_back({static_cast<double>(v), 1.0, counts_[v]});
-    }
-  }
-  return out;
-}
 
 LogHistogram::LogHistogram(double base) : base_(base), log_base_(std::log(base)) {
   PAGEN_CHECK(base > 1.0);

@@ -1,4 +1,4 @@
-// Histograms: linear-binned and logarithmic-binned.
+// Logarithmically binned histograms.
 //
 // The degree-distribution experiments (Fig. 4) plot log–log degree frequency;
 // log binning smooths the heavy tail exactly as the paper's figure does.
@@ -14,27 +14,6 @@ struct HistBin {
   double center = 0.0;
   double width = 0.0;
   std::uint64_t count = 0;
-};
-
-/// Exact integer-value histogram (bin per distinct value up to a cap).
-/// Values above the cap are clamped into the final bin.
-class IntHistogram {
- public:
-  explicit IntHistogram(std::uint64_t max_value);
-
-  void add(std::uint64_t value, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::uint64_t count(std::uint64_t value) const;
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t max_value() const { return max_value_; }
-
-  /// All non-empty bins in increasing value order.
-  [[nodiscard]] std::vector<HistBin> bins() const;
-
- private:
-  std::uint64_t max_value_;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> counts_;
 };
 
 /// Logarithmically binned histogram for positive values: bin i covers

@@ -5,8 +5,9 @@
 
 namespace pagen {
 
-/// Vertex identifier. Graphs with up to 2^63 nodes are representable; the
-/// paper generates networks with 10^9 nodes, far above the 32-bit range.
+/// Vertex identifier. The paper's 10^9 nodes fit 32 bits (2^32 ~ 4.29e9),
+/// but slot indices u * x + e and edge totals reach n * x: 5e9 at the
+/// paper's n = 1e9, x = 5. NodeId stays 64-bit so they never overflow.
 using NodeId = std::uint64_t;
 
 /// Count of edges / messages / generic 64-bit tallies.

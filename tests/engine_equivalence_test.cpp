@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <span>
@@ -28,6 +29,7 @@
 #include "core/engine/engine.h"
 #include "core/generate.h"
 #include "graph/edge_list.h"
+#include "store/graph_view.h"
 #include "util/error.h"
 
 namespace pagen::core {
@@ -361,6 +363,31 @@ TEST(EngineCapabilities, GenerateRejectsPOutsideUnitInterval) {
             << "engine=" << engine->name() << " p=" << p << ": " << e.what();
       }
     }
+  }
+}
+
+// A run cancelled before launch throws Cancelled for every engine and
+// leaves the store that the same spec sealed earlier intact: the cancel
+// check precedes the store tap, whose writer truncates every shard.
+TEST(EngineCapabilities, CancelBeforeLaunchThrowsForEveryEngine) {
+  const PaConfig cfg{.n = 20000, .x = 1, .p = 0.5, .seed = 3};
+  for (const Engine* engine : EngineRegistry::instance().engines()) {
+    const std::string name(engine->name());
+    ParallelOptions opt;
+    opt.engine = name;
+    opt.ranks = engine->capabilities().multi_rank ? 2 : 1;
+    opt.gather_edges = false;
+    opt.store_dir = ::testing::TempDir() + "pagen_cancel_" + name;
+    std::filesystem::remove_all(opt.store_dir);
+    (void)generate(cfg, opt);
+    ASSERT_NO_THROW(store::ShardedGraphView(opt.store_dir).verify()) << name;
+
+    opt.cancel_requested = [] { return true; };
+    EXPECT_THROW((void)generate(cfg, opt), Cancelled) << name;
+    const store::ShardedGraphView view(opt.store_dir);
+    EXPECT_NO_THROW(view.verify()) << name;
+    EXPECT_EQ(view.manifest().total_edges(), cfg.n - 1) << name;
+    std::filesystem::remove_all(opt.store_dir);
   }
 }
 

@@ -14,7 +14,7 @@
 //  * x > 1, P = 1: a single rank resolves everything locally in label order,
 //    so the run is deterministic and the sorted edge list pins bitwise.
 //  * x > 1, P > 1: duplicate-edge retries depend on the order in which
-//    <resolved> messages arrive (parallel_pa_general.h), so the emitted edge
+//    <resolved> messages arrive (core/engine/xk_policy.h), so the emitted edge
 //    SET is scheduling-dependent by design — exactly as in the paper. Those
 //    configurations are pinned on their deterministic invariants instead:
 //    exact edge count, simplicity, and connectivity.
@@ -32,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include "core/generate.h"
-#include "core/parallel_pa_general.h"
 #include "graph/edge_list.h"
 #include "mps/fault.h"
 #include "partition/partition.h"
@@ -103,8 +102,7 @@ std::string fresh_dir(std::size_t case_idx) {
   return dir;
 }
 
-core::ParallelResult run_case(const GoldenCase& c, std::size_t idx,
-                              bool via_facade = false) {
+core::ParallelResult run_case(const GoldenCase& c, std::size_t idx) {
   const PaConfig cfg{.n = c.n, .x = c.x, .p = c.p, .seed = c.seed};
   core::ParallelOptions opt;
   opt.ranks = c.ranks;
@@ -118,8 +116,7 @@ core::ParallelResult run_case(const GoldenCase& c, std::size_t idx,
     opt.checkpoint_every = 256;
   }
   if (c.checkpoint) opt.checkpoint_dir = fresh_dir(idx);
-  if (via_facade) return core::generate(cfg, opt);  // engine defaults to mps
-  return core::generate_pa_general(cfg, opt);
+  return core::generate(cfg, opt);  // engine defaults to mps
 }
 
 TEST(GenrtGolden, OutputsMatchPreRefactorHashes) {
@@ -140,22 +137,6 @@ TEST(GenrtGolden, OutputsMatchPreRefactorHashes) {
       EXPECT_GE(result.respawns, 1u) << "case " << i
                                      << ": the scripted crash did not fire";
     }
-  }
-}
-
-// The same table routed through the core::generate() facade with the default
-// "mps" engine (ISSUE 9): introducing the engine layer must be bitwise
-// invisible — every golden hash comes out unchanged through the dispatcher.
-TEST(GenrtGolden, FacadeRoutedMpsEngineMatchesTheSameHashes) {
-  for (std::size_t i = 0; i < std::size(kGolden); ++i) {
-    const GoldenCase& c = kGolden[i];
-    // Distinct checkpoint-dir namespace so the direct-route test's dirs are
-    // never reused mid-suite.
-    const auto result = run_case(c, i + 200, /*via_facade=*/true);
-    const std::uint64_t th = c.x == 1 ? fnv1a_words(result.targets) : 0;
-    EXPECT_EQ(th, c.targets_hash) << "facade targets hash drifted, case " << i;
-    EXPECT_EQ(graph::hash_edges(result.edges), c.edges_hash)
-        << "facade edge hash drifted, case " << i;
   }
 }
 
@@ -180,7 +161,7 @@ TEST(GenrtGolden, GeneralAlgorithmInvariantsAcrossRanksAndSchemes) {
           opt.checkpoint_every = 256;
           opt.checkpoint_dir = fresh_dir(idx++);
         }
-        const auto result = core::generate_pa_general(cfg, opt);
+        const auto result = core::generate(cfg, opt);
         ASSERT_EQ(result.total_edges, expected_edge_count(cfg));
         EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
         EXPECT_EQ(graph::count_duplicates(result.edges), 0u);

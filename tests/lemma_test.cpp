@@ -8,7 +8,7 @@
 
 #include "baseline/pa_config.h"
 #include "baseline/pa_draws.h"
-#include "core/parallel_pa_general.h"
+#include "core/generate.h"
 #include "util/harmonic.h"
 
 namespace pagen {
@@ -96,7 +96,7 @@ TEST(Lemma34, ParallelRunMessageCountsAgree) {
   opt.ranks = 8;
   opt.scheme = partition::Scheme::kRrp;
   opt.gather_edges = false;
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
 
   Count total_requests = 0;
   Count total_resolved = 0;

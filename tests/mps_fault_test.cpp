@@ -16,7 +16,7 @@
 
 #include "baseline/copy_model_seq.h"
 #include "core/checkpoint.h"
-#include "core/parallel_pa_general.h"
+#include "core/generate.h"
 #include "graph/edge_list.h"
 #include "mps/engine.h"
 #include "partition/partition.h"
@@ -203,7 +203,7 @@ TEST(FaultGenerator, X1EdgeListUnaffectedByDropDupReorderStall) {
   core::ParallelOptions opt = fault_test_options();
   opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=11,drop=0.06,dup=0.05,reorder=0.08,stall=2@100:20");
-  const auto faulty = core::generate_pa_general(cfg, opt);
+  const auto faulty = core::generate(cfg, opt);
 
   // Acceptance (a): bitwise-identical targets — the faults were repaired
   // below the algorithm, which never saw them.
@@ -226,8 +226,8 @@ TEST(FaultGenerator, X1FaultRunsAreDeterministicGivenTheSeed) {
   opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=23,drop=0.05,dup=0.05,reorder=0.05");
 
-  const auto first = core::generate_pa_general(cfg, opt);
-  const auto second = core::generate_pa_general(cfg, opt);
+  const auto first = core::generate(cfg, opt);
+  const auto second = core::generate(cfg, opt);
   // Acceptance (c): with the same fault seed the output is identical (the
   // injection schedule is pure, so this holds bitwise for the edge set).
   EXPECT_EQ(first.targets, second.targets);
@@ -242,7 +242,7 @@ TEST(FaultGenerator, X1CrashRecoversFromCheckpointBitwiseIdentical) {
   opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=11,drop=0.03,crash=3@200");
   opt.checkpoint_dir = fresh_dir("x1_crash");
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
 
   // Acceptance (b): the scripted mid-generation crash was absorbed by a
   // respawn + checkpoint restore, and the output is still bitwise right.
@@ -257,7 +257,7 @@ TEST(FaultGenerator, X1CrashWithoutCheckpointDirReplaysFromScratch) {
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 5};
   core::ParallelOptions opt = fault_test_options();
   opt.transport.fault_plan = mps::FaultPlan::parse("seed=2,crash=5@160");
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
 }
@@ -269,7 +269,7 @@ TEST(FaultGenerator, X1CrashOfTheTerminationRootRecovers) {
   core::ParallelOptions opt = fault_test_options();
   opt.transport.fault_plan = mps::FaultPlan::parse("seed=4,crash=0@150");
   opt.checkpoint_dir = fresh_dir("x1_crash_root");
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
 }
@@ -280,7 +280,7 @@ TEST(FaultGenerator, X1CrashPlusChaosRecovers) {
   opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=13,drop=0.04,dup=0.04,reorder=0.06,crash=2@170");
   opt.checkpoint_dir = fresh_dir("x1_crash_chaos");
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
 }
@@ -290,7 +290,7 @@ TEST(FaultGenerator, XkStructureSurvivesDropDupReorder) {
   core::ParallelOptions opt = fault_test_options();
   opt.transport.fault_plan =
       mps::FaultPlan::parse("seed=6,drop=0.05,dup=0.05,reorder=0.08");
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_EQ(result.total_edges, expected_edge_count(cfg));
   EXPECT_EQ(result.edges.size(), expected_edge_count(cfg));
   EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
@@ -303,7 +303,7 @@ TEST(FaultGenerator, XkCrashRecoversFromCheckpoint) {
   core::ParallelOptions opt = fault_test_options();
   opt.transport.fault_plan = mps::FaultPlan::parse("seed=8,crash=3@200");
   opt.checkpoint_dir = fresh_dir("xk_crash");
-  const auto result = core::generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
   // x > 1 resolutions are arrival-order dependent (like a fault-free
   // parallel run), so assert the structural contract rather than bitwise
@@ -327,7 +327,7 @@ TEST(FaultGenerator, CheckpointExtrasEmptyUntilTheFirstRetry) {
       opt.checkpoint_every = 64;
       opt.checkpoint_dir = fresh_dir("extras_x" + std::to_string(x) + "_P" +
                                      std::to_string(ranks));
-      (void)core::generate_pa_general(cfg, opt);
+      (void)core::generate(cfg, opt);
 
       const auto part = partition::make_partition(opt.scheme, cfg.n, ranks);
       for (Rank r = 0; r < ranks; ++r) {
@@ -361,7 +361,7 @@ TEST(FaultGenerator, ResumeRefusesAnotherPOrPartition) {
     opt.scheme = scheme;
     opt.checkpoint_every = 16;
     opt.checkpoint_dir = fresh_dir(name);
-    (void)core::generate_pa_general(c, opt);
+    (void)core::generate(c, opt);
     opt.resume = true;
     return opt;
   };
@@ -370,16 +370,16 @@ TEST(FaultGenerator, ResumeRefusesAnotherPOrPartition) {
       written(cfg, partition::Scheme::kRrp, "resume_other_p");
   PaConfig other_p = cfg;
   other_p.p = 0.7;
-  EXPECT_THROW((void)core::generate_pa_general(other_p, resume_p), CheckError);
+  EXPECT_THROW((void)core::generate(other_p, resume_p), CheckError);
 
   core::ParallelOptions resume_part =
       written(cfg, partition::Scheme::kUcp, "resume_other_partition");
   resume_part.scheme = partition::Scheme::kRrp;
-  EXPECT_THROW((void)core::generate_pa_general(cfg, resume_part), CheckError);
+  EXPECT_THROW((void)core::generate(cfg, resume_part), CheckError);
 
   // The matching resume still restores every slot.
   resume_part.scheme = partition::Scheme::kUcp;
-  const auto same = core::generate_pa_general(cfg, resume_part);
+  const auto same = core::generate(cfg, resume_part);
   EXPECT_EQ(same.restored_slots, cfg.n - 1);
   EXPECT_EQ(same.targets, baseline::copy_model_targets(cfg));
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine/engine.h"
 #include "core/generate.h"
 #include "json_lint.h"
 #include "mps/stats.h"
@@ -362,41 +363,48 @@ TEST(ObsIntegration, GenerateFillsLoadCommAndLatencyMetrics) {
   EXPECT_EQ(JsonLint::check(os.str()), "");
 }
 
+// Every engine's ranks record their pa.* metrics once, in the launch, from
+// the same RankLoad the result returns.
 TEST(ObsIntegration, MetricsAgreeWithRankLoadsAndMergeHelper) {
-  constexpr int kRanks = 3;
-  Config cfg;
-  cfg.enabled = true;
-  Session session(kRanks, cfg);
+  for (const core::Engine* engine :
+       core::EngineRegistry::instance().engines()) {
+    SCOPED_TRACE(std::string(engine->name()));
+    const int ranks = engine->capabilities().multi_rank ? 3 : 1;
+    Config cfg;
+    cfg.enabled = true;
+    Session session(ranks, cfg);
 
-  PaConfig pa;
-  pa.n = 12000;
-  pa.x = 1;
-  pa.seed = 9;
-  core::ParallelOptions opt;
-  opt.ranks = kRanks;
-  opt.gather_edges = false;
-  opt.obs = &session;
-  const auto result = core::generate(pa, opt);
+    PaConfig pa;
+    pa.n = 12000;
+    pa.x = 1;
+    pa.seed = 9;
+    core::ParallelOptions opt;
+    opt.engine = std::string(engine->name());
+    opt.ranks = ranks;
+    opt.gather_edges = false;
+    opt.obs = &session;
+    const auto result = core::generate(pa, opt);
 
-  const core::RankLoad total = core::merge_across_ranks(result.loads);
-  EXPECT_EQ(total.nodes, pa.n);
-  EXPECT_EQ(total.edges, result.total_edges);
-  // max_queue_depth reduces by max, not sum.
-  Count max_depth = 0;
-  for (const core::RankLoad& l : result.loads) {
-    max_depth = std::max(max_depth, l.max_queue_depth);
-  }
-  EXPECT_EQ(total.max_queue_depth, max_depth);
+    const core::RankLoad total = core::merge_across_ranks(result.loads);
+    EXPECT_EQ(total.nodes, pa.n);
+    EXPECT_EQ(total.edges, result.total_edges);
+    // max_queue_depth reduces by max, not sum.
+    Count max_depth = 0;
+    for (const core::RankLoad& l : result.loads) {
+      max_depth = std::max(max_depth, l.max_queue_depth);
+    }
+    EXPECT_EQ(total.max_queue_depth, max_depth);
 
-  for (int r = 0; r < kRanks; ++r) {
-    MetricsRegistry& m = session.rank(r).metrics();
-    const core::RankLoad& l = result.loads[static_cast<std::size_t>(r)];
-    EXPECT_EQ(m.counter("pa.nodes").value(), l.nodes);
-    EXPECT_EQ(m.counter("pa.requests_sent").value(), l.requests_sent);
-    EXPECT_EQ(m.counter("pa.edges").value(), l.edges);
-    EXPECT_EQ(
-        static_cast<Count>(m.gauge("pa.max_queue_depth").max()),
-        l.max_queue_depth);
+    for (int r = 0; r < ranks; ++r) {
+      MetricsRegistry& m = session.rank(r).metrics();
+      const core::RankLoad& l = result.loads[static_cast<std::size_t>(r)];
+      EXPECT_EQ(m.counter("pa.nodes").value(), l.nodes);
+      EXPECT_EQ(m.counter("pa.requests_sent").value(), l.requests_sent);
+      EXPECT_EQ(m.counter("pa.edges").value(), l.edges);
+      EXPECT_EQ(
+          static_cast<Count>(m.gauge("pa.max_queue_depth").max()),
+          l.max_queue_depth);
+    }
   }
 }
 

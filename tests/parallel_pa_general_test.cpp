@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/copy_model_seq.h"
-#include "core/parallel_pa_general.h"
+#include "core/generate.h"
 #include "graph/edge_list.h"
 #include "util/error.h"
 
@@ -33,7 +33,7 @@ TEST_P(ParallelPaGeneral, SimpleGraphWithExactEdgeCount) {
   ParallelOptions opt;
   opt.scheme = scheme;
   opt.ranks = ranks;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
 
   EXPECT_EQ(result.edges.size(), expected_edge_count(cfg));
   EXPECT_EQ(result.total_edges, expected_edge_count(cfg));
@@ -48,7 +48,7 @@ TEST_P(ParallelPaGeneral, NewEndpointsPrecedeTheirNode) {
   ParallelOptions opt;
   opt.scheme = scheme;
   opt.ranks = ranks;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   for (const auto& e : result.edges) {
     EXPECT_LT(e.v, e.u) << "generators emit (new node, older endpoint)";
   }
@@ -66,7 +66,7 @@ TEST(ParallelPaGeneralDist, MinimumDegreeIsX) {
   const PaConfig cfg{.n = 5000, .x = 4, .p = 0.5, .seed = 7};
   ParallelOptions opt;
   opt.ranks = 8;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   const auto deg = graph::degree_sequence(result.edges, cfg.n);
   EXPECT_GE(*std::min_element(deg.begin(), deg.end()), cfg.x);
 }
@@ -77,7 +77,7 @@ TEST(ParallelPaGeneralDist, SingleRankMatchesSequentialModel) {
   const PaConfig cfg{.n = 4000, .x = 5, .p = 0.5, .seed = 11};
   ParallelOptions opt;
   opt.ranks = 1;
-  const auto par = generate_pa_general(cfg, opt);
+  const auto par = core::generate(cfg, opt);
   const auto seq = baseline::copy_model_general(cfg);
   auto a = par.edges;
   auto b = seq.edges;
@@ -97,7 +97,7 @@ TEST(ParallelPaGeneralDist, HubDegreesTrackSequentialRun) {
     ParallelOptions opt;
     opt.ranks = 6;
     opt.scheme = Scheme::kRrp;
-    const auto par = generate_pa_general(cfg, opt);
+    const auto par = core::generate(cfg, opt);
     const auto seq = baseline::copy_model_general(cfg);
     const auto dp = graph::degree_sequence(par.edges, cfg.n);
     const auto ds = graph::degree_sequence(seq.edges, cfg.n);
@@ -111,7 +111,7 @@ TEST(ParallelPaGeneralDist, RetriesAreCountedAndBounded) {
   const PaConfig cfg{.n = 20000, .x = 8, .p = 0.5, .seed = 3};
   ParallelOptions opt;
   opt.ranks = 8;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   Count retries = 0;
   for (const auto& l : result.loads) retries += l.retries;
   EXPECT_GT(retries, 0u) << "x = 8 at n = 20k must hit duplicates";
@@ -123,7 +123,7 @@ TEST(ParallelPaGeneralDist, DenseSmallNetworkStillSimple) {
   const PaConfig cfg{.n = 40, .x = 16, .p = 0.5, .seed = 5};
   ParallelOptions opt;
   opt.ranks = 5;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_EQ(result.edges.size(), expected_edge_count(cfg));
   EXPECT_EQ(graph::count_duplicates(result.edges), 0u);
   EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
@@ -138,7 +138,7 @@ TEST(ParallelPaGeneralDist, DivergenceFromSequentialIsOnlyRetryDeep) {
   ParallelOptions opt;
   opt.ranks = 6;
   opt.scheme = Scheme::kUcp;
-  auto par = generate_pa_general(cfg, opt).edges;
+  auto par = core::generate(cfg, opt).edges;
   auto seq = baseline::copy_model_general(cfg).edges;
   graph::normalize(par);
   graph::normalize(seq);
@@ -167,7 +167,7 @@ TEST(ParallelPaGeneralDist, DivergenceFromSequentialIsOnlyRetryDeep) {
 TEST(ParallelPaGeneralDist, RejectsBadConfigs) {
   ParallelOptions opt;
   opt.ranks = 2;
-  EXPECT_THROW(generate_pa_general({.n = 4, .x = 4, .p = 0.5, .seed = 1}, opt),
+  EXPECT_THROW(core::generate({.n = 4, .x = 4, .p = 0.5, .seed = 1}, opt),
                CheckError);
 }
 

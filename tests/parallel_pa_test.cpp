@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/copy_model_seq.h"
-#include "core/parallel_pa_general.h"
+#include "core/generate.h"
 #include "graph/edge_list.h"
 #include "util/error.h"
 
@@ -31,7 +31,7 @@ TEST_P(ParallelPaExactness, BitwiseMatchesSequentialCopyModel) {
   ParallelOptions opt;
   opt.scheme = std::get<0>(GetParam());
   opt.ranks = std::get<1>(GetParam());
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_EQ(result.targets, baseline::copy_model_targets(cfg));
   EXPECT_EQ(result.total_edges, cfg.n - 1);
 }
@@ -42,7 +42,7 @@ TEST_P(ParallelPaExactness, LoadCountersAreConsistent) {
   opt.scheme = std::get<0>(GetParam());
   opt.ranks = std::get<1>(GetParam());
   opt.gather_edges = false;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
 
   Count nodes = 0, req_out = 0, req_in = 0, res_out = 0, res_in = 0;
   for (const auto& l : result.loads) {
@@ -73,7 +73,7 @@ TEST(ParallelPa, IndependentOfBufferCapacity) {
     opt.ranks = 6;
     opt.scheme = Scheme::kRrp;
     opt.buffer_capacity = capacity;
-    EXPECT_EQ(generate_pa_general(cfg, opt).targets, reference)
+    EXPECT_EQ(core::generate(cfg, opt).targets, reference)
         << "capacity=" << capacity;
   }
 }
@@ -86,7 +86,7 @@ TEST(ParallelPa, IndependentOfNodeBatch) {
     opt.ranks = 4;
     opt.scheme = Scheme::kUcp;
     opt.node_batch = batch;
-    EXPECT_EQ(generate_pa_general(cfg, opt).targets, reference)
+    EXPECT_EQ(core::generate(cfg, opt).targets, reference)
         << "batch=" << batch;
   }
 }
@@ -100,7 +100,7 @@ TEST(ParallelPa, ConsecutiveSchemesWorkWithoutForcedFlush) {
     opt.ranks = 8;
     opt.scheme = scheme;
     opt.flush_resolved_after_batch = false;
-    EXPECT_EQ(generate_pa_general(cfg, opt).targets,
+    EXPECT_EQ(core::generate(cfg, opt).targets,
               baseline::copy_model_targets(cfg))
         << partition::to_string(scheme);
   }
@@ -115,7 +115,7 @@ TEST(ParallelPa, SweepOverP) {
     ParallelOptions opt;
     opt.ranks = 7;
     opt.scheme = Scheme::kRrp;
-    EXPECT_EQ(generate_pa_general(cfg, opt).targets,
+    EXPECT_EQ(core::generate(cfg, opt).targets,
               baseline::copy_model_targets(cfg))
         << "p=" << p;
   }
@@ -125,7 +125,7 @@ TEST(ParallelPa, EdgesMatchTargets) {
   const PaConfig cfg{.n = 3000, .x = 1, .p = 0.5, .seed = 6};
   ParallelOptions opt;
   opt.ranks = 5;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   ASSERT_EQ(result.edges.size(), cfg.n - 1);
   for (const auto& e : result.edges) {
     EXPECT_EQ(result.targets[e.u], e.v) << "edge (t, F_t) mismatch";
@@ -137,7 +137,7 @@ TEST(ParallelPa, GatherCanBeDisabled) {
   ParallelOptions opt;
   opt.ranks = 4;
   opt.gather_edges = false;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_TRUE(result.edges.empty());
   EXPECT_TRUE(result.targets.empty());
   EXPECT_EQ(result.total_edges, cfg.n - 1);
@@ -150,7 +150,7 @@ TEST(ParallelPa, TinyWorldSizes) {
     ParallelOptions opt;
     opt.ranks = ranks;
     opt.scheme = Scheme::kRrp;
-    EXPECT_EQ(generate_pa_general(cfg, opt).targets,
+    EXPECT_EQ(core::generate(cfg, opt).targets,
               baseline::copy_model_targets(cfg))
         << "ranks=" << ranks;
   }
@@ -159,7 +159,7 @@ TEST(ParallelPa, TinyWorldSizes) {
 TEST(ParallelPa, RejectsBadConfigs) {
   ParallelOptions opt;
   opt.ranks = 4;
-  EXPECT_THROW(generate_pa_general({.n = 2, .x = 1, .p = 0.5, .seed = 1}, opt),
+  EXPECT_THROW(core::generate({.n = 2, .x = 1, .p = 0.5, .seed = 1}, opt),
                CheckError);
 }
 
@@ -170,7 +170,7 @@ TEST(ParallelPa, ManyRanksOversubscribed) {
   opt.ranks = 96;
   opt.scheme = Scheme::kRrp;
   opt.gather_edges = false;
-  const auto result = generate_pa_general(cfg, opt);
+  const auto result = core::generate(cfg, opt);
   EXPECT_EQ(result.total_edges, cfg.n - 1);
   EXPECT_EQ(result.loads.size(), 96u);
 }

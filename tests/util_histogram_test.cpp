@@ -9,34 +9,6 @@
 namespace pagen {
 namespace {
 
-TEST(IntHistogram, CountsAndTotals) {
-  IntHistogram h(10);
-  h.add(3);
-  h.add(3);
-  h.add(7, 5);
-  EXPECT_EQ(h.count(3), 2u);
-  EXPECT_EQ(h.count(7), 5u);
-  EXPECT_EQ(h.count(0), 0u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(IntHistogram, ClampsOverflowIntoLastBin) {
-  IntHistogram h(4);
-  h.add(4);
-  h.add(100);
-  EXPECT_EQ(h.count(4), 2u);
-}
-
-TEST(IntHistogram, BinsSkipEmpty) {
-  IntHistogram h(100);
-  h.add(2);
-  h.add(50);
-  const auto bins = h.bins();
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_DOUBLE_EQ(bins[0].center, 2.0);
-  EXPECT_DOUBLE_EQ(bins[1].center, 50.0);
-}
-
 TEST(LogHistogram, BinBoundariesGrowGeometrically) {
   LogHistogram h(2.0);
   h.add(1.0);   // bin [1,2)
