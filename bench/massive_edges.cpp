@@ -4,19 +4,25 @@
 // and checking the exact degree distribution against an oracle.
 //
 //   ./massive_edges --edges=1000000000 --store-dir=/data/pcs
-//       --budget=$((12<<30))                  # the acceptance run
+//       --budget=$((12<<30))                  # x = 1 acceptance run
+//   ./massive_edges --edges=1000000000 --x=6 --store-dir=/data/pcs
+//       --budget=$((20<<30))                  # the paper's x = 6
 //   ./massive_edges --edges=10000000          # CI smoke size
 //
-// Pipeline (x = 1, commfree engine, so generation is communication-free,
-// keeps no generator state and is bitwise-deterministic at any rank count):
+// The spec is x = --x (default 1) with n the smallest node count whose
+// expected_edge_count reaches --edges, on the commfree engine, whose output
+// is bitwise-deterministic at any rank count. At x = 1 generation keeps no
+// state; at x > 1 every rank keeps the whole row table, n * x entries of
+// 4 bytes (n < 2^32), so --budget must cover ranks * 4 * n * x bytes.
 //
 //   1. generate() with store_dir set, timed: every edge streams through the
 //      batched sink into delta+varint blocks. Nothing else runs in the
 //      timed region.
 //   2. Untimed, a second generate() without store_dir feeds a node-degree
-//      oracle (one atomic u32 per node). x = 1 output is a pure function of
-//      the spec, so this run emits the stored edges. The oracle folds into
-//      a (degree -> count) histogram and is freed.
+//      oracle (one atomic u32 per node; PA graphs are simple, so every
+//      degree is below n). The output is a pure function of the spec, so
+//      this run emits the stored edges. The oracle folds into a
+//      (degree -> count) histogram and is freed.
 //   3. Re-open the store as a ShardedGraphView under --budget bytes and
 //      run the distributed degree kernel over the *merged* edge source:
 //      one rank counting endpoints in place, zero message traffic, while
@@ -42,6 +48,7 @@
 #include "core/generate.h"
 #include "store/graph_view.h"
 #include "util/cli.h"
+#include "util/error.h"
 #include "util/rss.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -49,8 +56,8 @@
 int main(int argc, char** argv) {
   using namespace pagen;
   const Cli cli(argc, argv,
-                {"edges", "ranks", "seed", "engine", "store-dir", "budget",
-                 "block-edges", "out"});
+                {"edges", "x", "ranks", "seed", "engine", "store-dir",
+                 "budget", "block-edges", "out"});
   if (cli.help()) {
     std::cout << cli.usage("massive_edges") << "\n";
     return 0;
@@ -63,8 +70,14 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_str("out", "BENCH_massive.json");
 
   PaConfig cfg;
-  cfg.x = 1;  // one edge per node: n = edges + 1, oracle fits in u32 counters
-  cfg.n = target_edges + 1;
+  cfg.x = cli.get_u64("x", 1);
+  PAGEN_CHECK_MSG(cfg.x >= 1, "--x must be >= 1 (got " << cfg.x << ")");
+  // The smallest n > x whose x-clique plus x edges per later node reach
+  // the target (at x = 1, n = edges + 1).
+  const Count clique = cfg.x * (cfg.x - 1) / 2;
+  cfg.n = cfg.x + (target_edges > clique
+                       ? (target_edges - clique + cfg.x - 1) / cfg.x
+                       : 1);
   cfg.p = 0.5;
   cfg.seed = cli.get_u64("seed", 1);
 
@@ -78,7 +91,8 @@ int main(int argc, char** argv) {
   const unsigned nproc = std::thread::hardware_concurrency();
 
   std::cout << "=== massive out-of-core generation ===\n"
-            << "edges=" << fmt_count(target_edges) << " ranks=" << opt.ranks
+            << "edges=" << fmt_count(target_edges) << " x=" << cfg.x
+            << " n=" << fmt_count(cfg.n) << " ranks=" << opt.ranks
             << " engine=" << opt.engine << " store=" << store_dir
             << " budget=" << fmt_count(budget) << " bytes"
             << " build=" << PAGEN_BUILD_TYPE << " nproc=" << nproc << "\n\n";
@@ -93,9 +107,10 @@ int main(int argc, char** argv) {
       static_cast<double>(result.total_edges);
 
   // Degree oracle, outside the timed region: relaxed atomic u32 per node
-  // (max degree < 2(n-1) fits), bumped by the rank threads of a second run
-  // of the same spec without the store. It folds and is freed before the
-  // reload phase so its 4n bytes do not sit under the budgeted working set.
+  // (a simple graph's degrees are below n), bumped by the rank threads of
+  // a second run of the same spec without the store. It folds and is freed
+  // before the reload phase so its 4n bytes do not sit under the budgeted
+  // working set.
   core::DegreeHistogram expected;
   {
     std::vector<std::atomic<std::uint32_t>> oracle(cfg.n);

@@ -2,6 +2,8 @@
 #include "core/distributed_degree.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <span>
 
 #include "mps/bsp.h"
@@ -54,20 +56,44 @@ class DegreeFold {
   DegreeHistogram heavy_;  ///< (degree, nodes) at or above the cap, unsorted
 };
 
-DegreeHistogram fold_degrees(const std::vector<Count>& degree) {
+template <typename Counter>
+DegreeHistogram fold_degrees(const std::vector<Counter>& degree) {
   DegreeFold fold;
-  for (Count d : degree) fold.add(d, 1);
+  for (Counter d : degree) fold.add(d, 1);
   return fold.histogram();
 }
+
+/// The edges the kernel has visited, checked against the source's declared
+/// total before they are counted: no counter can pass 2 * num_edges, so u32
+/// counters never wrap, and a source that streams more edges than it
+/// declares fails instead. add() is safe from concurrent rank threads.
+class EdgeTally {
+ public:
+  explicit EdgeTally(Count declared) : declared_(declared) {}
+
+  void add(std::size_t edges) {
+    const Count seen = seen_.fetch_add(edges) + edges;
+    PAGEN_CHECK_MSG(seen <= declared_, "the source streams more than the "
+                                           << declared_
+                                           << " edges it declares");
+  }
+
+ private:
+  const Count declared_;
+  std::atomic<Count> seen_{0};
+};
 
 /// One shard: every node is local and its local index is v under every
 /// scheme, so the endpoints are counted in place — no partition, no
 /// messages, and the visitor runs on the caller's thread.
+template <typename Counter>
 DegreeHistogram count_one_shard(const graph::EdgeSource& source) {
   const NodeId n = source.num_nodes;
-  std::vector<Count> degree(n, 0);
-  Count* const counts = degree.data();
-  source.visit_shard(0, [counts, n](std::span<const graph::Edge> batch) {
+  std::vector<Counter> degree(n, 0);
+  Counter* const counts = degree.data();
+  EdgeTally tally(source.num_edges);
+  source.visit_shard(0, [counts, n, &tally](std::span<const graph::Edge> batch) {
+    tally.add(batch.size());
     for (const graph::Edge& e : batch) {
       PAGEN_CHECK_MSG(std::max(e.u, e.v) < n,
                       "edge (" << e.u << ", " << e.v
@@ -80,29 +106,21 @@ DegreeHistogram count_one_shard(const graph::EdgeSource& source) {
   return fold_degrees(degree);
 }
 
-}  // namespace
-
-DegreeHistogram distributed_degree_distribution(
-    const std::vector<graph::EdgeList>& shards, NodeId n,
-    partition::Scheme scheme) {
-  PAGEN_CHECK(!shards.empty());
-  return distributed_degree_distribution(graph::make_edge_source(n, shards),
-                                         scheme);
-}
-
-DegreeHistogram distributed_degree_distribution(
-    const graph::EdgeSource& source, partition::Scheme scheme) {
-  PAGEN_CHECK(source.num_shards > 0);
-  if (source.num_shards == 1) return count_one_shard(source);
+/// P > 1 shards: rank r streams shard r and owns the counters of its nodes
+/// under `scheme`; endpoints owned elsewhere travel as increments.
+template <typename Counter>
+DegreeHistogram count_per_rank(const graph::EdgeSource& source,
+                               partition::Scheme scheme) {
   const int ranks = source.num_shards;
   const auto part = partition::make_partition(scheme, source.num_nodes, ranks);
+  EdgeTally tally(source.num_edges);
 
   // Merged histogram, assembled by rank 0 after its allgather and returned.
   DegreeHistogram merged;
 
   mps::run_ranks(ranks, [&](mps::Comm& comm) {
     const Rank me = comm.rank();
-    std::vector<Count> degree(part->part_size(me), 0);
+    std::vector<Counter> degree(part->part_size(me), 0);
 
     auto bump = [&](NodeId v) { ++degree[part->local_index(v)]; };
 
@@ -110,6 +128,7 @@ DegreeHistogram distributed_degree_distribution(
     // ones, then absorb the increments shipped to us.
     mps::SendBuffer<NodeId> increments(comm, kTagIncrement, 512);
     source.visit_shard(me, [&](std::span<const graph::Edge> batch) {
+      tally.add(batch.size());
       for (const graph::Edge& e : batch) {
         for (NodeId v : {e.u, e.v}) {
           const Rank owner = part->owner(v);
@@ -147,6 +166,28 @@ DegreeHistogram distributed_degree_distribution(
   });
 
   return merged;
+}
+
+}  // namespace
+
+DegreeHistogram distributed_degree_distribution(
+    const std::vector<graph::EdgeList>& shards, NodeId n,
+    partition::Scheme scheme) {
+  PAGEN_CHECK(!shards.empty());
+  return distributed_degree_distribution(graph::make_edge_source(n, shards),
+                                         scheme);
+}
+
+DegreeHistogram distributed_degree_distribution(
+    const graph::EdgeSource& source, partition::Scheme scheme) {
+  PAGEN_CHECK(source.num_shards > 0);
+  const bool narrow = degree_counts_fit_u32(source.num_edges);
+  if (source.num_shards == 1) {
+    return narrow ? count_one_shard<std::uint32_t>(source)
+                  : count_one_shard<std::uint64_t>(source);
+  }
+  return narrow ? count_per_rank<std::uint32_t>(source, scheme)
+                : count_per_rank<std::uint64_t>(source, scheme);
 }
 
 }  // namespace pagen::core

@@ -18,8 +18,16 @@
 // Degrees fold into a flat counts-by-degree table for every P; the rare
 // degrees above the table's fixed cap go to a side list sorted at the end,
 // so a star stays bounded.
+//
+// Memory: one counter per node, 4 bytes whenever the source's edge total m
+// has 2m < 2^32 (degree_counts_fit_u32) and 8 bytes beyond that. The
+// kernel takes m from the source (EdgeSource::num_edges) and checks the
+// edges it visits against it, so a source that streams more than it
+// declares fails with a CheckError before any counter can wrap.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -34,6 +42,13 @@ namespace pagen::core {
 /// same data Fig. 4 plots, computed without ever gathering the edges.
 using DegreeHistogram = std::vector<std::pair<Count, Count>>;
 
+/// Whether the kernel counts degrees in u32 for a source of `edges` edges:
+/// a degree is at most the endpoint total 2 * edges (a self-loop counts
+/// twice), and u32 holds every value below 2^32.
+[[nodiscard]] constexpr bool degree_counts_fit_u32(Count edges) {
+  return edges <= std::numeric_limits<std::uint32_t>::max() / 2;
+}
+
 /// Compute the exact degree distribution of the union of `shards` over
 /// nodes [0, n). Rank r of a world of P = shards.size() ranks reads
 /// shards[r] and sends each endpoint it does not own under `scheme` to its
@@ -46,7 +61,8 @@ using DegreeHistogram = std::vector<std::pair<Count, Count>>;
 /// Streaming variant: same computation over any EdgeSource — in-memory
 /// shards or a compressed on-disk store (store::ShardedGraphView) — without
 /// ever materializing a shard. One pass per shard. Throws CheckError when
-/// an endpoint lies outside [0, source.num_nodes).
+/// an endpoint lies outside [0, source.num_nodes), or when the shards
+/// stream more than source.num_edges edges in total.
 [[nodiscard]] DegreeHistogram distributed_degree_distribution(
     const graph::EdgeSource& source, partition::Scheme scheme);
 

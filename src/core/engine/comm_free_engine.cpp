@@ -24,6 +24,11 @@
 // RankLoad::retries therefore counts the duplicate-retries *performed by
 // this rank*, including those re-derived on behalf of remote nodes.
 //
+// Memory: the x > 1 rows live in XkDeriver's table (xk_deriver.h), n * x
+// entries per rank. An entry is 4 bytes whenever n <= 2^32 - 1, every graph
+// of the paper included, and 8 bytes beyond that; the width is picked once
+// per run from n, and the output is the same at both.
+//
 // Determinism: because every rank resolves in the canonical sequential
 // order, the output is bitwise-identical to the sequential copy model —
 // baseline::copy_model_targets for x = 1 and baseline::copy_model_general
@@ -35,21 +40,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "baseline/pa_config.h"
 #include "baseline/pa_draws.h"
 #include "core/engine/engine.h"
+#include "core/engine/xk_deriver.h"
 #include "core/genrt/emitter.h"
 #include "core/options.h"
 #include "mps/comm.h"
 #include "obs/session.h"
 #include "partition/partition.h"
-#include "store/ext_array.h"
-#include "util/error.h"
 #include "util/types.h"
 
 namespace pagen::core {
@@ -68,127 +70,54 @@ namespace {
   return 0;
 }
 
-/// x > 1 re-derivation: whole rows F_u(0..x-1) in the sequential order of
-/// baseline::copy_model_general, kept in one node-indexed table whose entry
-/// u * x + e holds F_u(e) (kNil while unresolved). Slots fill in order, so a
-/// row is complete exactly when its last slot is set.
-///
-/// A row suspends when its copy path needs a row not derived yet, and its
-/// progress (slot, attempt, copy latch) waits in its frame on an explicit
-/// stack. Dependencies are strictly smaller (pick_k range [x, u-1]), so the
-/// stack never cycles, and a dependency is never on it: every row off the
-/// stack is either complete or untouched.
-///
-/// The table is a plain vector (8 * n * x bytes per rank), or, with a spill
-/// path (the state_spill capability), a store::ExternalArray of the same
-/// layout whose page cache holds spill_budget_bytes; never-written pages
-/// read as kNil, so the backing file stays sparse. The derivation order,
-/// and therefore the output, is the same either way.
-class XkDeriver {
- public:
-  XkDeriver(const PaConfig& config, const std::string& spill_path,
-            std::uint64_t spill_budget_bytes)
-      : draws_(config), x_(config.x) {
-    if (spill_path.empty()) {
-      ram_.assign(static_cast<std::size_t>(config.n * x_), kNil);
-    } else {
-      spill_.emplace(spill_path, config.n * x_, kNil, spill_budget_bytes);
+/// Throws Cancelled once the run's cancel hook asks for it.
+void check_cancel(const ParallelOptions& options) {
+  if (options.cancel_requested && options.cancel_requested()) {
+    throw Cancelled();
+  }
+}
+
+/// x = 1: one stateless chain walk per own node.
+void emit_targets(const PaConfig& config, const ParallelOptions& options,
+                  const partition::Partition& part, Rank rank,
+                  genrt::EdgeEmitter& out) {
+  const DrawSchema draws(config);
+  const Count own = part.part_size(rank);
+  for (Count idx = 0; idx < own; ++idx) {
+    if (idx % options.node_batch == 0) check_cancel(options);
+    const NodeId t = part.node_at(rank, idx);
+    if (t == 0) continue;  // the root has no target
+    out.emit({t, x1_target(draws, t)});
+  }
+}
+
+/// x > 1: each own node's row through one XkDeriver with `Entry`-wide
+/// table entries. Returns the duplicate-retries the deriver performed.
+template <typename Entry>
+Count emit_rows(const PaConfig& config, const ParallelOptions& options,
+                const partition::Partition& part, Rank rank,
+                genrt::EdgeEmitter& out) {
+  std::string spill_path;
+  if (!options.spill_dir.empty()) {
+    std::filesystem::create_directories(options.spill_dir);
+    spill_path = options.spill_dir + "/commfree-rank-" +
+                 std::to_string(rank) + ".spill";
+  }
+  XkDeriver<Entry> derive(config, spill_path, options.spill_budget_bytes);
+  const Count own = part.part_size(rank);
+  for (Count idx = 0; idx < own; ++idx) {
+    if (idx % options.node_batch == 0) check_cancel(options);
+    const NodeId t = part.node_at(rank, idx);
+    if (t < config.x) {
+      // Initial clique: the newer endpoint emits, as in the mps shards.
+      for (NodeId i = 0; i < t; ++i) out.emit({t, i});
+      continue;
     }
-    // Bootstrap convention: F_x(e) = e (DESIGN.md §5).
-    for (NodeId e = 0; e < x_; ++e) set(x_ * x_ + e, e);
+    derive.resolve(t);
+    for (NodeId e = 0; e < config.x; ++e) out.emit({t, derive.at(t, e)});
   }
-
-  /// Derives the row of node t (t >= x), and every row it copies from,
-  /// unless it is already complete.
-  void resolve(NodeId t) {
-    if (complete(t)) return;
-    stack_.clear();
-    stack_.push_back({.u = t});
-    while (!stack_.empty()) {
-      const NodeId dep = advance(stack_.back());
-      if (dep == kNil) {
-        stack_.pop_back();
-      } else {
-        stack_.push_back({.u = dep});
-      }
-    }
-  }
-
-  /// F_t(e) of a resolved row.
-  [[nodiscard]] NodeId at(NodeId t, NodeId e) { return get(t * x_ + e); }
-
-  /// Duplicate-retries performed by this deriver (own + re-derived nodes).
-  [[nodiscard]] Count retries() const { return retries_; }
-
- private:
-  struct Frame {
-    NodeId u;
-    NodeId e = 0;               ///< first unresolved slot of u's row
-    std::uint64_t attempt = 0;  ///< in-progress attempt for slot e
-    bool locked_copy = false;   ///< Lines 27-29 latch for slot e
-  };
-
-  [[nodiscard]] NodeId get(std::uint64_t i) {
-    return spill_ ? spill_->get(i) : ram_[i];
-  }
-
-  void set(std::uint64_t i, NodeId v) {
-    if (spill_) {
-      spill_->set(i, v);
-    } else {
-      ram_[i] = v;
-    }
-  }
-
-  [[nodiscard]] bool complete(NodeId u) { return get(u * x_ + x_ - 1) != kNil; }
-
-  /// Resolve f.u's remaining slots exactly as copy_model_general would.
-  /// Returns kNil when the row completes, or the dependency node the copy
-  /// path is blocked on. The attempt counter is NOT advanced on suspension,
-  /// so resuming re-derives the identical (k, l) pair — draws are pure in
-  /// (seed, u, e, attempt).
-  NodeId advance(Frame& f) {
-    const std::uint64_t row = f.u * x_;
-    const DrawSchema::Row draws = draws_.row(f.u);
-    for (; f.e < x_; ++f.e, f.attempt = 0, f.locked_copy = false) {
-      const DrawSchema::Slot slot = draws.slot(f.e);
-      // Slots past e are still kNil, so only the resolved prefix can clash.
-      const auto is_dup = [&](NodeId v) {
-        for (NodeId j = 0; j < f.e; ++j) {
-          if (get(row + j) == v) return true;
-        }
-        return false;
-      };
-      for (;; ++f.attempt, ++retries_) {
-        PAGEN_CHECK_MSG(f.attempt < kMaxAttempts,
-                        "duplicate-retry cap exceeded at node " << f.u);
-        const NodeId k = draws_.pick_k(slot, f.attempt);
-        if (!f.locked_copy && draws_.pick_direct(slot, f.attempt)) {
-          if (!is_dup(k)) {
-            set(row + f.e, k);
-            break;
-          }
-        } else {
-          if (!complete(k)) return k;
-          const NodeId v = get(k * x_ + draws_.pick_l(slot, f.attempt));
-          if (!is_dup(v)) {
-            set(row + f.e, v);
-            break;
-          }
-          f.locked_copy = true;
-        }
-      }
-    }
-    return kNil;
-  }
-
-  DrawSchema draws_;
-  NodeId x_;
-  std::vector<NodeId> ram_;
-  std::optional<store::ExternalArray<NodeId>> spill_;
-  std::vector<Frame> stack_;
-  Count retries_ = 0;
-};
+  return derive.retries();
+}
 
 /// One rank's derivation pass: walk the rank's own nodes in partition-local
 /// order, re-derive each value locally, and emit through the rank's emitter,
@@ -197,45 +126,16 @@ RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
                      const partition::Partition& part, mps::Comm& comm,
                      genrt::EdgeEmitter& out) {
   const auto sp = obs::span(comm.obs(), "derive");
-
   RankLoad load;
-  const auto check_cancel = [&] {
-    if (options.cancel_requested && options.cancel_requested()) {
-      throw Cancelled();
-    }
-  };
-
-  const Count own = part.part_size(comm.rank());
-  load.nodes = own;
-
+  load.nodes = part.part_size(comm.rank());
   if (config.x == 1) {
-    const DrawSchema draws(config);
-    for (Count idx = 0; idx < own; ++idx) {
-      if (idx % options.node_batch == 0) check_cancel();
-      const NodeId t = part.node_at(comm.rank(), idx);
-      if (t == 0) continue;  // the root has no target
-      out.emit({t, x1_target(draws, t)});
-    }
+    emit_targets(config, options, part, comm.rank(), out);
+  } else if (row_entries_fit_u32(config.n)) {
+    load.retries =
+        emit_rows<std::uint32_t>(config, options, part, comm.rank(), out);
   } else {
-    std::string spill_path;
-    if (!options.spill_dir.empty()) {
-      std::filesystem::create_directories(options.spill_dir);
-      spill_path = options.spill_dir + "/commfree-rank-" +
-                   std::to_string(comm.rank()) + ".spill";
-    }
-    XkDeriver derive(config, spill_path, options.spill_budget_bytes);
-    for (Count idx = 0; idx < own; ++idx) {
-      if (idx % options.node_batch == 0) check_cancel();
-      const NodeId t = part.node_at(comm.rank(), idx);
-      if (t < config.x) {
-        // Initial clique: the newer endpoint emits, as in the mps shards.
-        for (NodeId i = 0; i < t; ++i) out.emit({t, i});
-        continue;
-      }
-      derive.resolve(t);
-      for (NodeId e = 0; e < config.x; ++e) out.emit({t, derive.at(t, e)});
-    }
-    load.retries = derive.retries();
+    load.retries =
+        emit_rows<std::uint64_t>(config, options, part, comm.rank(), out);
   }
   return load;
 }

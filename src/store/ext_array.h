@@ -1,7 +1,13 @@
 // ExternalArray: a file-backed array with a bounded in-RAM page cache.
 //
-// The external-memory spill primitive (Allendorf et al., arXiv:2211.06884:
-// PA generation is I/O-efficient because its state has strong locality).
+// The external-memory spill primitive for the commfree engine's x > 1 row
+// table. Its access pattern has no locality to exploit: pick_k draws a
+// copy source uniformly from the prefix, so every copy slot reads a random
+// row, and a cache holding a fraction f of the table misses about 1 - f of
+// those reads. Allendorf et al. (arXiv:2211.06884) make PA I/O-efficient
+// by sorting requests and scanning the data instead (ROADMAP item 3,
+// "x > 1 past RAM").
+//
 // Elements live in fixed-size pages; a small LRU cache of pages stays in
 // RAM under a caller-set byte budget, dirty pages write back on eviction,
 // and pages never written read as the fill value — so a sparse table over

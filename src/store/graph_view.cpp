@@ -184,6 +184,7 @@ graph::EdgeSource ShardedGraphView::edge_source() const {
   graph::EdgeSource source;
   source.num_nodes = manifest_.num_nodes;
   source.num_shards = manifest_.num_shards;
+  source.num_edges = manifest_.total_edges();
   source.visit_shard = [dir = dir_, manifest = manifest_](
                            int shard, const graph::EdgeVisitor& visit) {
     stream_shard(dir, manifest, shard, visit);
@@ -195,6 +196,7 @@ graph::EdgeSource ShardedGraphView::merged_edge_source() const {
   graph::EdgeSource source;
   source.num_nodes = manifest_.num_nodes;
   source.num_shards = 1;
+  source.num_edges = manifest_.total_edges();
   source.visit_shard = [dir = dir_, manifest = manifest_](
                            int shard, const graph::EdgeVisitor& visit) {
     PAGEN_CHECK_MSG(shard == 0, "merged source has exactly one shard");

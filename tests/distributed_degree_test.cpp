@@ -145,5 +145,57 @@ TEST(DistributedDegreeBasic, EndpointOutsideTheNodeRangeRejected) {
                CheckError);
 }
 
+TEST(DistributedDegreeBasic, CounterWidthRuleSwitchesAtTwoToThe32Endpoints) {
+  // 2m is even, so 2^32 - 2 is the largest endpoint total below 2^32.
+  constexpr Count kHalf = Count{1} << 31;
+  static_assert(degree_counts_fit_u32(kHalf - 1));  // 2m = 2^32 - 2
+  static_assert(!degree_counts_fit_u32(kHalf));     // 2m = 2^32
+  EXPECT_TRUE(degree_counts_fit_u32(0));
+  EXPECT_TRUE(degree_counts_fit_u32(1'000'000'000));  // the paper's 10^9
+  EXPECT_TRUE(degree_counts_fit_u32(kHalf - 1));
+  EXPECT_FALSE(degree_counts_fit_u32(kHalf));
+}
+
+TEST(DistributedDegreeBasic, SourceStreamingMoreThanItDeclaresRejected) {
+  // Counters are sized from the declared total, so a source that streams
+  // more edges than it declares must raise, whether the kernel counts in
+  // place (P = 1) or routes endpoints to owners (P = 4).
+  const NodeId n = 10;
+  const std::vector<graph::EdgeList> one{{{1, 0}, {2, 1}, {3, 2}}};
+  const std::vector<graph::EdgeList> four{
+      {{4, 0}}, {{1, 0}, {5, 4}}, {{2, 1}}, {{3, 2}}};
+  for (const auto* shards : {&one, &four}) {
+    graph::EdgeSource source = graph::make_edge_source(n, *shards);
+    ASSERT_NO_THROW((void)distributed_degree_distribution(source,
+                                                          Scheme::kRrp));
+    source.num_edges -= 1;
+    EXPECT_THROW((void)distributed_degree_distribution(source, Scheme::kRrp),
+                 CheckError)
+        << shards->size() << " shards";
+  }
+}
+
+TEST(DistributedDegreeBasic, U64CountersMatchU32Counters) {
+  // A source may declare more edges than it streams; declaring 2^31 puts
+  // the kernel on u64 counters, which must fold the same histogram as the
+  // u32 counters of the exact declaration, at P = 1 and at P = 4.
+  const PaConfig cfg{.n = 5000, .x = 3, .p = 0.5, .seed = 23};
+  ParallelOptions opt;
+  opt.ranks = 4;
+  opt.keep_shards = true;
+  const auto result = generate(cfg, opt);
+  const DegreeHistogram want = reference_histogram(result.edges, cfg.n);
+  const std::vector<graph::EdgeList> one{result.edges};
+  for (const auto* shards : {&result.shards, &one}) {
+    graph::EdgeSource source = graph::make_edge_source(cfg.n, *shards);
+    ASSERT_TRUE(degree_counts_fit_u32(source.num_edges));
+    EXPECT_EQ(distributed_degree_distribution(source, Scheme::kRrp), want);
+    source.num_edges = Count{1} << 31;
+    ASSERT_FALSE(degree_counts_fit_u32(source.num_edges));
+    EXPECT_EQ(distributed_degree_distribution(source, Scheme::kRrp), want)
+        << shards->size() << " shards";
+  }
+}
+
 }  // namespace
 }  // namespace pagen::core
