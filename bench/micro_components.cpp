@@ -174,9 +174,8 @@ void BM_OutstandingMap(benchmark::State& state) {
 BENCHMARK(BM_OutstandingMap)->Unit(benchmark::kMillisecond);
 
 void BM_OutstandingSlotStore(benchmark::State& state) {
-  core::genrt::SlotStore<core::RequestXk> store(kStormSlots,
-                                                /*track_requests=*/true,
-                                                /*chain_hist=*/nullptr);
+  core::genrt::SlotStore store(kStormSlots, /*track_requests=*/true,
+                              /*chain_hist=*/nullptr);
   for (auto _ : state) {
     for (Count s = 0; s < kStormSlots; ++s) {
       store.note_sent(s, {s, s / 2});
@@ -247,11 +246,11 @@ void BM_EdgeSinkBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeSinkBatched)->Unit(benchmark::kMillisecond);
 
-// --- Driver pump with causal stamping off vs on: the full x = 1
+// --- Rank pump with causal stamping off vs on: the full x = 1
 // distributed generation (2 ranks, observed session) so the measured loop
-// is the real Driver::pump dispatch, not a synthetic one. The "off" run is
-// the zero-cost contract of ISSUE 6: with Config::causal unset the driver
-// never touches Envelope::causal, so the two runs must move byte-identical
+// is the mps rank's real pump dispatch, not a synthetic one. The "off" run
+// is the zero-cost contract: with Config::causal unset the rank never
+// touches Envelope::causal, so the two runs must move byte-identical
 // payload traffic and the "off" run must record zero stamps — asserted
 // once at registration, alongside the throughput comparison.
 

@@ -121,7 +121,7 @@ Count emit_rows(const PaConfig& config, const ParallelOptions& options,
 
 /// One rank's derivation pass: walk the rank's own nodes in partition-local
 /// order, re-derive each value locally, and emit through the rank's emitter,
-/// the same output path as the genrt driver. Returns the rank's load.
+/// the same output path as the mps rank. Returns the rank's load.
 RankLoad derive_rank(const PaConfig& config, const ParallelOptions& options,
                      const partition::Partition& part, mps::Comm& comm,
                      genrt::EdgeEmitter& out) {

@@ -10,7 +10,7 @@
 // Built-in engines:
 //
 //   mps       the paper's request/resolved message-passing protocol
-//             (Algorithm 3.2 via the genrt runtime; Algorithm 3.1 at x = 1)
+//             (Algorithm 3.2 in one rank class; Algorithm 3.1 at x = 1)
 //   commfree  communication-free pseudorandomization (Sanders & Schulz,
 //             arXiv:1602.07106): every rank re-derives remote F_k values
 //             locally from the counter-based draw chain — zero messages

@@ -1,15 +1,746 @@
-// MpsEngine: the paper's request/resolved message-passing protocol, one
-// genrt::Driver<XkPolicy> per rank — Algorithm 3.2 for every x, which at
-// x = 1 is Algorithm 3.1 (xk_policy.h).
+// MpsEngine: the paper's request/resolved message-passing protocol. One
+// MpsRank per rank runs Algorithm 3.2 for every x >= 1.
+//
+// At x = 1 the clique is node 0, the bootstrap row is F_1 = 0 and no
+// duplicate can arise, so the run makes exactly Algorithm 3.1's draws: the
+// tree is bitwise identical to baseline::copy_model_targets for every rank
+// count, partitioning scheme and message timing.
+//
+// For x > 1 the duplicate-retry decisions depend on the order in which a
+// node's edges resolve, so — exactly as in the paper — the emitted edge set
+// is scheduling-dependent when P > 1 (docs/serving.md §5); the distribution
+// and all structural invariants (simple graph, exact edge count,
+// connectivity) are preserved and tested.
+//
+// MpsRank's state transitions are exactly the rank lifecycle of
+// docs/protocol.md §3; the recovery flow is docs/robustness.md §3. The wire
+// pair lives in genrt/protocol.h, the per-slot table in genrt/slot_store.h.
+//
+// Everything here has internal linkage: with external linkage GCC stopped
+// inlining the packed-item loops into MpsRank::pump and MpsRank::run into
+// the rank body.
+//
+// pagen-lint: hot-path — the per-message event loop; flat tables only.
+#include <algorithm>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "baseline/pa_config.h"
+#include "baseline/pa_draws.h"
+#include "core/checkpoint.h"
 #include "core/engine/engine.h"
-#include "core/engine/xk_policy.h"
-#include "core/genrt/driver.h"
+#include "core/genrt/emitter.h"
+#include "core/genrt/protocol.h"
+#include "core/genrt/slot_store.h"
+#include "core/load_stats.h"
+#include "core/options.h"
+#include "mps/comm.h"
+#include "mps/message.h"
+#include "mps/send_buffer.h"
+#include "mps/termination.h"
+#include "obs/session.h"
+#include "partition/partition.h"
+#include "util/error.h"
+#include "util/hash.h"
+#include "util/types.h"
 
 namespace pagen::core {
 namespace {
+
+/// Interval a rank sleeps in poll_wait when it has nothing runnable.
+constexpr std::chrono::milliseconds kIdleWait{20};
+
+/// One party parked on a slot until it resolves (Q_{k,l}): a remote
+/// requester (owner != self; `round` echoes its request) or a local slot
+/// (t, e) that copies the awaited one.
+struct Waiter {
+  NodeId t = 0;
+  std::uint32_t e = 0;
+  Rank owner = 0;
+  std::uint32_t round = 0;
+  /// Causal root-slot id of a parked remote request (0 = untraced: node 0
+  /// never requests, so 0 is never a real root).
+  std::uint64_t root = 0;
+};
+
+/// FNV-1a over rank `rank`'s owned nodes in partition-local order — the
+/// order of its checkpoint slots. Two partitions fingerprint alike only when
+/// they hand the rank the same nodes in the same order.
+std::uint64_t owned_nodes_hash(const partition::Partition& part, Rank rank) {
+  Fnv1a h;
+  const Count size = part.part_size(rank);
+  for (Count i = 0; i < size; ++i) h.word(part.node_at(rank, i));
+  return h.digest();
+}
+
+class MpsRank;
+
+/// The crash-recovery adapter: every crash-tolerance concern of a rank
+/// (docs/robustness.md §3), funneled through one code path:
+///
+///  * restore_and_announce() — a respawned incarnation restores the durable
+///    F slice (plus the attempt counters and copy-path latches), re-emits
+///    the restored edges (the sink contract is at-least-once under crashes),
+///    pre-counts the replay's open slots up front (answers to the previous
+///    incarnation's requests may arrive before the replay loop reaches their
+///    node, and the resolve path must always see a consistent count), and
+///    broadcasts kTagRecover so peers re-offer whatever they still wait on —
+///    our queues died with us.
+///  * on_peer_recover() — the other side: every outstanding request owned by
+///    the respawned peer is offered again from the flat slot store, and the
+///    termination detector repairs whatever done/stop state died with it.
+///    In-flight answers then arrive as duplicates and are absorbed by the
+///    tolerant resolve path (round echoes disambiguate retried slots).
+///  * note_resolution() / maybe_checkpoint() — the checkpoint write cadence.
+class Recovery {
+ public:
+  /// Constructed last by the rank; fingerprints the rank's nodes only when
+  /// checkpointing is on.
+  explicit Recovery(MpsRank& rank);
+
+  /// Respawned-incarnation bring-up (replaces the start barrier: that
+  /// rendezvous already completed in a previous life — sends, where crashes
+  /// fire, happen only after it — so joining it again would desynchronize
+  /// the collective generation).
+  void restore_and_announce();
+
+  /// Fresh-run resume bring-up (ParallelOptions::resume, the service retry
+  /// path): every rank restores its own checkpoint after the common start
+  /// barrier, so — unlike a mid-run respawn — no peer holds in-flight state
+  /// for us and no kTagRecover re-offer broadcast is needed (one would
+  /// produce duplicate answers that only the crash-tolerant resolve path
+  /// absorbs). Missing checkpoints leave the rank a plain cold start.
+  void restore_quietly();
+
+  /// Slots this incarnation restored from its checkpoint (0 on cold start).
+  [[nodiscard]] Count restored() const { return restored_; }
+
+  /// A peer respawned: re-offer every request we still wait on that it owns
+  /// (its waiter queues died with it), then let the termination detector
+  /// repair its lost done/stop state.
+  void on_peer_recover(Rank src);
+
+  /// One slot resolved since the last checkpoint write.
+  void note_resolution() { ++resolved_since_ckpt_; }
+
+  void maybe_checkpoint(bool force);
+
+ private:
+  /// Restore the durable slice of a previous incarnation, re-emitting its
+  /// edges. Slots left kNil are replayed by the generate phase exactly as
+  /// in the first life (re-drawing identically from any restored attempt).
+  void restore_from_checkpoint();
+
+  /// Count the replay's open slots up front so the drain phase's unresolved
+  /// count is consistent before the replay loop runs.
+  void precount_open_slots();
+
+  MpsRank& r_;
+  std::uint64_t owned_hash_;  ///< owned_nodes_hash, 0 without checkpointing
+  Count resolved_since_ckpt_ = 0;
+  Count restored_ = 0;
+};
+
+/// Algorithm 3.2 on one rank: x slots per node (F_t(e)), an initial
+/// x-clique, and duplicate-edge avoidance — direct-path duplicates retry
+/// with a fresh (k, coin) (paper Lines 9-10), copy-path duplicates re-draw
+/// (k, l) and latch onto the copy path (Lines 26-29). The per-slot attempt
+/// counter doubles as the request round, so stale answers after a crash
+/// recovery are filtered.
+///
+/// Around the algorithm the rank owns the generate → drain → termination
+/// phases, per-destination send buffering, the post-batch flush rule,
+/// counting termination, the waiter queues, load accounting, observability
+/// spans, cooperative cancellation (ParallelOptions::cancel_requested,
+/// polled at every phase boundary), edge emission into the rank's emitter,
+/// and its recovery adapter.
+class MpsRank {
+ public:
+  /// `out` is the rank incarnation's emitter; the caller finishes it after
+  /// run() returns.
+  MpsRank(const PaConfig& config, const ParallelOptions& options,
+          const partition::Partition& part, mps::Comm& comm,
+          genrt::EdgeEmitter& out)
+      : config_(config),
+        options_(options),
+        part_(part),
+        comm_(comm),
+        x_(config.x),
+        draws_(config),
+        tolerant_(options.transport.fault_plan.has_crash()),
+        recovering_(comm.incarnation() > 0 ||
+                    (options.resume && !options.checkpoint_dir.empty())),
+        ob_(comm.obs()),
+        chain_hist_(ob_ != nullptr
+                        ? &ob_->metrics().histogram("pa.chain_latency_ns")
+                        : nullptr),
+        slots_(part.part_size(comm.rank()) * x_, tolerant_, chain_hist_),
+        waiters_(slots_.size()),
+        emitter_(out),
+        req_buf_(comm, kTagRequest, options.buffer_capacity),
+        res_buf_(comm, kTagResolved, options.buffer_capacity),
+        done_(comm, kTagDone, kTagStop),
+        recovery_(*this) {
+    load_.nodes = part.part_size(comm.rank());
+    if (ob_ != nullptr) {
+      wait_depth_hist_ = &ob_->metrics().histogram("pa.wait_queue_depth");
+      mailbox_gauge_ = &ob_->metrics().gauge("mps.mailbox_depth");
+      if (ob_->causal()) {
+        causal_ = true;
+        chain_len_hist_ = &ob_->metrics().histogram("pa.chain_length");
+        depth_.assign(slots_.size(), 0);
+      }
+    }
+  }
+
+  /// The full rank lifecycle (docs/protocol.md §3).
+  void run() {
+    if (comm_.incarnation() > 0) {
+      // Mid-run respawn: the start rendezvous already completed in a
+      // previous life; restore and announce so peers re-offer.
+      const auto sp = obs::span(ob_, "recover");
+      recovery_.restore_and_announce();
+    } else {
+      comm_.barrier();  // common start line, as mpirun would provide
+      if (recovering_) {
+        // Fresh-run resume (ParallelOptions::resume): all ranks restore
+        // their own checkpoints together behind the barrier — no peer
+        // holds state for us, so no re-offer broadcast.
+        const auto sp = obs::span(ob_, "resume");
+        recovery_.restore_quietly();
+      }
+    }
+
+    {
+      // Phase 1: process own nodes in ascending label order, pumping
+      // messages between batches so requests from other ranks are never
+      // starved. A recovering rank skips slots its checkpoint restored.
+      const auto sp = obs::span(ob_, "generate");
+      const Count my_nodes = part_.part_size(comm_.rank());
+      for (Count idx = 0; idx < my_nodes; ++idx) {
+        process_own_node(part_.node_at(comm_.rank(), idx));
+        if ((idx + 1) % options_.node_batch == 0) {
+          check_cancel();
+          pump(false);
+          recovery_.maybe_checkpoint(false);
+        }
+      }
+      req_buf_.flush_all();
+      recovery_.maybe_checkpoint(true);
+    }
+
+    {
+      // Phase 2: serve and wait until every local slot is resolved.
+      const auto sp = obs::span(ob_, "drain");
+      while (unresolved_ > 0) {
+        check_cancel();
+        pump(true);
+        recovery_.maybe_checkpoint(false);
+      }
+    }
+
+    {
+      // Phase 3: local completion. All responses we owe so far are flushed
+      // before the done notice; afterwards we keep serving requests (always
+      // flushing responses) until the global stop arrives.
+      const auto sp = obs::span(ob_, "termination");
+      res_buf_.flush_all();
+      PAGEN_CHECK(req_buf_.empty() && res_buf_.empty());
+      recovery_.maybe_checkpoint(true);
+      done_.notify_local_done();
+      while (!done_.stopped()) {
+        check_cancel();
+        pump(true);
+      }
+      res_buf_.flush_all();
+    }
+
+    comm_.barrier();  // nobody tears down while peers might still poll
+  }
+
+  [[nodiscard]] const RankLoad& load() const { return load_; }
+  /// Slots restored from a checkpoint by this incarnation's bring-up
+  /// (resume or respawn); 0 on a cold start.
+  [[nodiscard]] Count restored_slots() const { return recovery_.restored(); }
+
+ private:
+  friend class Recovery;
+
+  // --- Algorithm 3.2 (Lines 3-29) ---
+
+  /// Node t's slot e: local_index(t) * x + e.
+  [[nodiscard]] Count slot(NodeId t, std::uint32_t e) const {
+    return part_.local_index(t) * x_ + e;
+  }
+
+  /// Phase-1 work for one owned node.
+  void process_own_node(NodeId t) {
+    if (t < x_) {
+      // Initial clique: the larger endpoint emits each clique edge.
+      for (NodeId i = 0; i < t; ++i) emitter_.emit({t, i});
+      return;
+    }
+    for (std::uint32_t e = 0; e < x_; ++e) {
+      const Count s = slot(t, e);
+      if (recovering_ && slots_.resolved(s)) continue;
+      if (!recovering_) ++unresolved_;  // a recovery pre-counts
+      if (t == x_) {
+        // Bootstrap convention (DESIGN.md §5): node x connects to the
+        // whole clique, so F_x(e) = e deterministically.
+        assign(s, t, e);
+      } else {
+        try_edge(s, t, e);
+      }
+    }
+  }
+
+  /// Slot s's draw attempt and copy-path latch (0 and unlatched until the
+  /// rank's first retry allocates them; x = 1 never retries).
+  [[nodiscard]] std::uint32_t attempt_of(Count s) const {
+    return attempts_.empty() ? 0 : attempts_[s];
+  }
+  [[nodiscard]] bool copy_locked(Count s) const {
+    return !locked_copy_.empty() && locked_copy_[s] != 0;
+  }
+
+  /// Slot s drew a duplicate: next attempt, latched onto the copy path when
+  /// `lock` (Lines 26-29) or free to redraw the coin (Lines 9-10).
+  void retry(Count s, bool lock) {
+    if (attempts_.empty()) {
+      attempts_.assign(slots_.size(), 0);
+      locked_copy_.assign(slots_.size(), 0);
+    }
+    if (lock) locked_copy_[s] = 1;
+    ++attempts_[s];
+    ++load_.retries;
+  }
+
+  /// True if v already is one of the row's resolved endpoints (k ∈ F_t
+  /// check); `row` is the node's slot 0.
+  [[nodiscard]] bool is_duplicate(Count row, NodeId v) const {
+    for (Count e = 0; e < x_; ++e) {
+      if (slots_.value(row + e) == v) return true;
+    }
+    return false;
+  }
+
+  /// Drive edge (t, e), slot s, forward until it is assigned, parked in a
+  /// local queue, or waiting on a remote request (Lines 3-14 and 26-29).
+  void try_edge(Count s, NodeId t, std::uint32_t e) {
+    for (;;) {
+      const std::uint64_t attempt = attempt_of(s);
+      PAGEN_CHECK_MSG(attempt < kMaxAttempts,
+                      "duplicate-retry cap exceeded at node " << t);
+      const NodeId k = draws_.pick_k(t, e, attempt);
+      if (!copy_locked(s) && draws_.pick_direct(t, e, attempt)) {
+        if (!is_duplicate(s - e, k)) {
+          assign(s, t, k);  // Lines 7-8
+          return;
+        }
+        retry(s, /*lock=*/false);  // Lines 9-10: fresh k and coin
+        continue;
+      }
+      const auto l = static_cast<std::uint32_t>(draws_.pick_l(t, e, attempt));
+      const Rank owner = part_.owner(k);
+      if (owner != comm_.rank()) {
+        // Line 14; the round echo is this slot's attempt at issue time.
+        send_request(owner, s,
+                     {t, k, e, l, static_cast<std::uint32_t>(attempt)});
+        return;
+      }
+      const Count ks = slot(k, l);
+      if (!slots_.resolved(ks)) {
+        queue_waiter(ks, {t, e, comm_.rank(), 0});  // local Q_{k,l}
+        return;
+      }
+      const NodeId v = slots_.value(ks);
+      if (!is_duplicate(s - e, v)) {
+        // F_t(e) extends F_k(l)'s dependency chain by one.
+        if (causal_) pending_depth_ = depth_[ks] + 1;
+        assign(s, t, v);
+        return;
+      }
+      retry(s, /*lock=*/true);  // Lines 26-29: stay on the copy path
+    }
+  }
+
+  /// A value arrived for edge (t, e), slot s — either accept it or retry on
+  /// the copy path (Lines 21-29).
+  void on_resolved(Count s, NodeId t, std::uint32_t e, NodeId v) {
+    if (slots_.resolved(s)) {
+      // Crash-tolerant mode: a recovery re-offer can answer a slot that an
+      // in-flight first answer already settled. The value must agree —
+      // F_k(l) is unique once resolved, and stale rounds were filtered.
+      PAGEN_CHECK_MSG(tolerant_,
+                      "duplicate resolution of (" << t << "," << e << ")");
+      PAGEN_CHECK_MSG(slots_.value(s) == v,
+                      "conflicting resolution of (" << t << "," << e << ")");
+      return;
+    }
+    if (is_duplicate(s - e, v)) {
+      retry(s, /*lock=*/true);
+      try_edge(s, t, e);
+      return;
+    }
+    assign(s, t, v);
+  }
+
+  /// F_t(e) := v for slot s. The one place a slot resolves: it emits the
+  /// edge and answers everyone queued on the slot — locally through
+  /// on_resolved (which may retry a duplicate), remotely with a buffered
+  /// <resolved>.
+  ///
+  /// Causal bookkeeping: the slot's chain length is the staged
+  /// pending_depth_ (1 for independent resolutions; predecessor + 1 when
+  /// staged by a local copy in try_edge, the waiter cascade below, or an
+  /// incoming stamp in handle_resolved) — exactly the |D_t| recursion of
+  /// baseline/chain_tracer.cpp, so on deterministic x = 1 runs the
+  /// "pa.chain_length" histogram matches thm33_dependency_chains bit for
+  /// bit. Each resolution also records a chain trace event, and remote
+  /// waiters get their response stamped with this slot's depth.
+  void assign(Count s, NodeId t, NodeId v) {
+    PAGEN_DCHECK(!is_duplicate(s - s % x_, v));
+    PAGEN_CHECK_MSG(!slots_.resolved(s), "double assign of node " << t);
+    slots_.set_value(s, v);
+    PAGEN_CHECK(unresolved_ > 0);
+    --unresolved_;
+    std::uint32_t depth = 1;
+    if (causal_) {
+      depth = pending_depth_;
+      pending_depth_ = 1;
+      depth_[s] = depth;
+      if (t >= 2) {  // the thm33 oracle counts |D_t| for t in [2, n) only
+        chain_len_hist_->observe(depth);
+        ob_->trace().chain("chain_len", causal_root(t, s), depth);
+      }
+    }
+    recovery_.note_resolution();
+    emitter_.emit({t, v});
+    auto& q = waiters_[s];
+    for (const Waiter& w : q) {
+      if (w.owner == comm_.rank()) {
+        if (causal_) pending_depth_ = depth + 1;
+        on_resolved(slot(w.t, w.e), w.t, w.e, v);
+      } else if (causal_ && w.root != 0) {
+        ob_->trace().flow_step("chain", w.root);
+        res_buf_.add_stamped(w.owner, {w.t, v, w.e, w.round},
+                             {w.root, w.owner, depth});
+        ++load_.resolved_sent;
+      } else {
+        send_resolved(w.owner, {w.t, v, w.e, w.round});
+      }
+    }
+    if (causal_) pending_depth_ = 1;
+    q.clear();
+    q.shrink_to_fit();
+  }
+
+  // --- Messaging ---
+
+  /// Globally unique causal id of node `t`'s slot `s`: t * x + e (for
+  /// x = 1 just t). Used as the flow correlation id and the stamp's root
+  /// across ranks.
+  [[nodiscard]] std::uint64_t causal_root(NodeId t, Count s) const {
+    return static_cast<std::uint64_t>(t) * x_ + s % x_;
+  }
+
+  /// Ship `req` for local slot `s` to `owner`: buffer it, account it, and
+  /// let the slot store remember it (re-offer tracking + latency stamp).
+  /// Under causal tracing the request carries a stamp naming this slot as
+  /// the chain root, and a flow starts on this rank's track — the "s" end
+  /// of the Perfetto arrow that lands on the owner's resolve.
+  void send_request(Rank owner, Count s, const RequestXk& req) {
+    if (causal_) {
+      const std::uint64_t root = causal_root(req.t, s);
+      ob_->trace().flow_start("chain", root);
+      req_buf_.add_stamped(owner, req, {root, comm_.rank(), 0});
+      ++load_.requests_sent;
+    } else {
+      offer_request(owner, req);
+    }
+    slots_.note_sent(s, req);
+  }
+
+  /// Buffer `req` toward `dst` without touching the slot store (also the
+  /// recovery re-offer path: the slot already holds it).
+  void offer_request(Rank dst, const RequestXk& req) {
+    req_buf_.add(dst, req);
+    ++load_.requests_sent;
+  }
+
+  void send_resolved(Rank dst, const ResolvedXk& res) {
+    res_buf_.add(dst, res);
+    ++load_.resolved_sent;
+  }
+
+  /// Park `w` on slot `s` until it resolves (Line 15 / Lines 19-20).
+  void queue_waiter(Count s, const Waiter& w) {
+    waiters_[s].push_back(w);
+    if (w.owner == comm_.rank()) {
+      ++load_.local_waits;
+    } else {
+      ++load_.queued;
+    }
+    const std::size_t depth = waiters_[s].size();
+    load_.max_queue_depth = std::max<Count>(load_.max_queue_depth, depth);
+    if (wait_depth_hist_ != nullptr) wait_depth_hist_->observe(depth);
+  }
+
+  /// Cooperative cancellation (docs/serving.md §4): polled at every phase
+  /// boundary and pump round, so a cancel lands within ~kIdleWait even on a
+  /// rank that is only waiting. Throwing here unwinds through run_ranks'
+  /// abort path — peers are woken, nobody wedges — and the emitter simply
+  /// drops its buffered tail (a cancelled job's stream is truncated by
+  /// contract).
+  void check_cancel() {
+    if (options_.cancel_requested && options_.cancel_requested()) {
+      throw Cancelled();
+    }
+  }
+
+  /// Drain and process incoming envelopes; blocking variants sleep briefly
+  /// when idle. Ends every processed batch with flush_after_batch().
+  void pump(bool blocking) {
+    inbox_.clear();
+    if (ob_ != nullptr) {
+      const auto depth = static_cast<std::int64_t>(comm_.pending());
+      mailbox_gauge_->set(depth);
+      if (ob_->trace().sample_tick()) {
+        ob_->trace().counter("mailbox_depth", depth);
+      }
+    }
+    const bool got = blocking ? comm_.poll_wait(inbox_, kIdleWait)
+                              : comm_.poll(inbox_);
+    if (!got) return;
+    for (const mps::Envelope& env : inbox_) {
+      if (done_.handle(env)) continue;
+      if (env.tag == kTagRequest) {
+        std::size_t item = 0;
+        mps::for_each_packed<RequestXk>(env.payload, [&](const RequestXk& r) {
+          handle_request(env.src, r, causal_stamp_at(env, item++));
+        });
+      } else if (env.tag == kTagResolved) {
+        std::size_t item = 0;
+        mps::for_each_packed<ResolvedXk>(env.payload, [&](const ResolvedXk& r) {
+          handle_resolved(r, causal_stamp_at(env, item++));
+        });
+      } else if (env.tag == kTagRecover) {
+        recovery_.on_peer_recover(env.src);
+      } else {
+        PAGEN_CHECK_MSG(false, "unexpected tag " << env.tag);
+      }
+    }
+    flush_after_batch();
+  }
+
+  /// THE post-batch flush rule, in one place:
+  ///
+  /// 1. <resolved> buffers are force-flushed after every processed batch —
+  ///    the paper's RRP deadlock-avoidance rule (Section 3.5): under
+  ///    round-robin partitioning every rank still has unprocessed own nodes
+  ///    while serving others, so an answer parked in a partially-full
+  ///    buffer could wait on a sender that is itself blocked waiting for
+  ///    answers — a cycle. Flushing answers eagerly breaks it. The ablation
+  ///    option exists only to measure the rule's cost under CP schemes;
+  ///    once this rank has nothing unresolved the flush is unconditional
+  ///    (it owes the world everything it knows).
+  /// 2. <request> buffers flush only when x >= 2: only a duplicate retry
+  ///    creates a request while serving a batch, and in the waiting phases
+  ///    nothing else would flush it — a parked request is a parked
+  ///    dependency chain. x = 1 never retries, so its requests keep
+  ///    batching up to buffer capacity (phase 1 flushes them at its end).
+  void flush_after_batch() {
+    if (options_.flush_resolved_after_batch || unresolved_ == 0) {
+      res_buf_.flush_all();
+    }
+    if (x_ >= 2) req_buf_.flush_all();
+  }
+
+  /// Per-item stamp of a mixed batch, or null when the item is unstamped
+  /// (untraced run, or a recovery re-offer padded with origin = -1).
+  static const mps::CausalStamp* causal_stamp_at(const mps::Envelope& env,
+                                                 std::size_t i) {
+    if (i >= env.causal.size()) return nullptr;
+    const mps::CausalStamp& st = env.causal[i];
+    return st.origin >= 0 ? &st : nullptr;
+  }
+
+  /// Owner side of <request, t, e, k, l> (Lines 17-20): answer F_k(l) from
+  /// the slot store or park the requester in Q_{k,l}. A stamped request
+  /// continues its flow here ("t" on this rank's track); the answer —
+  /// immediate or deferred via the waiter — echoes the root with this
+  /// slot's chain depth as the hop.
+  void handle_request(Rank src, const RequestXk& req,
+                      const mps::CausalStamp* stamp) {
+    ++load_.requests_received;
+    PAGEN_DCHECK(part_.owner(req.k) == comm_.rank());
+    const Count s = slot(req.k, req.l);
+    if (causal_ && stamp != nullptr) {
+      ob_->trace().flow_step("chain", stamp->root);
+    }
+    if (slots_.resolved(s)) {
+      const ResolvedXk res{req.t, slots_.value(s), req.e, req.round};
+      if (causal_ && stamp != nullptr) {
+        res_buf_.add_stamped(src, res, {stamp->root, src, depth_[s]});
+        ++load_.resolved_sent;
+      } else {
+        send_resolved(src, res);
+      }
+    } else {
+      queue_waiter(s, {req.t, req.e, src, req.round,
+                       stamp != nullptr ? stamp->root : 0});
+    }
+  }
+
+  /// Requester side of <resolved, t, e, v>: drop a stale answer to a
+  /// superseded round (processing it would bump the attempt counter a
+  /// second time and desync the deterministic draw sequence,
+  /// docs/robustness.md §3), close the slot-store entry (latency + re-offer
+  /// bookkeeping), then accept or retry the value. A stamped answer ends its
+  /// flow ("f") and stages hop + 1 as the depth of whatever slot applying it
+  /// assigns.
+  void handle_resolved(const ResolvedXk& res, const mps::CausalStamp* stamp) {
+    ++load_.resolved_received;
+    const Count s = slot(res.t, res.e);
+    if (tolerant_ && res.round != attempt_of(s)) return;
+    slots_.note_answered(s);
+    if (causal_ && stamp != nullptr) {
+      ob_->trace().flow_end("chain", stamp->root);
+      pending_depth_ = stamp->hop + 1;
+    }
+    on_resolved(s, res.t, res.e, res.v);
+    if (causal_) pending_depth_ = 1;
+  }
+
+  const PaConfig& config_;
+  const ParallelOptions& options_;
+  const partition::Partition& part_;
+  mps::Comm& comm_;
+  NodeId x_;          ///< slots per node: config.x
+  DrawSchema draws_;  ///< the counter-based draws of Lines 3-14
+  bool tolerant_;     ///< crash plan active: absorb duplicate resolutions
+  bool recovering_;   ///< restoring a checkpoint: respawn or resume
+
+  // Observability (all null when observation is off).
+  obs::RankObserver* ob_;
+  obs::Histogram* chain_hist_;
+  obs::Histogram* wait_depth_hist_ = nullptr;
+  obs::Gauge* mailbox_gauge_ = nullptr;
+
+  // Causal tracing (ob_ != nullptr && cfg.causal). depth_[s] mirrors the
+  // Theorem 3.3 recursion |D_t|: 1 for an independent resolution, parent + 1
+  // for a copy — staged through pending_depth_ by whichever path knows the
+  // parent (local copy in try_edge, waiter cascade, incoming stamp).
+  obs::Histogram* chain_len_hist_ = nullptr;
+  bool causal_ = false;
+  std::vector<std::uint32_t> depth_;  ///< per-slot chain depth (causal only)
+  std::uint32_t pending_depth_ = 1;   ///< depth the next assign records
+
+  genrt::SlotStore slots_;
+  std::vector<std::vector<Waiter>> waiters_;  ///< Q_{k,l} by slot
+  // Per-slot draw attempt counter and Lines 26-29 latch; both empty until
+  // retry() first runs, and checkpointed with the F slice.
+  std::vector<std::uint32_t> attempts_;
+  std::vector<std::uint8_t> locked_copy_;
+  genrt::EdgeEmitter& emitter_;
+  std::vector<mps::Envelope> inbox_;
+  mps::SendBuffer<RequestXk> req_buf_;
+  mps::SendBuffer<ResolvedXk> res_buf_;
+  mps::DoneDetector done_;
+  RankLoad load_;
+  Count unresolved_ = 0;
+  Recovery recovery_;  ///< constructed last: sees every member initialized
+};
+
+Recovery::Recovery(MpsRank& rank)
+    : r_(rank),
+      owned_hash_(rank.options_.checkpoint_dir.empty()
+                      ? 0
+                      : owned_nodes_hash(rank.part_, rank.comm_.rank())) {}
+
+void Recovery::restore_and_announce() {
+  restore_quietly();
+  for (Rank p = 0; p < r_.comm_.size(); ++p) {
+    if (p != r_.comm_.rank()) r_.comm_.send_item<char>(p, kTagRecover, 0);
+  }
+}
+
+void Recovery::restore_quietly() {
+  restore_from_checkpoint();
+  precount_open_slots();
+}
+
+void Recovery::on_peer_recover(Rank src) {
+  r_.slots_.for_each_outstanding([&](Count, const RequestXk& req) {
+    if (r_.part_.owner(req.k) == src) r_.offer_request(src, req);
+  });
+  r_.req_buf_.flush(src);
+  r_.done_.on_peer_recover(src);
+  if (r_.ob_ != nullptr) r_.ob_->trace().instant("peer_recover");
+}
+
+void Recovery::maybe_checkpoint(bool force) {
+  const ParallelOptions& options = r_.options_;
+  if (options.checkpoint_dir.empty()) return;
+  if (resolved_since_ckpt_ == 0) return;  // nothing new since last write
+  if (!force && resolved_since_ckpt_ < options.checkpoint_every) return;
+  const auto sp = obs::span(r_.ob_, "checkpoint");
+  RankCheckpoint ck;
+  ck.n = r_.config_.n;
+  ck.x = r_.config_.x;
+  ck.p_bits = std::bit_cast<std::uint64_t>(r_.config_.p);
+  ck.seed = r_.config_.seed;
+  ck.rank = r_.comm_.rank();
+  ck.nranks = r_.comm_.size();
+  ck.owned_hash = owned_hash_;
+  ck.f = r_.slots_.values();
+  ck.attempts = r_.attempts_;
+  ck.locked_copy = r_.locked_copy_;
+  save_checkpoint(options.checkpoint_dir, ck);
+  resolved_since_ckpt_ = 0;
+}
+
+void Recovery::restore_from_checkpoint() {
+  const PaConfig& config = r_.config_;
+  const std::string& dir = r_.options_.checkpoint_dir;
+  if (dir.empty()) return;
+  RankCheckpoint ck;
+  if (!load_checkpoint(dir, r_.comm_.rank(), ck)) return;
+  // The extras are empty until the writer's first retry, else one per slot.
+  PAGEN_CHECK_MSG(
+      ck.n == config.n && ck.x == config.x &&
+          ck.p_bits == std::bit_cast<std::uint64_t>(config.p) &&
+          ck.seed == config.seed && ck.nranks == r_.comm_.size() &&
+          ck.owned_hash == owned_hash_ && ck.f.size() == r_.slots_.size() &&
+          (ck.attempts.empty() || ck.attempts.size() == ck.f.size()) &&
+          ck.locked_copy.size() == ck.attempts.size(),
+      "checkpoint does not match this run's parameters");
+  r_.attempts_ = std::move(ck.attempts);
+  r_.locked_copy_ = std::move(ck.locked_copy);
+  for (Count s = 0; s < ck.f.size(); ++s) {
+    if (ck.f[s] == kNil) continue;
+    r_.slots_.set_value(s, ck.f[s]);
+    r_.emitter_.emit({r_.part_.node_at(r_.comm_.rank(), s / r_.x_), ck.f[s]});
+    ++restored_;
+  }
+}
+
+void Recovery::precount_open_slots() {
+  const Rank rank = r_.comm_.rank();
+  const Count my_nodes = r_.part_.part_size(rank);
+  for (Count idx = 0; idx < my_nodes; ++idx) {
+    if (r_.part_.node_at(rank, idx) < r_.x_) continue;  // clique: no slots
+    for (Count e = 0; e < r_.x_; ++e) {
+      if (!r_.slots_.resolved(idx * r_.x_ + e)) ++r_.unresolved_;
+    }
+  }
+}
 
 class MpsEngine final : public Engine {
  public:
@@ -26,7 +757,7 @@ class MpsEngine final : public Engine {
                             const ParallelOptions& options,
                             const partition::Partition& part, mps::Comm& comm,
                             genrt::EdgeEmitter& out) const override {
-    genrt::Driver<XkPolicy> rank(config, options, part, comm, out);
+    MpsRank rank(config, options, part, comm, out);
     rank.run();
     return {.load = rank.load(), .restored_slots = rank.restored_slots()};
   }

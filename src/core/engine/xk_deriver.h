@@ -11,9 +11,9 @@
 // output does not depend on the choice.
 //
 // Included by comm_free_engine.cpp and by its tests only. The anonymous
-// namespace keeps each instantiation local to its translation unit, as for
-// xk_policy.h: with external linkage GCC stopped inlining a hot template's
-// loops.
+// namespace keeps each instantiation local to its translation unit, as
+// mps_engine.cpp keeps the mps rank: with external linkage GCC stopped
+// inlining a hot template's loops.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
-// genrt layer 2 — the slot store: one flat, slot-indexed table of a rank's
-// attachment state.
+// The slot store: one flat, slot-indexed table of an mps rank's attachment
+// state (core/engine/mps_engine.cpp).
 //
 // pagen-lint: hot-path — touched once per message; flat vectors only.
 //
@@ -16,15 +16,15 @@
 //    rb-tree insert/erase (bench/micro_components.cpp, BM_Outstanding*).
 //  * `pending_since_` — the request-departure stamps behind the
 //    pa.chain_latency_ns histogram (the wait Theorem 3.3 bounds by
-//    O(log n) hops). The store owns the stamping rule, so it is uniform
-//    across policies by construction: stamped on every note_sent and
-//    observed on the first accepted answer, exactly when a chain-latency
-//    histogram is attached (observation off keeps the hot path bare).
+//    O(log n) hops): stamped on every note_sent and observed on the first
+//    accepted answer, exactly when a chain-latency histogram is attached
+//    (observation off keeps the hot path bare).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/genrt/protocol.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/timer.h"
@@ -32,18 +32,17 @@
 
 namespace pagen::core::genrt {
 
-template <typename Request>
 class SlotStore {
  public:
   /// @param slots        number of local slots (part_size * x).
-  /// @param track_requests keep the outstanding Request per slot for crash
-  ///   re-offer (crash-tolerant runs only; costs slots * sizeof(Request)).
+  /// @param track_requests keep the outstanding request per slot for crash
+  ///   re-offer (crash-tolerant runs only; costs slots * sizeof(RequestXk)).
   /// @param chain_hist   chain-resolution latency histogram, or null to
   ///   disable stamping entirely.
   SlotStore(Count slots, bool track_requests, obs::Histogram* chain_hist)
       : values_(slots, kNil), chain_hist_(chain_hist) {
     if (track_requests) {
-      requests_.assign(slots, Request{});
+      requests_.assign(slots, RequestXk{});
       open_.assign(slots, 0);
     }
     if (chain_hist_ != nullptr) pending_since_.assign(slots, -1);
@@ -68,7 +67,7 @@ class SlotStore {
   /// tracking) and stamp the latency clock (when observing). A re-send after
   /// a duplicate retry overwrites — only the latest round is re-offered, and
   /// the latency clock restarts with it.
-  void note_sent(Count slot, const Request& req) {
+  void note_sent(Count slot, const RequestXk& req) {
     if (!requests_.empty()) {
       if (open_[slot] == 0) {
         open_[slot] = 1;
@@ -115,7 +114,7 @@ class SlotStore {
 
  private:
   std::vector<NodeId> values_;        ///< F by slot; kNil = unresolved
-  std::vector<Request> requests_;     ///< in-flight request by slot (tracking)
+  std::vector<RequestXk> requests_;   ///< in-flight request by slot (tracking)
   std::vector<std::uint8_t> open_;    ///< 1 = requests_[s] is in flight
   Count outstanding_ = 0;
   obs::Histogram* chain_hist_;

@@ -14,9 +14,9 @@
 //    normalized edge list hash-match a schedule-free P = 1 reference run
 //    (F is a pure function of (seed, n, p); Theorem 3.2's argument);
 //  * x > 1: the per-schedule output hash is recorded instead of asserted —
-//    distinct_outputs() is the measured schedule-(in)dependence report
-//    that ROADMAP item 2 needs (the edge *set* is arrival-order dependent
-//    by design today);
+//    distinct_outputs() is the measured schedule-(in)dependence report of
+//    the determinism boundary in docs/serving.md §5 (the edge *set* is
+//    arrival-order dependent by design today);
 //  * optionally (causal_check, x = 1): the merged "pa.chain_length"
 //    histogram from causal tracing must exactly equal the
 //    baseline::ChainTrace |D_t| oracle — the Theorem 3.3 chain-depth

@@ -21,10 +21,11 @@ class Session;
 namespace pagen::core {
 
 /// Thrown out of generate() when ParallelOptions::cancel_requested fires.
-/// Every rank checks the hook in its event-loop phases (genrt/driver.h), so
-/// all ranks unwind cooperatively — the world tears down through the mps
-/// abort path instead of wedging peers that still wait for answers — and
-/// mps::run_ranks rethrows this root cause after all rank threads join.
+/// Every rank checks the hook in its event-loop phases (the mps rank in
+/// core/engine/mps_engine.cpp), so all ranks unwind cooperatively — the
+/// world tears down through the mps abort path instead of wedging peers
+/// that still wait for answers — and mps::run_ranks rethrows this root
+/// cause after all rank threads join.
 class Cancelled : public std::runtime_error {
  public:
   Cancelled() : std::runtime_error("generation cancelled") {}
@@ -60,8 +61,9 @@ struct ParallelOptions {
 
   /// Force-flush resolved buffers after processing every received batch —
   /// the paper's deadlock-avoidance rule for RRP, applied in one place:
-  /// genrt::Driver::flush_after_batch(). Always safe; switchable only so
-  /// the ablation bench can quantify its cost under CP schemes.
+  /// MpsRank::flush_after_batch() (core/engine/mps_engine.cpp). Always
+  /// safe; switchable only so the ablation bench can quantify its cost
+  /// under CP schemes.
   bool flush_resolved_after_batch = true;
 
   /// Collect the generated edges into one EdgeList on return. Disable for

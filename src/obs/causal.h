@@ -1,6 +1,6 @@
 // Offline causal-chain reconstruction from merged per-rank traces.
 //
-// With causal tracing on (Config::causal), the genrt driver records three
+// With causal tracing on (Config::causal), the mps rank records three
 // families of events:
 //
 //  * flow events ("chain"): kFlowStart on the requester when a request

@@ -29,8 +29,8 @@ class RankObserver {
         metrics_() {}
 
   [[nodiscard]] int rank() const { return rank_; }
-  /// Causal chain tracing requested (Config::causal). The genrt driver
-  /// checks this once at construction and stamps envelopes only when set.
+  /// Causal chain tracing requested (Config::causal). The mps rank checks
+  /// this once at construction and stamps envelopes only when set.
   [[nodiscard]] bool causal() const { return causal_; }
   [[nodiscard]] Tracer& trace() { return trace_; }
   [[nodiscard]] const Tracer& trace() const { return trace_; }

@@ -16,17 +16,19 @@
 
 namespace pagen::svc {
 
+/// Retry backoff in virtual ticks: kBackoffBase after the first failed
+/// attempt, doubling per further failure up to kBackoffCap.
+inline constexpr std::uint64_t kBackoffBase = 1;
+inline constexpr std::uint64_t kBackoffCap = 8;
+
 /// Virtual-tick delay before re-dispatching attempt `attempt` (1-based: the
-/// attempt that just failed). Capped exponential: base, 2*base, 4*base, ...
-/// up to `cap`. Deterministic — a retry schedule is a pure function of the
-/// failure count, so a chaos run replays identically from its seed.
-[[nodiscard]] inline std::uint64_t backoff_ticks(std::uint32_t attempt,
-                                                 std::uint64_t base,
-                                                 std::uint64_t cap) {
-  if (base == 0) return 0;
-  std::uint64_t d = base;
-  for (std::uint32_t i = 1; i < attempt && d < cap; ++i) d *= 2;
-  return d < cap ? d : cap;
+/// attempt that just failed): 1, 2, 4, then 8 ticks. Deterministic — a
+/// retry schedule is a pure function of the failure count, so a chaos run
+/// replays identically from its seed.
+[[nodiscard]] inline std::uint64_t backoff_ticks(std::uint32_t attempt) {
+  std::uint64_t d = kBackoffBase;
+  for (std::uint32_t i = 1; i < attempt && d < kBackoffCap; ++i) d *= 2;
+  return d < kBackoffCap ? d : kBackoffCap;
 }
 
 /// Per-spec failure circuit breaker (keyed by spec_hash). After `threshold`

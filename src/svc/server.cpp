@@ -478,8 +478,7 @@ void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
   if (final_state == JobState::kFailed &&
       attempt < spec.max_attempts &&
       !rec->cancel.load(std::memory_order_relaxed) && !stop_) {
-    const std::uint64_t delay =
-        backoff_ticks(attempt, options_.backoff_base, options_.backoff_cap);
+    const std::uint64_t delay = backoff_ticks(attempt);
     rec->state = JobState::kQueued;
     rec->flight.note("attempt_failed", attempt);
     rec->flight.note("retry_backoff", static_cast<std::int64_t>(delay));
@@ -532,11 +531,7 @@ void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
   done_cv_.notify_all();
 }
 
-JobStatus Server::poll(JobId id) const {
-  std::lock_guard lk(mu_);
-  const auto it = jobs_.find(id);
-  PAGEN_CHECK_MSG(it != jobs_.end(), "poll of unknown job " << id);
-  const Record& rec = *it->second;
+JobStatus Server::status_of(const Record& rec) {
   JobStatus status;
   status.state = rec.state;
   status.from_cache = rec.from_cache;
@@ -547,10 +542,18 @@ JobStatus Server::poll(JobId id) const {
   return status;
 }
 
+JobStatus Server::poll(JobId id) const {
+  std::lock_guard lk(mu_);
+  const auto it = jobs_.find(id);
+  PAGEN_CHECK_MSG(it != jobs_.end(), "poll of unknown or released job " << id);
+  return status_of(*it->second);
+}
+
 bool Server::cancel(JobId id) {
   std::lock_guard lk(mu_);
   const auto it = jobs_.find(id);
-  PAGEN_CHECK_MSG(it != jobs_.end(), "cancel of unknown job " << id);
+  PAGEN_CHECK_MSG(it != jobs_.end(),
+                  "cancel of unknown or released job " << id);
   Record& rec = *it->second;
   if (terminal(rec.state)) return false;
   rec.cancel.store(true, std::memory_order_relaxed);
@@ -574,16 +577,15 @@ bool Server::cancel(JobId id) {
 JobStatus Server::wait(JobId id) {
   std::unique_lock lk(mu_);
   const auto it = jobs_.find(id);
-  PAGEN_CHECK_MSG(it != jobs_.end(), "wait on unknown job " << id);
+  PAGEN_CHECK_MSG(it != jobs_.end(), "wait on unknown or released job " << id);
   const std::shared_ptr<Record> rec = it->second;
   done_cv_.wait(lk, [&] { return terminal(rec->state); });
-  JobStatus status;
-  status.state = rec->state;
-  status.from_cache = rec->from_cache;
-  status.attempts = rec->attempts;
-  status.resumed = rec->resumed;
-  status.error = rec->error;
-  status.output = rec->output;
+  // Reap: one wait() releases the record, and the output leaves with the
+  // status, so a worker still finishing its loop holds none of it.
+  PAGEN_CHECK_MSG(jobs_.erase(id) == 1,
+                  "job " << id << " was released by another wait");
+  JobStatus status = status_of(*rec);
+  rec->output.reset();
   return status;
 }
 

@@ -6,7 +6,9 @@
 // everything scheduling-relevant is wall-clock free (virtual admission
 // ticks, priority + FIFO ordering, LRU by access counter), so the decision
 // trace is a deterministic function of the call history. Wall-clock is
-// *measured* (job latency histogram) but never consulted.
+// *measured* (job latency histogram) but never consulted. A job's record,
+// output included, lives from its accept until wait() returns it
+// (docs/serving.md §4).
 //
 // Concurrency model: one mutex guards all server state (queue, records,
 // cache, metrics registry); workers hold it only to transition job states,
@@ -70,13 +72,6 @@ struct ServerOptions {
   /// resumable progress behind).
   Count checkpoint_every = 1024;
 
-  /// Retry backoff in virtual ticks: base, doubling per failed attempt up
-  /// to cap (svc/retry.h). The virtual retry clock advances on accepts and
-  /// terminal jobs and fast-forwards when the server is idle, so backoff
-  /// never consults (or waits on) wall clock.
-  std::uint64_t backoff_base = 1;
-  std::uint64_t backoff_cap = 8;
-
   /// Per-spec circuit breaker: after `breaker_threshold` consecutive
   /// terminal failures of a spec, submits of it fast-fail
   /// (Reject::kCircuitOpen) until `breaker_cooldown` admission ticks pass;
@@ -136,16 +131,22 @@ class Server {
   /// returns an already-completed job.
   Submitted submit(const JobSpec& spec);
 
-  /// Snapshot of a job's state. The id must have been issued by submit().
+  /// Snapshot of a job's state. The id must have been issued by submit()
+  /// and not yet released by wait(); poll never releases.
   [[nodiscard]] JobStatus poll(JobId id) const;
 
   /// Cancel a job: a queued job terminates kCancelled immediately; a
   /// running job gets its cooperative flag set and terminates kCancelled
   /// once its ranks drain (the worker survives). False when the job is
-  /// already terminal.
+  /// already terminal. The id must not be released; cancel never releases.
   bool cancel(JobId id);
 
-  /// Block until the job is terminal; returns the final status.
+  /// Block until the job is terminal, then release its record and return
+  /// the final status, as waitpid reaps a child: the server keeps no
+  /// reference to the output (the result cache may), and a later poll,
+  /// cancel or wait of the id throws CheckError, like an id never issued.
+  /// Of several threads waiting on one id, one gets the status and the
+  /// others throw.
   JobStatus wait(JobId id);
 
   /// Open the dispatch gate of a start_paused server (idempotent).
@@ -200,6 +201,9 @@ class Server {
 
   static constexpr std::size_t kMaxIncidents = 16;
 
+  /// The client's view of a record (mu_ held).
+  static JobStatus status_of(const Record& rec);
+
   void worker_loop();
   /// Is a queue entry dispatchable at the current retry clock? Fast-forwards
   /// the clock over a pure-backoff backlog when the server is idle — virtual
@@ -231,6 +235,7 @@ class Server {
   JobQueue queue_;
   ResultCache cache_;
   CircuitBreaker breaker_;
+  /// Every accepted job until wait() releases it.
   std::map<JobId, std::shared_ptr<Record>> jobs_;
   JobId next_id_ = 1;
   std::atomic<std::uint64_t> ticks_{0};

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -347,6 +348,39 @@ TEST(FaultGenerator, CheckpointExtrasEmptyUntilTheFirstRetry) {
       }
     }
   }
+}
+
+// At P = 1 an x > 1 run is deterministic, so a resume pins the retry-state
+// restore bitwise: a run that dies halfway leaves a checkpoint holding
+// attempt counters, and the resumed run must equal the sequential model.
+TEST(FaultGenerator, XkResumeAtOneRankMatchesTheSequentialModel) {
+  const PaConfig cfg{.n = 3000, .x = 8, .p = 0.5, .seed = 29};
+  core::ParallelOptions opt;
+  opt.ranks = 1;
+  opt.node_batch = 64;
+  opt.checkpoint_every = 64;
+  opt.checkpoint_dir = fresh_dir("xk_resume");
+  const Count half = expected_edge_count(cfg) / 2;
+  Count seen = 0;
+  opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> es) {
+    seen += es.size();
+    if (seen >= half) throw CheckError("sink failure halfway");
+  };
+  EXPECT_THROW((void)core::generate(cfg, opt), CheckError);
+
+  core::RankCheckpoint ck;
+  ASSERT_TRUE(core::load_checkpoint(opt.checkpoint_dir, 0, ck));
+  EXPECT_FALSE(ck.attempts.empty()) << "no retry before the checkpoint";
+
+  opt.edge_batch_sink = nullptr;
+  opt.resume = true;
+  const auto resumed = core::generate(cfg, opt);
+  EXPECT_GT(resumed.restored_slots, 0u);
+  graph::EdgeList edges = resumed.edges;
+  graph::EdgeList oracle = baseline::copy_model_general(cfg).edges;
+  graph::normalize(edges);
+  graph::normalize(oracle);
+  EXPECT_EQ(edges, oracle);
 }
 
 // A checkpoint restores only into the run that wrote it: resuming a

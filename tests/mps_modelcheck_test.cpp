@@ -150,9 +150,9 @@ TEST(ModelCheck, GeneralModelInvariantsHoldAcrossSchedules) {
   const mc::ExploreReport report = mc::explore_exhaustive(eo, runner.runner());
   EXPECT_FALSE(report.failed) << report.failure;
   EXPECT_GT(report.schedules_explored, 0u);
-  // x > 1, P > 1 output is allowed to be schedule-dependent (ROADMAP item
-  // 2); the runner *measures* it instead of asserting. Every output that
-  // did occur passed the structural invariants above.
+  // x > 1, P > 1 output is allowed to be schedule-dependent
+  // (docs/serving.md §5); the runner *measures* it instead of asserting.
+  // Every output that did occur passed the structural invariants above.
   EXPECT_GE(runner.distinct_outputs().size(), 1u);
 }
 

@@ -3,6 +3,7 @@
 // bitwise-identical output to a direct core::generate() call with the same
 // spec — including when the job is served from the ResultCache, from an
 // existing compressed store, and after a cancel/resubmit.
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "core/generate.h"
 #include "json_lint.h"
 #include "svc/server.h"
+#include "util/error.h"
 
 namespace pagen::svc {
 namespace {
@@ -94,6 +96,45 @@ TEST(SvcServer, CacheServedRepeatIsIdentical) {
   EXPECT_EQ(second.output->targets, direct.targets);
   EXPECT_GT(server.stats().cache_hits, 0u);
   EXPECT_EQ(server.stats().completed, 2u);
+}
+
+// wait() reaps a job as waitpid reaps a child: with the cache off, the
+// returned status holds the only reference to the output, and the id is
+// gone from the server like one it never issued.
+TEST(SvcServer, WaitReleasesTheJob) {
+  Server server({.workers = 1, .cache_entries = 0});
+  const JobId id = must_submit(server, gather_spec(256, 1, 61, 2));
+  const JobStatus status = server.wait(id);
+  ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
+  ASSERT_NE(status.output, nullptr);
+  EXPECT_EQ(status.output->edges.size(), 255u);
+  EXPECT_EQ(status.output.use_count(), 1) << "the server kept the output";
+  EXPECT_THROW((void)server.poll(id), CheckError);
+  EXPECT_THROW((void)server.cancel(id), CheckError);
+  EXPECT_THROW((void)server.wait(id), CheckError);
+}
+
+// Of two threads waiting on one id, one reaps the job and the other throws,
+// whichever of them reaches wait() first.
+TEST(SvcServer, OneOfTwoWaitersReapsTheJob) {
+  Server server({.workers = 1, .start_paused = true});
+  const JobId id = must_submit(server, gather_spec(128, 1, 62, 2));
+  std::atomic<int> reaped{0};
+  std::atomic<int> refused{0};
+  const auto waiter = [&] {
+    try {
+      if (server.wait(id).state == JobState::kCompleted) ++reaped;
+    } catch (const CheckError&) {
+      ++refused;
+    }
+  };
+  std::thread a(waiter);
+  std::thread b(waiter);
+  server.resume();
+  a.join();
+  b.join();
+  EXPECT_EQ(reaped.load(), 1);
+  EXPECT_EQ(refused.load(), 1);
 }
 
 TEST(SvcServer, StoreServedAcrossServerLifetimes) {
