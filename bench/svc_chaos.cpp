@@ -68,7 +68,8 @@ class GoldenBook {
   std::map<std::uint64_t, std::uint64_t> book_;
 };
 
-/// The reproducible-spec family (docs/serving.md §5).
+/// Four spec shapes, x = 1 and x = 4, on 2 to 4 ranks; each regenerates
+/// bitwise (docs/serving.md §5).
 svc::JobSpec make_spec(NodeId scale, std::uint64_t variant,
                        std::uint64_t seed) {
   svc::JobSpec spec;
@@ -90,7 +91,7 @@ svc::JobSpec make_spec(NodeId scale, std::uint64_t variant,
     case 2:
       spec.config.n = scale / 2;
       spec.config.x = 4;
-      spec.ranks = 1;  // x > 1 is only repeatable single-rank
+      spec.ranks = 3;
       break;
     default:
       spec.config.n = scale;

@@ -62,9 +62,9 @@ class GoldenBook {
   std::map<std::uint64_t, std::uint64_t> book_;
 };
 
-/// The reproducible-spec family (docs/serving.md §5): x = 1 on any rank
-/// count, x > 1 single-rank — the specs whose regeneration is bitwise
-/// repeatable, so served output can be checked against a golden hash.
+/// Four spec shapes, x = 1 and x = 4, on 2 to 4 ranks. The edge set is a
+/// pure function of the spec (docs/serving.md §5), so served output can be
+/// checked against a golden hash.
 svc::JobSpec make_spec(NodeId scale, std::uint64_t variant,
                        std::uint64_t seed) {
   svc::JobSpec spec;
@@ -86,7 +86,7 @@ svc::JobSpec make_spec(NodeId scale, std::uint64_t variant,
     case 2:
       spec.config.n = scale / 2;
       spec.config.x = 4;
-      spec.ranks = 1;  // x > 1 is only repeatable single-rank
+      spec.ranks = 3;
       break;
     default:
       spec.config.n = scale;

@@ -29,12 +29,11 @@
 // of the paper included, and 8 bytes beyond that; the width is picked once
 // per run from n, and the output is the same at both.
 //
-// Determinism: because every rank resolves in the canonical sequential
-// order, the output is bitwise-identical to the sequential copy model —
+// Determinism: every rank resolves in the canonical sequential order, so
+// the output is bitwise-identical to the sequential copy model —
 // baseline::copy_model_targets for x = 1 and baseline::copy_model_general
-// for x > 1 — for EVERY rank count and partition scheme. This is strictly
-// stronger than the mps engine, whose x > 1 multi-rank edge set depends on
-// message timing (docs/serving.md §5).
+// for x > 1 — for EVERY rank count and partition scheme: the edge set the
+// mps engine emits too (docs/serving.md §5).
 //
 // pagen-lint: hot-path — derivation runs once per edge; flat tables only.
 #include <cstdint>

@@ -1,16 +1,13 @@
 // MpsEngine: the paper's request/resolved message-passing protocol. One
 // MpsRank per rank runs Algorithm 3.2 for every x >= 1.
 //
-// At x = 1 the clique is node 0, the bootstrap row is F_1 = 0 and no
-// duplicate can arise, so the run makes exactly Algorithm 3.1's draws: the
-// tree is bitwise identical to baseline::copy_model_targets for every rank
-// count, partitioning scheme and message timing.
-//
-// For x > 1 the duplicate-retry decisions depend on the order in which a
-// node's edges resolve, so — exactly as in the paper — the emitted edge set
-// is scheduling-dependent when P > 1 (docs/serving.md §5); the distribution
-// and all structural invariants (simple graph, exact edge count,
-// connectivity) are preserved and tested.
+// The rank commits a node's slots in order: slot e is decided only once
+// slots 0..e-1 are final, and its duplicate check sees exactly those, as in
+// baseline::copy_model_general. Every draw is pure in (t, e, attempt) and
+// every dependency points strictly backwards, so the edge set is
+// copy_model_general's for every x, rank count, partitioning scheme,
+// buffering, message timing, transport fault plan and crash recovery (at
+// x = 1, with no duplicates to avoid, the targets are copy_model_targets).
 //
 // MpsRank's state transitions are exactly the rank lifecycle of
 // docs/protocol.md §3; the recovery flow is docs/robustness.md §3. The wire
@@ -87,11 +84,10 @@ class MpsRank;
 ///  * restore_and_announce() — a respawned incarnation restores the durable
 ///    F slice (plus the attempt counters and copy-path latches), re-emits
 ///    the restored edges (the sink contract is at-least-once under crashes),
-///    pre-counts the replay's open slots up front (answers to the previous
-///    incarnation's requests may arrive before the replay loop reaches their
-///    node, and the resolve path must always see a consistent count), and
-///    broadcasts kTagRecover so peers re-offer whatever they still wait on —
-///    our queues died with us.
+///    and broadcasts kTagRecover so peers re-offer whatever they still wait
+///    on — our queues died with us. Answers to the previous incarnation's
+///    requests may still arrive; the rank drops those for nodes its replay
+///    has not reached, and the replay asks again.
 ///  * on_peer_recover() — the other side: every outstanding request owned by
 ///    the respawned peer is offered again from the flat slot store, and the
 ///    termination detector repairs whatever done/stop state died with it.
@@ -116,6 +112,9 @@ class Recovery {
   /// for us and no kTagRecover re-offer broadcast is needed (one would
   /// produce duplicate answers that only the crash-tolerant resolve path
   /// absorbs). Missing checkpoints leave the rank a plain cold start.
+  /// Restored edges are re-emitted; slots left kNil are replayed by the
+  /// generate phase exactly as in the first life (re-drawing identically
+  /// from any restored attempt).
   void restore_quietly();
 
   /// Slots this incarnation restored from its checkpoint (0 on cold start).
@@ -132,27 +131,19 @@ class Recovery {
   void maybe_checkpoint(bool force);
 
  private:
-  /// Restore the durable slice of a previous incarnation, re-emitting its
-  /// edges. Slots left kNil are replayed by the generate phase exactly as
-  /// in the first life (re-drawing identically from any restored attempt).
-  void restore_from_checkpoint();
-
-  /// Count the replay's open slots up front so the drain phase's unresolved
-  /// count is consistent before the replay loop runs.
-  void precount_open_slots();
-
   MpsRank& r_;
   std::uint64_t owned_hash_;  ///< owned_nodes_hash, 0 without checkpointing
   Count resolved_since_ckpt_ = 0;
   Count restored_ = 0;
 };
 
-/// Algorithm 3.2 on one rank: x slots per node (F_t(e)), an initial
-/// x-clique, and duplicate-edge avoidance — direct-path duplicates retry
-/// with a fresh (k, coin) (paper Lines 9-10), copy-path duplicates re-draw
-/// (k, l) and latch onto the copy path (Lines 26-29). The per-slot attempt
-/// counter doubles as the request round, so stale answers after a crash
-/// recovery are filtered.
+/// Algorithm 3.2 on one rank: x slots per node (F_t(e)), committed in
+/// order, an initial x-clique, and duplicate-edge avoidance against the
+/// row's earlier slots — direct-path duplicates retry with a fresh
+/// (k, coin) (paper Lines 9-10), copy-path duplicates re-draw (k, l) and
+/// latch onto the copy path (Lines 26-29). The per-slot attempt counter
+/// doubles as the request round, so stale answers after a crash recovery
+/// are filtered.
 ///
 /// Around the algorithm the rank owns the generate → drain → termination
 /// phases, per-destination send buffering, the post-batch flush rule,
@@ -188,6 +179,8 @@ class MpsRank {
         done_(comm, kTagDone, kTagStop),
         recovery_(*this) {
     load_.nodes = part.part_size(comm.rank());
+    PAGEN_CHECK_MSG(config.n <= genrt::SlotStore::kParked,
+                    "the mps engine needs n <= 2^63");
     if (ob_ != nullptr) {
       wait_depth_hist_ = &ob_->metrics().histogram("pa.wait_queue_depth");
       mailbox_gauge_ = &ob_->metrics().gauge("mps.mailbox_depth");
@@ -225,6 +218,7 @@ class MpsRank {
       const Count my_nodes = part_.part_size(comm_.rank());
       for (Count idx = 0; idx < my_nodes; ++idx) {
         process_own_node(part_.node_at(comm_.rank(), idx));
+        reached_ = idx + 1;
         if ((idx + 1) % options_.node_batch == 0) {
           check_cancel();
           pump(false);
@@ -288,12 +282,12 @@ class MpsRank {
     }
     for (std::uint32_t e = 0; e < x_; ++e) {
       const Count s = slot(t, e);
-      if (recovering_ && slots_.resolved(s)) continue;
-      if (!recovering_) ++unresolved_;  // a recovery pre-counts
+      if (recovering_ && slots_.resolved(s)) continue;  // restored
+      ++unresolved_;
       if (t == x_) {
         // Bootstrap convention (DESIGN.md §5): node x connects to the
         // whole clique, so F_x(e) = e deterministically.
-        assign(s, t, e);
+        assign(s, t, e, e);
       } else {
         try_edge(s, t, e);
       }
@@ -321,16 +315,16 @@ class MpsRank {
     ++load_.retries;
   }
 
-  /// True if v already is one of the row's resolved endpoints (k ∈ F_t
-  /// check); `row` is the node's slot 0.
-  [[nodiscard]] bool is_duplicate(Count row, NodeId v) const {
-    for (Count e = 0; e < x_; ++e) {
-      if (slots_.value(row + e) == v) return true;
+  /// True if v already is one of the row's final slots 0..e-1 (the k ∈ F_t
+  /// check of the sequential model); `row` is the node's slot 0.
+  [[nodiscard]] bool is_duplicate(Count row, std::uint32_t e, NodeId v) const {
+    for (Count i = 0; i < e; ++i) {
+      if (slots_.value(row + i) == v) return true;
     }
     return false;
   }
 
-  /// Drive edge (t, e), slot s, forward until it is assigned, parked in a
+  /// Drive edge (t, e), slot s, forward until it is assigned, parked, in a
   /// local queue, or waiting on a remote request (Lines 3-14 and 26-29).
   void try_edge(Count s, NodeId t, std::uint32_t e) {
     for (;;) {
@@ -339,11 +333,7 @@ class MpsRank {
                       "duplicate-retry cap exceeded at node " << t);
       const NodeId k = draws_.pick_k(t, e, attempt);
       if (!copy_locked(s) && draws_.pick_direct(t, e, attempt)) {
-        if (!is_duplicate(s - e, k)) {
-          assign(s, t, k);  // Lines 7-8
-          return;
-        }
-        retry(s, /*lock=*/false);  // Lines 9-10: fresh k and coin
+        if (offer(s, t, e, k)) return;  // Lines 5-10
         continue;
       }
       const auto l = static_cast<std::uint32_t>(draws_.pick_l(t, e, attempt));
@@ -359,42 +349,61 @@ class MpsRank {
         queue_waiter(ks, {t, e, comm_.rank(), 0});  // local Q_{k,l}
         return;
       }
-      const NodeId v = slots_.value(ks);
-      if (!is_duplicate(s - e, v)) {
-        // F_t(e) extends F_k(l)'s dependency chain by one.
-        if (causal_) pending_depth_ = depth_[ks] + 1;
-        assign(s, t, v);
-        return;
-      }
-      retry(s, /*lock=*/true);  // Lines 26-29: stay on the copy path
+      // F_t(e) extends F_k(l)'s dependency chain by one.
+      if (causal_) pending_depth_ = depth_[ks] + 1;
+      if (offer(s, t, e, slots_.value(ks))) return;  // Lines 21-29
     }
   }
 
-  /// A value arrived for edge (t, e), slot s — either accept it or retry on
-  /// the copy path (Lines 21-29).
+  /// Slot s (edge (t, e)) knows v, its candidate at the current attempt.
+  /// Decide it once slots 0..e-1 are final: assign it, or on a duplicate
+  /// retry on the path that drew it — Lines 9-10 (fresh k and coin) on the
+  /// direct path, Lines 26-29 (stay on the copy path) on the copy path.
+  /// Until then the candidate parks in the slot, with the chain depth it
+  /// would have had at once, and the commit of slot e-1 offers it again.
+  /// Returns false when the slot moved to its next attempt.
+  bool offer(Count s, NodeId t, std::uint32_t e, NodeId v) {
+    if (e > 0 && !slots_.resolved(s - 1)) {
+      slots_.park(s, v);
+      if (causal_) {
+        depth_[s] = pending_depth_;
+        pending_depth_ = 1;
+      }
+      return true;
+    }
+    if (!is_duplicate(s - e, e, v)) {
+      assign(s, t, e, v);
+      return true;
+    }
+    const bool direct =
+        !copy_locked(s) && draws_.pick_direct(t, e, attempt_of(s));
+    retry(s, /*lock=*/!direct);
+    if (causal_) pending_depth_ = 1;
+    return false;
+  }
+
+  /// A value arrived for edge (t, e), slot s: a remote answer or a local
+  /// copy source that resolved (Lines 21-29).
   void on_resolved(Count s, NodeId t, std::uint32_t e, NodeId v) {
-    if (slots_.resolved(s)) {
+    if (slots_.resolved(s) || slots_.parked(s)) {
       // Crash-tolerant mode: a recovery re-offer can answer a slot that an
-      // in-flight first answer already settled. The value must agree —
-      // F_k(l) is unique once resolved, and stale rounds were filtered.
+      // in-flight first answer already settled or parked. The value must
+      // agree — F_k(l) is unique once resolved, and stale rounds were
+      // filtered.
       PAGEN_CHECK_MSG(tolerant_,
                       "duplicate resolution of (" << t << "," << e << ")");
-      PAGEN_CHECK_MSG(slots_.value(s) == v,
+      PAGEN_CHECK_MSG(slots_.known_value(s) == v,
                       "conflicting resolution of (" << t << "," << e << ")");
       return;
     }
-    if (is_duplicate(s - e, v)) {
-      retry(s, /*lock=*/true);
-      try_edge(s, t, e);
-      return;
-    }
-    assign(s, t, v);
+    if (!offer(s, t, e, v)) try_edge(s, t, e);
   }
 
-  /// F_t(e) := v for slot s. The one place a slot resolves: it emits the
-  /// edge and answers everyone queued on the slot — locally through
-  /// on_resolved (which may retry a duplicate), remotely with a buffered
-  /// <resolved>.
+  /// F_t(e) := v for slot s, the commit of edge (t, e). The one place a
+  /// slot resolves: it emits the edge, answers everyone queued on the slot
+  /// — locally through on_resolved (which may retry a duplicate), remotely
+  /// with a buffered <resolved> — and then offers slot e+1's parked
+  /// candidate.
   ///
   /// Causal bookkeeping: the slot's chain length is the staged
   /// pending_depth_ (1 for independent resolutions; predecessor + 1 when
@@ -404,8 +413,9 @@ class MpsRank {
   /// "pa.chain_length" histogram matches thm33_dependency_chains bit for
   /// bit. Each resolution also records a chain trace event, and remote
   /// waiters get their response stamped with this slot's depth.
-  void assign(Count s, NodeId t, NodeId v) {
-    PAGEN_DCHECK(!is_duplicate(s - s % x_, v));
+  void assign(Count s, NodeId t, std::uint32_t e, NodeId v) {
+    PAGEN_DCHECK(e == 0 || slots_.resolved(s - 1));
+    PAGEN_DCHECK(!is_duplicate(s - e, e, v));
     PAGEN_CHECK_MSG(!slots_.resolved(s), "double assign of node " << t);
     slots_.set_value(s, v);
     PAGEN_CHECK(unresolved_ > 0);
@@ -439,6 +449,12 @@ class MpsRank {
     if (causal_) pending_depth_ = 1;
     q.clear();
     q.shrink_to_fit();
+    if (e + 1 < x_ && slots_.parked(s + 1)) {
+      if (causal_) pending_depth_ = depth_[s + 1];
+      if (!offer(s + 1, t, e + 1, slots_.unpark(s + 1))) {
+        try_edge(s + 1, t, e + 1);
+      }
+    }
   }
 
   // --- Messaging ---
@@ -598,17 +614,20 @@ class MpsRank {
     }
   }
 
-  /// Requester side of <resolved, t, e, v>: drop a stale answer to a
-  /// superseded round (processing it would bump the attempt counter a
-  /// second time and desync the deterministic draw sequence,
-  /// docs/robustness.md §3), close the slot-store entry (latency + re-offer
-  /// bookkeeping), then accept or retry the value. A stamped answer ends its
+  /// Requester side of <resolved, t, e, v>: under a crash plan, drop an
+  /// answer to a superseded round (processing it would bump the attempt
+  /// counter a second time and desync the deterministic draw sequence,
+  /// docs/robustness.md §3) or to a dead incarnation's request for a node
+  /// the replay has not reached (the replay asks again, and the slot is
+  /// started once). Then close the slot-store entry (latency + re-offer
+  /// bookkeeping) and accept or retry the value. A stamped answer ends its
   /// flow ("f") and stages hop + 1 as the depth of whatever slot applying it
   /// assigns.
   void handle_resolved(const ResolvedXk& res, const mps::CausalStamp* stamp) {
     ++load_.resolved_received;
-    const Count s = slot(res.t, res.e);
-    if (tolerant_ && res.round != attempt_of(s)) return;
+    const Count node = part_.local_index(res.t);
+    const Count s = node * x_ + res.e;
+    if (tolerant_ && (node >= reached_ || res.round != attempt_of(s))) return;
     slots_.note_answered(s);
     if (causal_ && stamp != nullptr) {
       ob_->trace().flow_end("chain", stamp->root);
@@ -636,7 +655,8 @@ class MpsRank {
   // Causal tracing (ob_ != nullptr && cfg.causal). depth_[s] mirrors the
   // Theorem 3.3 recursion |D_t|: 1 for an independent resolution, parent + 1
   // for a copy — staged through pending_depth_ by whichever path knows the
-  // parent (local copy in try_edge, waiter cascade, incoming stamp).
+  // parent (local copy in try_edge, waiter cascade, incoming stamp). A
+  // parked candidate keeps its staged depth in depth_ until its commit.
   obs::Histogram* chain_len_hist_ = nullptr;
   bool causal_ = false;
   std::vector<std::uint32_t> depth_;  ///< per-slot chain depth (causal only)
@@ -655,6 +675,7 @@ class MpsRank {
   mps::DoneDetector done_;
   RankLoad load_;
   Count unresolved_ = 0;
+  Count reached_ = 0;  ///< own nodes (local order) the generate loop started
   Recovery recovery_;  ///< constructed last: sees every member initialized
 };
 
@@ -669,11 +690,6 @@ void Recovery::restore_and_announce() {
   for (Rank p = 0; p < r_.comm_.size(); ++p) {
     if (p != r_.comm_.rank()) r_.comm_.send_item<char>(p, kTagRecover, 0);
   }
-}
-
-void Recovery::restore_quietly() {
-  restore_from_checkpoint();
-  precount_open_slots();
 }
 
 void Recovery::on_peer_recover(Rank src) {
@@ -699,14 +715,14 @@ void Recovery::maybe_checkpoint(bool force) {
   ck.rank = r_.comm_.rank();
   ck.nranks = r_.comm_.size();
   ck.owned_hash = owned_hash_;
-  ck.f = r_.slots_.values();
+  ck.f = r_.slots_.final_values();
   ck.attempts = r_.attempts_;
   ck.locked_copy = r_.locked_copy_;
   save_checkpoint(options.checkpoint_dir, ck);
   resolved_since_ckpt_ = 0;
 }
 
-void Recovery::restore_from_checkpoint() {
+void Recovery::restore_quietly() {
   const PaConfig& config = r_.config_;
   const std::string& dir = r_.options_.checkpoint_dir;
   if (dir.empty()) return;
@@ -728,17 +744,6 @@ void Recovery::restore_from_checkpoint() {
     r_.slots_.set_value(s, ck.f[s]);
     r_.emitter_.emit({r_.part_.node_at(r_.comm_.rank(), s / r_.x_), ck.f[s]});
     ++restored_;
-  }
-}
-
-void Recovery::precount_open_slots() {
-  const Rank rank = r_.comm_.rank();
-  const Count my_nodes = r_.part_.part_size(rank);
-  for (Count idx = 0; idx < my_nodes; ++idx) {
-    if (r_.part_.node_at(rank, idx) < r_.x_) continue;  // clique: no slots
-    for (Count e = 0; e < r_.x_; ++e) {
-      if (!r_.slots_.resolved(idx * r_.x_ + e)) ++r_.unresolved_;
-    }
   }
 }
 

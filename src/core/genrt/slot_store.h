@@ -8,7 +8,13 @@
 // and bounded by `part_size * x`, so every per-slot concern lives in flat
 // vectors indexed by slot instead of node-keyed trees:
 //
-//  * `values_` — the resolved F values (kNil = still unresolved);
+//  * `values_` — the F word per slot: a final value, kNil while the slot is
+//    open, or a *parked* candidate under the reserved kParked bit. MpsRank
+//    commits a node's slots in order, so a candidate that is known before
+//    the row's earlier slots are final waits in the slot's own word: it is
+//    never resolved(), never served, and checkpoints as kNil, at no cost
+//    per slot. Values stay below kParked because n <= kParked (MpsRank
+//    checks it);
 //  * `requests_` / `open_` — the in-flight remote request per slot, kept
 //    only under a crash plan so it can be re-offered when its owner
 //    respawns. Flat arrays, not a slot-keyed `std::map`: note_sent /
@@ -34,6 +40,10 @@ namespace pagen::core::genrt {
 
 class SlotStore {
  public:
+  /// The F word's parked flag. A value v < t <= n - 1 never sets it, and a
+  /// parked word v | kParked never equals kNil.
+  static constexpr NodeId kParked = NodeId{1} << 63;
+
   /// @param slots        number of local slots (part_size * x).
   /// @param track_requests keep the outstanding request per slot for crash
   ///   re-offer (crash-tolerant runs only; costs slots * sizeof(RequestXk)).
@@ -50,18 +60,50 @@ class SlotStore {
 
   [[nodiscard]] Count size() const { return values_.size(); }
 
+  /// True once the slot's value is final.
   [[nodiscard]] bool resolved(Count slot) const {
-    return values_[slot] != kNil;
+    return values_[slot] < kParked;
   }
   [[nodiscard]] NodeId value(Count slot) const { return values_[slot]; }
 
   void set_value(Count slot, NodeId v) {
-    PAGEN_DCHECK(v != kNil);
+    PAGEN_DCHECK(v < kParked);
     values_[slot] = v;
   }
 
-  /// The whole value table, slot-indexed — the checkpointed F slice.
-  [[nodiscard]] const std::vector<NodeId>& values() const { return values_; }
+  /// True while the slot holds a candidate that waits for the row's earlier
+  /// slots.
+  [[nodiscard]] bool parked(Count slot) const {
+    return values_[slot] != kNil && values_[slot] >= kParked;
+  }
+
+  /// The slot's final value or its parked candidate.
+  [[nodiscard]] NodeId known_value(Count slot) const {
+    return values_[slot] & ~kParked;
+  }
+
+  void park(Count slot, NodeId v) {
+    PAGEN_DCHECK(v < kParked && values_[slot] == kNil);
+    values_[slot] = v | kParked;
+  }
+
+  /// Take the parked candidate back out; the slot is open again.
+  NodeId unpark(Count slot) {
+    PAGEN_DCHECK(parked(slot));
+    const NodeId v = known_value(slot);
+    values_[slot] = kNil;
+    return v;
+  }
+
+  /// The checkpointed F slice: every final value, and kNil for open and
+  /// parked slots (a replay draws a parked candidate again).
+  [[nodiscard]] std::vector<NodeId> final_values() const {
+    std::vector<NodeId> f = values_;
+    for (NodeId& v : f) {
+      if (v >= kParked) v = kNil;
+    }
+    return f;
+  }
 
   /// A <request> for `slot` left this rank: remember it for re-offer (when
   /// tracking) and stamp the latency clock (when observing). A re-send after

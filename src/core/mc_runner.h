@@ -10,13 +10,10 @@
 //    Scheduler itself and folded into the verdict by the explorer);
 //  * exact edge count (expected_edge_count) and structural sanity
 //    (endpoints in range, no self-loops, no duplicate edges);
-//  * x = 1: bitwise-identical output across schedules — targets and the
-//    normalized edge list hash-match a schedule-free P = 1 reference run
-//    (F is a pure function of (seed, n, p); Theorem 3.2's argument);
-//  * x > 1: the per-schedule output hash is recorded instead of asserted —
-//    distinct_outputs() is the measured schedule-(in)dependence report of
-//    the determinism boundary in docs/serving.md §5 (the edge *set* is
-//    arrival-order dependent by design today);
+//  * bitwise-identical output across schedules, at every x — targets and
+//    the normalized edge list hash-match a schedule-free P = 1 reference
+//    run (F is a pure function of (seed, n, x, p): every draw is pure and
+//    the rank commits each node's slots in order);
 //  * optionally (causal_check, x = 1): the merged "pa.chain_length"
 //    histogram from causal tracing must exactly equal the
 //    baseline::ChainTrace |D_t| oracle — the Theorem 3.3 chain-depth
@@ -31,7 +28,6 @@
 #include <charconv>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <system_error>
@@ -71,16 +67,14 @@ class PropertyRunner {
   };
 
   explicit PropertyRunner(Options options) : options_(std::move(options)) {
-    if (options_.pa.x == 1) {
-      // Schedule-free reference: F is a pure function of (seed, n, p), so
-      // a plain single-rank run pins the expected output of every
-      // schedule and every rank count.
-      ParallelOptions ref;
-      ref.ranks = 1;
-      const ParallelResult result = generate(options_.pa, ref);
-      ref_targets_hash_ = fnv1a_words(result.targets);
-      ref_edges_hash_ = graph::hash_edges(result.edges);
-    }
+    // Schedule-free reference: F is a pure function of the config, so a
+    // plain single-rank run pins the expected output of every schedule and
+    // every rank count.
+    ParallelOptions ref;
+    ref.ranks = 1;
+    const ParallelResult result = generate(options_.pa, ref);
+    ref_targets_hash_ = fnv1a_words(result.targets);
+    ref_edges_hash_ = graph::hash_edges(result.edges);
     if (options_.causal_check && options_.pa.x == 1) {
       const baseline::ChainTrace trace(options_.pa);
       const auto dep = trace.dependency_lengths();
@@ -94,12 +88,6 @@ class PropertyRunner {
     return [this](mps::mc::Scheduler& sched) { return run_once(sched); };
   }
 
-  /// Distinct normalized-edge-list hashes seen across all passing runs.
-  /// Size 1 after an exploration = the output was schedule-independent for
-  /// every schedule explored (proof by exploration, up to the bound).
-  [[nodiscard]] const std::set<std::uint64_t>& distinct_outputs() const {
-    return distinct_outputs_;
-  }
   [[nodiscard]] std::uint64_t runs() const { return runs_; }
   [[nodiscard]] std::uint64_t ref_targets_hash() const {
     return ref_targets_hash_;
@@ -128,6 +116,7 @@ class PropertyRunner {
     trace.meta["node_batch"] = std::to_string(options_.node_batch);
     trace.meta["flush_resolved_after_batch"] =
         std::to_string(options_.flush_resolved_after_batch ? 1 : 0);
+    trace.meta["causal_check"] = std::to_string(options_.causal_check ? 1 : 0);
   }
 
   /// Rebuild runner options from a dumped trace's meta block (the inverse
@@ -166,12 +155,15 @@ class PropertyRunner {
       return malformed("scheme", *scheme);
     }
     unsigned flush = 0;
+    unsigned causal = 0;
     if (!get("buffer_capacity", out.buffer_capacity) ||
         !get("node_batch", out.node_batch) ||
-        !get("flush_resolved_after_batch", flush)) {
+        !get("flush_resolved_after_batch", flush) ||
+        !get("causal_check", causal)) {
       return false;
     }
     out.flush_resolved_after_batch = flush != 0;
+    out.causal_check = causal != 0;
     return true;
   }
 
@@ -236,19 +228,11 @@ class PropertyRunner {
                           std::to_string(e.v) + ")"};
       }
     }
-    const std::uint64_t edge_hash = graph::hash_edges(result.edges);
-    distinct_outputs_.insert(edge_hash);
-    if (options_.pa.x == 1) {
-      if (fnv1a_words(result.targets) != ref_targets_hash_) {
-        return {true,
-                "x=1 targets differ from the schedule-free reference "
-                "(output is schedule-dependent)"};
-      }
-      if (edge_hash != ref_edges_hash_) {
-        return {true,
-                "x=1 edges differ from the schedule-free reference "
-                "(output is schedule-dependent)"};
-      }
+    if (fnv1a_words(result.targets) != ref_targets_hash_) {
+      return {true, "targets differ from the schedule-free reference"};
+    }
+    if (graph::hash_edges(result.edges) != ref_edges_hash_) {
+      return {true, "edges differ from the schedule-free reference"};
     }
     if (session != nullptr) {
       if (const std::string err = check_chain_lengths(*session);
@@ -283,7 +267,6 @@ class PropertyRunner {
   std::uint64_t ref_targets_hash_ = 0;
   std::uint64_t ref_edges_hash_ = 0;
   obs::Histogram oracle_;
-  std::set<std::uint64_t> distinct_outputs_;
   std::uint64_t runs_ = 0;
 };
 

@@ -11,8 +11,8 @@ namespace {
 
 /// Domain tag: rotate when the hashed schema changes so stale store
 /// markers from an older layout can never satisfy a probe. '02 added the
-/// engine field.
-constexpr std::uint64_t kSpecHashVersion = 0x7061672e737663'02ULL;
+/// engine field; '03 dropped the buffering knobs.
+constexpr std::uint64_t kSpecHashVersion = 0x7061672e737663'03ULL;
 
 }  // namespace
 
@@ -26,8 +26,6 @@ std::uint64_t spec_hash(const JobSpec& spec) {
   h.str(spec.engine);
   h.word(static_cast<std::uint64_t>(spec.ranks));
   h.word(static_cast<std::uint64_t>(spec.scheme));
-  h.word(spec.buffer_capacity);
-  h.word(spec.node_batch);
   return h.digest();
 }
 

@@ -4,10 +4,10 @@
 // knobs that shape the run (ranks, scheme, buffering), where the edges
 // should go (Sink), and the scheduling attributes (priority, virtual-tick
 // deadline). spec_hash() is the canonical identity of the *output* — it
-// covers exactly the fields that determine which graph is generated, and
-// deliberately excludes priority / deadline / sink routing, so a cached
-// result can serve any repeat request for the same graph regardless of how
-// it is scheduled or delivered. See docs/serving.md.
+// covers exactly the fields that decide which graph is generated and how it
+// is sharded, and excludes buffering, priority, deadline and sink routing,
+// so a cached result serves any repeat request for the same graph however
+// it is run, scheduled or delivered. See docs/serving.md.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,10 @@ struct JobSpec {
 
   // Runtime shape (the ParallelOptions subset a service client may set).
   /// Generation engine (core/engine/engine.h): "mps", "commfree",
-  /// "seq-copy", "seq-bb". Part of spec_hash — engines are only
-  /// distribution-equivalent, not bitwise-equivalent, so outputs of
-  /// different engines are different cacheable identities. validate()
-  /// rejects unknown names and capability mismatches at submit.
+  /// "seq-copy", "seq-bb". Part of spec_hash — seq-bb draws another model
+  /// than the copy-model engines, so outputs of different engines are
+  /// different cacheable identities. validate() rejects unknown names and
+  /// capability mismatches at submit.
   std::string engine = "mps";
   int ranks = 4;
   partition::Scheme scheme = partition::Scheme::kRrp;
@@ -94,10 +94,10 @@ struct JobSpec {
 };
 
 /// Canonical FNV-1a identity of the graph a spec generates: config fields,
-/// the engine, plus the runtime knobs that can shape x > 1 output (ranks,
-/// scheme, buffering). Stable across processes and platforms; versioned by a
-/// domain tag so the hash space can be rotated if the schema ever changes
-/// (the engine field rotated it to '02).
+/// the engine, plus ranks and scheme, which decide the shard of each edge
+/// (buffering shapes no engine's edge set). Stable across processes and
+/// platforms; versioned by a domain tag so the hash space can be rotated if
+/// the schema changes ('02 added the engine, '03 dropped buffering).
 [[nodiscard]] std::uint64_t spec_hash(const JobSpec& spec);
 
 /// The ParallelOptions of a job's first attempt: the runtime shape, the

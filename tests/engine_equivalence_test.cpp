@@ -2,9 +2,10 @@
 // through the core::generate() facade, must sample the same degree
 // distribution as the sequential copy-model oracle — KS distance below the
 // two-sample critical value at P in {1, 2, 4, 7}, with capability-gated
-// skips for single-rank engines. The communication-free engine is pinned
-// harder: bitwise-identical output to the oracle for every P and scheme,
-// per-rank retry counts bounded by the oracle's, identically zero
+// skips for single-rank engines. The communication-free and mps engines
+// are pinned harder: bitwise-identical output to the oracle for every P and
+// scheme, and retry counts bounded by (commfree, per rank) or equal to (mps,
+// merged) the oracle's. commfree also runs with identically zero
 // request/resolved message volume, and a power-law degree exponent in the
 // preferential-attachment range.
 //
@@ -127,9 +128,7 @@ TEST(EngineEquivalence, KsDistanceVsSequentialOracleForEveryEngine) {
 }
 
 // The commfree engine resolves in the canonical sequential order, so it
-// reproduces the oracle bitwise for EVERY rank count and scheme — including
-// x > 1 multi-rank, where the mps engine is only distribution-equivalent
-// (docs/serving.md §5).
+// reproduces the oracle bitwise for EVERY rank count and scheme.
 // Both ends of the x = 1 chain walk: at p = 0 every walk runs to the
 // bootstrap node 1, the only place a walk stops without a direct draw; at
 // p = 1 no walk copies.
@@ -160,10 +159,13 @@ TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleX1) {
   }
 }
 
-// Beyond the output, the retry counts pin that each rank derives every row
-// at most once: at P = 1 the deriver performs exactly the oracle's retries,
-// and at any P no rank performs more. A deriver that re-derived rows would
-// still emit the oracle's edges, so equality alone cannot catch it.
+// mps commits each node's slots in order, so it emits the same edge set.
+// Beyond the output, the retry counts pin that each commfree rank derives
+// every row at most once: at P = 1 the deriver performs exactly the oracle's
+// retries, and at any P no rank performs more. A deriver that re-derived
+// rows would still emit the oracle's edges, so equality alone cannot catch
+// it. An mps rank retries only its own slots, so its merged retries equal
+// the oracle's at every P.
 TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleXk) {
   for (const PaConfig& cfg :
        {PaConfig{.n = 3000, .x = 5, .p = 0.4, .seed = 11},  // direct + copy
@@ -172,27 +174,30 @@ TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleXk) {
     const baseline::GeneralResult seq = baseline::copy_model_general(cfg);
     const graph::EdgeList oracle = normalized(seq.edges);
 
-    for (const int ranks : kRankSweep) {
-      for (const auto scheme :
-           {partition::Scheme::kRrp, partition::Scheme::kUcp,
-            partition::Scheme::kLcp}) {
-        ParallelOptions opt;
-        opt.engine = "commfree";
-        opt.ranks = ranks;
-        opt.scheme = scheme;
-        const ParallelResult result = generate(cfg, opt);
-        const std::string where = "n=" + std::to_string(cfg.n) +
-                                  " x=" + std::to_string(cfg.x) +
-                                  " p=" + std::to_string(cfg.p) +
-                                  " P=" + std::to_string(ranks) +
-                                  " scheme=" + partition::to_string(scheme);
-        EXPECT_EQ(normalized(result.edges), oracle) << where;
-        for (const RankLoad& load : result.loads) {
-          EXPECT_LE(load.retries, seq.retries) << where;
-        }
-        if (ranks == 1) {
-          EXPECT_EQ(merge_across_ranks(result.loads).retries, seq.retries)
-              << where;
+    for (const char* engine : {"commfree", "mps"}) {
+      SCOPED_TRACE(engine);
+      for (const int ranks : kRankSweep) {
+        for (const auto scheme :
+             {partition::Scheme::kRrp, partition::Scheme::kUcp,
+              partition::Scheme::kLcp}) {
+          ParallelOptions opt;
+          opt.engine = engine;
+          opt.ranks = ranks;
+          opt.scheme = scheme;
+          const ParallelResult result = generate(cfg, opt);
+          const std::string where = "n=" + std::to_string(cfg.n) +
+                                    " x=" + std::to_string(cfg.x) +
+                                    " p=" + std::to_string(cfg.p) +
+                                    " P=" + std::to_string(ranks) +
+                                    " scheme=" + partition::to_string(scheme);
+          EXPECT_EQ(normalized(result.edges), oracle) << where;
+          for (const RankLoad& load : result.loads) {
+            EXPECT_LE(load.retries, seq.retries) << where;
+          }
+          if (ranks == 1 || opt.engine == "mps") {
+            EXPECT_EQ(merge_across_ranks(result.loads).retries, seq.retries)
+                << where;
+          }
         }
       }
     }

@@ -44,8 +44,8 @@ TEST(Ensemble, SummariesAggregateReplicas) {
 }
 
 TEST(Ensemble, DeterministicAcrossRuns) {
-  // x = 1: bitwise deterministic for any rank count (for x > 1 retry order
-  // is scheduling-dependent, so per-replica hubs may wobble run-to-run).
+  // Each replica's graph is a pure function of its spec, for any rank count
+  // and x, so its hubs repeat run to run.
   const PaConfig cfg{.n = 3000, .x = 1, .p = 0.5, .seed = 9};
   core::ParallelOptions opt;
   opt.ranks = 3;

@@ -6,20 +6,14 @@
 // commit fdba5f5) and assert that the one rank class produces
 // bitwise-identical output for every pinned configuration: x = 1 across P
 // in {1, 2, 4, 7}, seeds, and UCP/LCP/RRP, fault-free and under a fault
-// plan with crash and checkpoint recovery, plus the deterministic x > 1
-// cases.
+// plan with crash and checkpoint recovery, plus x > 1 at P = 1.
 //
-// What can and cannot be pinned bitwise:
-//  * x = 1: the final target array F is a pure function of (seed, n, p) —
-//    independent of rank count, scheme, message timing, and faults — so both
-//    the targets and the sorted edge list pin bitwise for every P.
-//  * x > 1, P = 1: a single rank resolves everything locally in label order,
-//    so the run is deterministic and the sorted edge list pins bitwise.
-//  * x > 1, P > 1: duplicate-edge retries depend on the order in which
-//    <resolved> messages arrive (core/engine/mps_engine.cpp), so the emitted
-//    edge SET is scheduling-dependent by design — exactly as in the paper.
-//    Those configurations are pinned on their deterministic invariants
-//    instead: exact edge count, simplicity, and connectivity.
+// The rank commits a node's slots in order (core/engine/mps_engine.cpp), so
+// the edge set is a pure function of (n, x, p, seed): independent of rank
+// count, scheme, message timing and faults. The x > 1 rows at P > 1 reuse
+// the hashes of their P = 1 rows, and the multi-rank matrix below compares
+// every run with baseline::copy_model_general. At x = 1 the targets array
+// pins bitwise as well.
 //
 // Regenerating (only legitimate after an intentional output change):
 //   PAGEN_GOLDEN_DUMP=1 ./genrt_golden_test
@@ -33,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/copy_model_seq.h"
 #include "core/generate.h"
 #include "graph/edge_list.h"
 #include "mps/fault.h"
@@ -93,10 +88,22 @@ const GoldenCase kGolden[] = {
      0x6d309c247e909654ULL, 0xb8298caaf5abfd30ULL},
     {6000, 1, 0.5, 3, 4, kLcp, "seed=4,crash=0@150", true,
      0x6d309c247e909654ULL, 0xb8298caaf5abfd30ULL},
-    // --- x > 1, P = 1 (deterministic local resolution order) ---
+    // --- x > 1, P = 1 ---
     {3000, 2, 0.5, 17, 1, kRrp, "", false, 0, 0x9538bfc32748c9c7ULL},
     {3000, 4, 0.5, 17, 1, kRrp, "", false, 0, 0x07e805c7ce6b4f48ULL},
     {3000, 4, 0.3, 5,  1, kRrp, "", false, 0, 0x7185c2e0a591222aULL},
+    // --- x > 1, P > 1: the P = 1 hashes, fault-free, under the x = 1
+    // transport chaos, and after a crash with checkpoint recovery. Rank 0 of
+    // the crash row sent 368-376 envelopes fault-free, so step 150 fires
+    // with a wide margin ---
+    {3000, 2, 0.5, 17, 4, kRrp, "", false, 0, 0x9538bfc32748c9c7ULL},
+    {3000, 4, 0.5, 17, 7, kLcp, "", false, 0, 0x07e805c7ce6b4f48ULL},
+    {3000, 4, 0.3, 5,  2, kUcp, "", false, 0, 0x7185c2e0a591222aULL},
+    {3000, 4, 0.5, 17, 7, kRrp,
+     "seed=11,drop=0.06,dup=0.05,reorder=0.08,stall=2@100:20", false,
+     0, 0x07e805c7ce6b4f48ULL},
+    {3000, 4, 0.5, 17, 4, kLcp, "seed=4,crash=0@150", true,
+     0, 0x07e805c7ce6b4f48ULL},
 };
 // clang-format on
 
@@ -146,15 +153,17 @@ TEST(GenrtGolden, OutputsMatchPreRefactorHashes) {
   }
 }
 
-// x > 1 with P > 1 is scheduling-dependent (see the header comment), so the
-// multi-rank general algorithm pins its deterministic invariants: exact edge
-// count, no self-loops, no parallel edges, one component — for every P and
-// scheme the x = 1 matrix covers, and under the PR 3 crash-recovery path.
-// Rank 1 sent at least 219 envelopes in every cell (P = 7 LCP is the
-// smallest; how its answers coalesce depends on timing), so the scripted
-// crash at its 100th send step fires with a wide margin.
+// The multi-rank general algorithm equals the sequential model for every P
+// and scheme the x = 1 matrix covers, fault-free and under the PR 3
+// crash-recovery path, and keeps its structural invariants: exact edge
+// count, no self-loops, no parallel edges, one component. Rank 1 sent at
+// least 220 envelopes fault-free in every cell (P = 7 LCP is the smallest;
+// how its answers coalesce depends on timing), so the scripted crash at its
+// 100th send step fires with a wide margin.
 TEST(GenrtGolden, GeneralAlgorithmInvariantsAcrossRanksAndSchemes) {
   const PaConfig cfg{.n = 2000, .x = 4, .p = 0.5, .seed = 17};
+  graph::EdgeList oracle = baseline::copy_model_general(cfg).edges;
+  graph::normalize(oracle);
   std::size_t idx = 100;  // checkpoint-dir namespace distinct from the table
   for (const int ranks : {2, 4, 7}) {
     for (const auto scheme : {kUcp, kLcp, kRrp}) {
@@ -175,6 +184,11 @@ TEST(GenrtGolden, GeneralAlgorithmInvariantsAcrossRanksAndSchemes) {
         EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
         EXPECT_EQ(graph::count_duplicates(result.edges), 0u);
         EXPECT_EQ(graph::connected_components(result.edges, cfg.n), 1u);
+        graph::EdgeList edges = result.edges;
+        graph::normalize(edges);
+        EXPECT_EQ(edges, oracle)
+            << "P=" << ranks << " scheme=" << partition::to_string(scheme)
+            << " crash=" << crash;
         if (crash) {
           EXPECT_GE(result.respawns, 1u);
         }

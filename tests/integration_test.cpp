@@ -21,8 +21,8 @@ namespace {
 TEST(Integration, GeneratePersistReloadAnalyze) {
   const PaConfig cfg{.n = 30000, .x = 4, .p = 0.5, .seed = 99};
   // One run both gathers and persists through the compressed store (the
-  // one binary edge format): x > 1 output at P > 1 depends on message
-  // timing, so the reload must be compared against the same run.
+  // one binary edge format). The order a rank emits its edges in follows
+  // message timing, so the reload is compared against the same run.
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pagen_integration_store")
           .string();

@@ -1,10 +1,11 @@
 // Deterministic fault injection end to end: the FaultPlan grammar, the
 // injector's pure decision function, exactly-once ordered delivery under
 // transport chaos, and the generators' crash/checkpoint recovery — a fault
-// run must produce the bitwise-identical x = 1 edge list of a fault-free
-// run (docs/robustness.md).
+// run must produce the bitwise-identical edge list of a fault-free run
+// (docs/robustness.md).
 #include "mps/fault.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -306,13 +307,15 @@ TEST(FaultGenerator, XkCrashRecoversFromCheckpoint) {
   opt.checkpoint_dir = fresh_dir("xk_crash");
   const auto result = core::generate(cfg, opt);
   EXPECT_GE(result.respawns, 1u);
-  // x > 1 resolutions are arrival-order dependent (like a fault-free
-  // parallel run), so assert the structural contract rather than bitwise
-  // equality: exact edge count, simple, and connected.
   EXPECT_EQ(result.total_edges, expected_edge_count(cfg));
   EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
   EXPECT_EQ(graph::count_duplicates(result.edges), 0u);
   EXPECT_EQ(graph::connected_components(result.edges, cfg.n), 1u);
+  graph::EdgeList edges = result.edges;
+  graph::EdgeList oracle = baseline::copy_model_general(cfg).edges;
+  graph::normalize(edges);
+  graph::normalize(oracle);
+  EXPECT_EQ(edges, oracle);
 }
 
 // Retry state is allocated at a rank's first duplicate retry: x = 1 never
@@ -350,37 +353,59 @@ TEST(FaultGenerator, CheckpointExtrasEmptyUntilTheFirstRetry) {
   }
 }
 
-// At P = 1 an x > 1 run is deterministic, so a resume pins the retry-state
-// restore bitwise: a run that dies halfway leaves a checkpoint holding
-// attempt counters, and the resumed run must equal the sequential model.
-TEST(FaultGenerator, XkResumeAtOneRankMatchesTheSequentialModel) {
+// A resume pins the retry-state restore bitwise: a run that dies halfway
+// leaves checkpoints holding attempt counters, and the resumed run must
+// equal the sequential model, at one rank and at three. Every value a
+// halfway checkpoint holds is already the sequential model's F for its
+// slot: a candidate parked behind its row's earlier slots never reaches
+// disk.
+TEST(FaultGenerator, XkResumeMatchesTheSequentialModel) {
   const PaConfig cfg{.n = 3000, .x = 8, .p = 0.5, .seed = 29};
-  core::ParallelOptions opt;
-  opt.ranks = 1;
-  opt.node_batch = 64;
-  opt.checkpoint_every = 64;
-  opt.checkpoint_dir = fresh_dir("xk_resume");
-  const Count half = expected_edge_count(cfg) / 2;
-  Count seen = 0;
-  opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> es) {
-    seen += es.size();
-    if (seen >= half) throw CheckError("sink failure halfway");
-  };
-  EXPECT_THROW((void)core::generate(cfg, opt), CheckError);
-
-  core::RankCheckpoint ck;
-  ASSERT_TRUE(core::load_checkpoint(opt.checkpoint_dir, 0, ck));
-  EXPECT_FALSE(ck.attempts.empty()) << "no retry before the checkpoint";
-
-  opt.edge_batch_sink = nullptr;
-  opt.resume = true;
-  const auto resumed = core::generate(cfg, opt);
-  EXPECT_GT(resumed.restored_slots, 0u);
-  graph::EdgeList edges = resumed.edges;
-  graph::EdgeList oracle = baseline::copy_model_general(cfg).edges;
-  graph::normalize(edges);
+  const baseline::GeneralResult seq = baseline::copy_model_general(cfg);
+  graph::EdgeList oracle = seq.edges;
   graph::normalize(oracle);
-  EXPECT_EQ(edges, oracle);
+  for (const int ranks : {1, 3}) {
+    SCOPED_TRACE("P=" + std::to_string(ranks));
+    core::ParallelOptions opt;
+    opt.ranks = ranks;
+    opt.node_batch = 64;
+    opt.checkpoint_every = 64;
+    opt.checkpoint_dir = fresh_dir("xk_resume_P" + std::to_string(ranks));
+    const Count half = expected_edge_count(cfg) / 2;
+    std::atomic<Count> seen{0};
+    opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> es) {
+      if ((seen += es.size()) >= half) {
+        throw CheckError("sink failure halfway");
+      }
+    };
+    EXPECT_THROW((void)core::generate(cfg, opt), CheckError);
+
+    const auto part = partition::make_partition(opt.scheme, cfg.n, ranks);
+    for (Rank r = 0; r < ranks; ++r) {
+      core::RankCheckpoint ck;
+      ASSERT_TRUE(core::load_checkpoint(opt.checkpoint_dir, r, ck)) << r;
+      EXPECT_FALSE(ck.attempts.empty())
+          << "no retry before rank " << r << "'s checkpoint";
+      Count values = 0;
+      Count wrong = 0;
+      for (Count s = 0; s < ck.f.size(); ++s) {
+        if (ck.f[s] == kNil) continue;
+        const NodeId t = part->node_at(r, s / cfg.x);
+        ++values;
+        if (ck.f[s] != seq.targets[t * cfg.x + s % cfg.x]) ++wrong;
+      }
+      EXPECT_GT(values, 0u) << "rank " << r;
+      EXPECT_EQ(wrong, 0u) << "rank " << r << ": values unlike the oracle's";
+    }
+
+    opt.edge_batch_sink = nullptr;
+    opt.resume = true;
+    const auto resumed = core::generate(cfg, opt);
+    EXPECT_GT(resumed.restored_slots, 0u);
+    graph::EdgeList edges = resumed.edges;
+    graph::normalize(edges);
+    EXPECT_EQ(edges, oracle);
+  }
 }
 
 // A checkpoint restores only into the run that wrote it: resuming a

@@ -2,7 +2,8 @@
 // oracle: on deterministic x = 1 runs, the chain lengths the instrumented
 // driver records — and the reconstruction from merged per-rank traces —
 // must exactly match baseline::ChainTrace's |D_t| recursion, for every
-// rank count. Plus the zero-cost contract of the disabled path.
+// rank count; at x > 1 they match the one-rank run's. Plus the zero-cost
+// contract of the disabled path.
 #include "obs/causal.h"
 
 #include <sstream>
@@ -128,6 +129,18 @@ TEST(CausalChains, GeneralModelFlowsAllResolveAndReportIsValid) {
   std::ostringstream os;
   write_chain_report(os, report);
   EXPECT_EQ(JsonLint::check(os.str()), "");
+
+  // A slot's chain depth follows the candidate its commit accepted, parked
+  // or not, and those are the one-rank run's: so are the chain lengths.
+  Session one(1, cfg);
+  opt.ranks = 1;
+  opt.obs = &one;
+  (void)core::generate(pa, opt);
+  const Histogram got = merged_chain_lengths(session);
+  const Histogram want = merged_chain_lengths(one);
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.sum(), want.sum());
+  EXPECT_EQ(got.max(), want.max());
 }
 
 /// Run one generation and return (mps.bytes_sent, mps.causal_stamps) from

@@ -1,7 +1,6 @@
-// Invariant suite for Algorithm 3.2 (x >= 1): for x > 1 the duplicate-retry
-// decisions are resolution-order dependent (as in the paper), so these tests
-// assert the structural invariants and distributional properties rather than
-// bitwise equality with the sequential run.
+// Invariant suite for Algorithm 3.2 (x >= 1): the structural invariants and
+// distributional properties of the output. Bitwise equality with the
+// sequential run is pinned by genrt_golden_test and engine_equivalence_test.
 #include <algorithm>
 #include <tuple>
 
@@ -71,19 +70,27 @@ TEST(ParallelPaGeneralDist, MinimumDegreeIsX) {
   EXPECT_GE(*std::min_element(deg.begin(), deg.end()), cfg.x);
 }
 
-TEST(ParallelPaGeneralDist, SingleRankMatchesSequentialModel) {
-  // With one rank every edge resolves in label order — identical semantics
-  // to the sequential general model, so the outputs agree bitwise.
-  const PaConfig cfg{.n = 4000, .x = 5, .p = 0.5, .seed = 11};
-  ParallelOptions opt;
-  opt.ranks = 1;
-  const auto par = core::generate(cfg, opt);
-  const auto seq = baseline::copy_model_general(cfg);
-  auto a = par.edges;
-  auto b = seq.edges;
-  graph::normalize(a);
-  graph::normalize(b);
-  EXPECT_EQ(a, b);
+TEST(ParallelPaGeneralDist, MatchesSequentialModel) {
+  // Every draw is pure in (t, e, attempt) and a rank commits each node's
+  // slots in order, so one rank and six agree bitwise with the sequential
+  // general model.
+  struct Case {
+    PaConfig cfg;
+    int ranks;
+    Scheme scheme;
+  };
+  for (const Case& c :
+       {Case{{.n = 4000, .x = 5, .p = 0.5, .seed = 11}, 1, Scheme::kRrp},
+        Case{{.n = 8000, .x = 4, .p = 0.5, .seed = 17}, 6, Scheme::kUcp}}) {
+    ParallelOptions opt;
+    opt.ranks = c.ranks;
+    opt.scheme = c.scheme;
+    auto par = core::generate(c.cfg, opt).edges;
+    auto seq = baseline::copy_model_general(c.cfg).edges;
+    graph::normalize(par);
+    graph::normalize(seq);
+    EXPECT_EQ(par, seq) << "P=" << c.ranks;
+  }
 }
 
 TEST(ParallelPaGeneralDist, HubDegreesTrackSequentialRun) {
@@ -127,41 +134,6 @@ TEST(ParallelPaGeneralDist, DenseSmallNetworkStillSimple) {
   EXPECT_EQ(result.edges.size(), expected_edge_count(cfg));
   EXPECT_EQ(graph::count_duplicates(result.edges), 0u);
   EXPECT_EQ(graph::count_self_loops(result.edges), 0u);
-}
-
-TEST(ParallelPaGeneralDist, DivergenceFromSequentialIsOnlyRetryDeep) {
-  // All draws are counter-based, so the parallel run can only differ from
-  // the sequential run where a duplicate retry fired in a different order
-  // (rare). The symmetric difference of the two edge multisets must stay a
-  // small fraction of the graph.
-  const PaConfig cfg{.n = 8000, .x = 4, .p = 0.5, .seed = 17};
-  ParallelOptions opt;
-  opt.ranks = 6;
-  opt.scheme = Scheme::kUcp;
-  auto par = core::generate(cfg, opt).edges;
-  auto seq = baseline::copy_model_general(cfg).edges;
-  graph::normalize(par);
-  graph::normalize(seq);
-  ASSERT_EQ(par.size(), seq.size());
-  std::size_t differing = 0;
-  std::size_t i = 0, j = 0;
-  while (i < par.size() && j < seq.size()) {
-    const auto& a = par[i];
-    const auto& b = seq[j];
-    if (a == b) {
-      ++i;
-      ++j;
-    } else if (std::tie(a.u, a.v) < std::tie(b.u, b.v)) {
-      ++differing;
-      ++i;
-    } else {
-      ++differing;
-      ++j;
-    }
-  }
-  differing += (par.size() - i) + (seq.size() - j);
-  EXPECT_LT(differing, par.size() / 20)
-      << "more than 5% divergence cannot be explained by retry reordering";
 }
 
 TEST(ParallelPaGeneralDist, RejectsBadConfigs) {

@@ -34,7 +34,7 @@ core::ParallelOptions direct_options(const JobSpec& spec) {
 JobSpec gather_spec(NodeId n, std::uint64_t seed, int ranks) {
   JobSpec spec;
   spec.config.n = n;
-  spec.config.x = 1;  // the reproducible family at any rank count
+  spec.config.x = 1;
   spec.config.seed = seed;
   spec.ranks = ranks;
   spec.sink = Sink::kGather;
@@ -70,50 +70,55 @@ JobSpec always_failing_spec(std::uint64_t seed) {
 }
 
 TEST(SvcFault, RetryResumesFromCheckpointAndMatchesGolden) {
-  const std::string root = scratch_dir("resume");
-  ServerOptions options;
-  options.workers = 1;
-  options.checkpoint_root = root;
-  options.checkpoint_every = 4;
-  // Every job's first attempt dies on a sink failure midway through the
-  // run — late enough that checkpoints exist to resume from.
-  options.chaos = mps::FaultPlan::parse("seed=1,jobfail=1.0@1");
-  Server server(options);
-
-  const JobSpec spec = [&] {
-    JobSpec s = gather_spec(600, 7, 4);
+  // x = 1 on four ranks, and x = 4 on three: duplicate retries cross ranks.
+  const auto resumable = [](NodeId x, int ranks) {
+    JobSpec s = gather_spec(600, 7, ranks);
+    s.config.x = x;
     s.max_attempts = 3;
     return s;
-  }();
-  const JobStatus status = server.wait(must_submit(server, spec));
-  ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
-  EXPECT_EQ(status.attempts, 2u) << "attempt 1 injected to fail";
-  EXPECT_TRUE(status.resumed)
-      << "the retry must provably restore checkpointed progress";
+  };
+  for (const JobSpec& spec : {resumable(1, 4), resumable(4, 3)}) {
+    SCOPED_TRACE("x=" + std::to_string(spec.config.x));
+    const std::string root = scratch_dir("resume");
+    ServerOptions options;
+    options.workers = 1;
+    options.checkpoint_root = root;
+    options.checkpoint_every = 4;
+    // Every job's first attempt dies on a sink failure midway through the
+    // run — late enough that checkpoints exist to resume from.
+    options.chaos = mps::FaultPlan::parse("seed=1,jobfail=1.0@1");
+    Server server(options);
 
-  // The acceptance bar: a resumed job's output is bitwise-identical to a
-  // fault-free direct run of the same spec.
-  const auto direct = core::generate(spec.config, direct_options(spec));
-  EXPECT_EQ(normalized(status.output->edges), normalized(direct.edges));
-  EXPECT_EQ(status.output->targets, direct.targets);
-  EXPECT_EQ(status.output->total_edges, direct.total_edges);
+    const JobStatus status = server.wait(must_submit(server, spec));
+    ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
+    EXPECT_EQ(status.attempts, 2u) << "attempt 1 injected to fail";
+    EXPECT_TRUE(status.resumed)
+        << "the retry must provably restore checkpointed progress";
 
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.resumed, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.failed, 0u) << "a recovered job is not a failed job";
+    // The acceptance bar: a resumed job's output is bitwise-identical to a
+    // fault-free direct run of the same spec.
+    const auto direct = core::generate(spec.config, direct_options(spec));
+    EXPECT_EQ(normalized(status.output->edges), normalized(direct.edges));
+    EXPECT_EQ(status.output->targets, direct.targets);
+    EXPECT_EQ(status.output->total_edges, direct.total_edges);
 
-  // The attempt ledger survives in the incident log even though the job
-  // ultimately succeeded.
-  bool saw_retry = false;
-  for (const std::string& line : server.incidents()) {
-    saw_retry = saw_retry || line.find("retrying after") != std::string::npos;
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.resumed, 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 0u) << "a recovered job is not a failed job";
+
+    // The attempt ledger survives in the incident log even though the job
+    // ultimately succeeded.
+    bool saw_retry = false;
+    for (const std::string& line : server.incidents()) {
+      saw_retry = saw_retry || line.find("retrying after") != std::string::npos;
+    }
+    EXPECT_TRUE(saw_retry);
+
+    server.shutdown(true);
+    std::filesystem::remove_all(root);
   }
-  EXPECT_TRUE(saw_retry);
-
-  server.shutdown(true);
-  std::filesystem::remove_all(root);
 }
 
 TEST(SvcFault, RetryWithoutCheckpointRootRegeneratesFromScratch) {

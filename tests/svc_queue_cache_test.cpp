@@ -59,18 +59,11 @@ TEST(SpecHash, CoversEveryOutputShapingField) {
   s = base;
   s.scheme = partition::Scheme::kUcp;
   EXPECT_NE(spec_hash(s), h);
-  s = base;
-  s.buffer_capacity = 17;
-  EXPECT_NE(spec_hash(s), h);
-  s = base;
-  s.node_batch = 5;
-  EXPECT_NE(spec_hash(s), h);
 }
 
-// The engine participates in the hash (docs/serving.md §1): engines are only
-// distribution-equivalent, so a commfree output must never satisfy a cache
-// or store probe for an mps spec — and even a single flipped byte in the
-// engine name rotates the identity.
+// The engine participates in the hash (docs/serving.md §1): seq-bb draws
+// another model, so the engine is part of a graph's identity, and even a
+// single flipped byte in the engine name rotates it.
 TEST(SpecHash, EngineParticipatesInTheHash) {
   const JobSpec base = small_spec();
   const std::uint64_t h = spec_hash(base);
@@ -121,6 +114,13 @@ TEST(SpecHash, IgnoresSchedulingAndDelivery) {
   s.store_dir = "/tmp/elsewhere";
   EXPECT_EQ(spec_hash(s), spec_hash(base))
       << "how a job is scheduled or delivered must not change its identity";
+  // Buffering shapes when messages leave, never which graph comes out.
+  s = base;
+  s.buffer_capacity = 17;
+  EXPECT_EQ(spec_hash(s), spec_hash(base));
+  s = base;
+  s.node_batch = 5;
+  EXPECT_EQ(spec_hash(s), spec_hash(base));
 }
 
 TEST(SpecValidate, AcceptsAndRejects) {

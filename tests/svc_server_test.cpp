@@ -59,12 +59,11 @@ JobId must_submit(Server& server, const JobSpec& spec) {
 
 TEST(SvcServer, GoldenIdentityAgainstDirectGenerate) {
   Server server({.workers = 2});
-  // The reproducible-spec family (docs/serving.md §5): x = 1 on any rank
-  // count, x > 1 single-rank. (x > 1 multi-rank edge sets are
-  // schedule-dependent — duplicate-retry order varies run to run — so only
-  // cache/store serves, not regeneration, are repeatable for those.)
+  // The edge set is a pure function of the spec (docs/serving.md §5), so a
+  // regeneration matches at every x and rank count.
   for (const JobSpec& spec :
-       {gather_spec(300, 1, 7, 4), gather_spec(200, 4, 11, 1)}) {
+       {gather_spec(300, 1, 7, 4), gather_spec(200, 4, 11, 1),
+        gather_spec(200, 4, 11, 3)}) {
     const JobStatus status = server.wait(must_submit(server, spec));
     ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
     EXPECT_FALSE(status.from_cache);
@@ -143,7 +142,7 @@ TEST(SvcServer, StoreServedAcrossServerLifetimes) {
           .string();
   std::filesystem::remove_all(dir);
 
-  JobSpec produce = gather_spec(240, 1, 5, 3);  // x = 1: reproducible at P=3
+  JobSpec produce = gather_spec(240, 1, 5, 3);
   produce.sink = Sink::kCompressedStore;
   produce.store_dir = dir;
   {

@@ -36,7 +36,7 @@ class SvcStoreTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
 
     spec_.config.n = 320;
-    spec_.config.x = 1;  // reproducible at any rank count
+    spec_.config.x = 1;
     spec_.config.seed = 41;
     spec_.ranks = 3;
     spec_.sink = Sink::kCompressedStore;
@@ -77,30 +77,38 @@ TEST_F(SvcStoreTest, CompressedStoreJobSealsAReloadableStore) {
   EXPECT_EQ(normalized(view.load_all()), normalized(direct.edges));
 }
 
+// At x = 1 and at x = 4, on three ranks: the served edges equal a direct
+// generation, which runs with ParallelOptions' buffering, not the spec's.
 TEST_F(SvcStoreTest, FreshServerServesGatherFromCompressedStore) {
-  {
+  for (const NodeId x : {1, 4}) {
+    SCOPED_TRACE("x=" + std::to_string(x));
+    std::filesystem::remove_all(dir_);
+    spec_.config.x = x;
+    {
+      Server server({.workers = 1});
+      ASSERT_EQ(server.wait(must_submit(server, spec_)).state,
+                JobState::kCompleted);
+    }
+    // "Restarted process": a fresh server with an empty cache must probe
+    // the on-disk store and serve the repeat without running the
+    // generators.
+    JobSpec consume = spec_;
+    consume.sink = Sink::kGather;
     Server server({.workers = 1});
-    ASSERT_EQ(server.wait(must_submit(server, spec_)).state,
-              JobState::kCompleted);
-  }
-  // "Restarted process": a fresh server with an empty cache must probe the
-  // on-disk store and serve the repeat without running the generators.
-  JobSpec consume = spec_;
-  consume.sink = Sink::kGather;
-  Server server({.workers = 1});
-  const Server::Submitted sub = server.submit(consume);
-  ASSERT_EQ(sub.reject, Reject::kNone);
-  EXPECT_TRUE(sub.from_cache) << "compressed-store probe must serve";
-  const JobStatus status = server.poll(sub.id);
-  ASSERT_EQ(status.state, JobState::kCompleted);
-  ASSERT_NE(status.output, nullptr);
+    const Server::Submitted sub = server.submit(consume);
+    ASSERT_EQ(sub.reject, Reject::kNone);
+    EXPECT_TRUE(sub.from_cache) << "compressed-store probe must serve";
+    const JobStatus status = server.poll(sub.id);
+    ASSERT_EQ(status.state, JobState::kCompleted);
+    ASSERT_NE(status.output, nullptr);
 
-  core::ParallelOptions direct_opt;
-  direct_opt.ranks = consume.ranks;
-  const auto direct = core::generate(consume.config, direct_opt);
-  EXPECT_EQ(normalized(status.output->edges), normalized(direct.edges))
-      << "store-served edges must match a direct run bit for bit";
-  EXPECT_EQ(server.stats().cache_store_hits, 1u);
+    core::ParallelOptions direct_opt;
+    direct_opt.ranks = consume.ranks;
+    const auto direct = core::generate(consume.config, direct_opt);
+    EXPECT_EQ(normalized(status.output->edges), normalized(direct.edges))
+        << "store-served edges must match a direct run bit for bit";
+    EXPECT_EQ(server.stats().cache_store_hits, 1u);
+  }
 }
 
 TEST_F(SvcStoreTest, CorruptStoreQuarantinedAndRegenerated) {

@@ -53,7 +53,6 @@ struct ToolConfig {
 struct ConfigReport {
   PropertyRunner::Options options;
   mc::ExploreReport explore;
-  std::uint64_t distinct_outputs = 0;
 };
 
 std::string describe(const PropertyRunner::Options& o) {
@@ -96,7 +95,7 @@ void write_json_report(const ToolConfig& cfg,
         << ", \"decisions\": " << r.explore.decisions
         << ", \"max_depth\": " << r.explore.max_depth
         << ", \"complete\": " << (r.explore.complete ? "true" : "false")
-        << ", \"distinct_outputs\": " << r.distinct_outputs << "}";
+        << "}";
   }
   out << "\n  ]\n}\n";
 }
@@ -129,8 +128,7 @@ int run_explorations(const ToolConfig& cfg) {
             ? mc::explore_exhaustive(eo, runner.runner())
             : mc::explore_random(eo, cfg.schedule_seed, cfg.random_schedules,
                                  runner.runner());
-    reports.push_back(ConfigReport{options, report,
-                                   runner.distinct_outputs().size()});
+    reports.push_back(ConfigReport{options, report});
     if (!cfg.quiet) {
       std::cout << "[mpsmc] " << (cfg.exhaustive ? "exhaustive " : "random ")
                 << describe(options)
@@ -142,7 +140,6 @@ int run_explorations(const ToolConfig& cfg) {
                         ? (report.complete ? " [tree exhausted]"
                                            : " [schedule budget reached]")
                         : "")
-                << " distinct_outputs=" << runner.distinct_outputs().size()
                 << '\n';
     }
     if (report.failed) {
