@@ -7,15 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <span>
 
 #include "baseline/ba_batagelj_brandes.h"
 #include "graph/edge_list.h"
 #include "baseline/copy_model_seq.h"
 #include "core/generate.h"
-#include "core/genrt/protocol.h"
-#include "core/genrt/slot_store.h"
 #include "mps/mailbox.h"
 #include "obs/config.h"
 #include "obs/session.h"
@@ -143,53 +140,6 @@ void BM_BatageljBrandesBa(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * 4);
 }
 BENCHMARK(BM_BatageljBrandesBa)->Arg(100000);
-
-// --- Outstanding-request table: node-keyed std::map (the pre-genrt
-// implementation in both PA generators) vs the flat genrt::SlotStore. A
-// 10M-slot resolution storm with a sliding in-flight window models a
-// crash-tolerant rank issuing requests and retiring answers; the store's
-// note_sent / note_answered are O(1) array writes with zero allocation
-// where the map paid an rb-tree insert + erase per request. Recorded in
-// BENCH_genrt.json with the 16-byte x = 1 request of the time; both tables
-// now hold the 32-byte RequestXk, the one request struct.
-
-constexpr Count kStormSlots = 10'000'000;
-constexpr Count kStormWindow = 65536;  ///< in-flight requests at any moment
-
-void BM_OutstandingMap(benchmark::State& state) {
-  std::map<Count, core::RequestXk> outstanding;
-  for (auto _ : state) {
-    for (Count s = 0; s < kStormSlots; ++s) {
-      outstanding[s] = {s, s / 2};
-      if (s >= kStormWindow) outstanding.erase(s - kStormWindow);
-    }
-    for (Count s = kStormSlots - kStormWindow; s < kStormSlots; ++s) {
-      outstanding.erase(s);
-    }
-    benchmark::DoNotOptimize(outstanding.empty());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kStormSlots));
-}
-BENCHMARK(BM_OutstandingMap)->Unit(benchmark::kMillisecond);
-
-void BM_OutstandingSlotStore(benchmark::State& state) {
-  core::genrt::SlotStore store(kStormSlots, /*track_requests=*/true,
-                              /*chain_hist=*/nullptr);
-  for (auto _ : state) {
-    for (Count s = 0; s < kStormSlots; ++s) {
-      store.note_sent(s, {s, s / 2});
-      if (s >= kStormWindow) store.note_answered(s - kStormWindow);
-    }
-    for (Count s = kStormSlots - kStormWindow; s < kStormSlots; ++s) {
-      store.note_answered(s);
-    }
-    benchmark::DoNotOptimize(store.outstanding());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kStormSlots));
-}
-BENCHMARK(BM_OutstandingSlotStore)->Unit(benchmark::kMillisecond);
 
 // --- Edge-sink dispatch: a per-edge std::function callback vs the batched
 // span adapter, modeling genrt::EdgeEmitter::emit's hand-off to

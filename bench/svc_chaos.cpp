@@ -4,7 +4,7 @@
 // own chaos plan injects job-attempt failures, result-store corruption, and
 // checkpoint corruption, and every fourth cold spec additionally carries a
 // transport-scope plan (rank crash + drop/dup) absorbed in-run by the
-// respawn/reliable machinery. Around the main workload, two scripted
+// relaunch-from-checkpoint and reliable-delivery machinery. Around the main workload, two scripted
 // drills exercise the overload ladder (shed + reject-with-hint against a
 // paused queue) and the per-spec circuit breaker (a doomed spec fast-failed
 // after k consecutive failures).
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
 
   // --- Main workload: seeded mix under the chaos plan ---
   // Every crash_every-th job additionally rides a degraded transport
-  // (scripted rank crash + drop/dup) absorbed in-run by respawn + reliable
+  // (scripted rank crash + drop/dup) absorbed in-run by a relaunch + reliable
   // delivery — faults below the job layer that must not consume attempts.
   for (std::uint64_t j = 0; j < jobs; ++j) {
     const std::uint64_t r = draw.next();
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Drill 2: the circuit breaker, on a doomed spec ---
-  // A rank-crash with no respawn budget and no retry budget fails
+  // A rank-crash with no relaunch budget and no retry budget fails
   // terminally every time; after breaker_threshold consecutive failures
   // the spec is fast-failed at admission.
   Count doomed_failed = 0;

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
             << " edges/s\n";
   if (result.respawns > 0) {
     std::cout << "recovered from " << result.respawns
-              << " injected crash(es) via respawn\n";
+              << " injected crash(es) via relaunch\n";
   }
   if (session) {
     for (const std::string& path : session->export_files()) {

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
             << " s\n";
   if (result.respawns > 0) {
     std::cout << "recovered from " << result.respawns
-              << " injected crash(es) via respawn\n";
+              << " injected crash(es) via relaunch\n";
   }
 
   // 4. Inspect: the network is connected, simple, and heavy-tailed.

@@ -4,10 +4,11 @@
 // state: the resolved F slice (plus, once the rank has retried a duplicate,
 // the per-slot attempt counters and copy-path latches that keep the
 // counter-based draws on track). Waiter queues, send buffers, and transport
-// state are deliberately NOT checkpointed — they are reconstructed by the
-// recovery protocol: the respawned rank replays its unresolved slots
-// (re-issuing requests), and a kTagRecover broadcast makes peers re-offer
-// every request they still wait on (docs/robustness.md §3). Files are
+// state are deliberately NOT checkpointed: recovery is a resume of every
+// rank on a fresh world, where each rank restores its own slice and replays
+// its unresolved slots (re-issuing requests) — every F value is a pure
+// function of the spec, so any mix of ranks' checkpoints is consistent
+// (docs/robustness.md §3). Files are
 // serialized with the edge store's varint coder (store/format.h) and
 // written as sealed files (util/bytes_file.h): atomically, so a crash
 // mid-write never leaves a torn checkpoint, with an FNV-1a seal checked

@@ -75,11 +75,11 @@ void check_request(const Engine& engine, const PaConfig& config,
                             part->num_parts() == options.ranks),
                   "custom partition does not match (n, ranks)");
   // The store must see every edge exactly once, which rules out the
-  // at-least-once re-emission paths: a crash respawn or a checkpoint
+  // at-least-once re-emission paths: a crash relaunch or a checkpoint
   // resume would append restored edges again.
   PAGEN_CHECK_MSG(
       options.store_dir.empty() || !transport.fault_plan.has_crash(),
-      "store_dir cannot be combined with crash injection: a respawned rank "
+      "store_dir cannot be combined with crash injection: a relaunched run "
       "re-emits restored edges, duplicating blocks in the store");
   PAGEN_CHECK_MSG(options.store_dir.empty() || !options.resume,
                   "store_dir cannot be combined with resume: restored edges "

@@ -61,7 +61,7 @@ struct EngineCaps {
 struct RankRun {
   /// The rank's counters; the launch sets `edges` from the rank's emitter.
   RankLoad load;
-  /// Slots this incarnation restored from a checkpoint (0 on a cold start).
+  /// Slots this rank restored from a checkpoint (0 on a cold start).
   Count restored_slots = 0;
 };
 
@@ -79,7 +79,7 @@ class Engine {
   /// One rank's body: emit the edges of the rank's nodes in `part` through
   /// `out`. Only core::generate calls this, on every rank of the world (a
   /// single-rank engine's world has one rank), after check_request has
-  /// accepted the request, with a fresh emitter per rank incarnation.
+  /// accepted the request, with a fresh emitter per rank and world.
   [[nodiscard]] virtual RankRun run(const PaConfig& config,
                                     const ParallelOptions& options,
                                     const partition::Partition& part,

@@ -54,13 +54,12 @@ namespace {
 constexpr std::chrono::milliseconds kIdleWait{20};
 
 /// One party parked on a slot until it resolves (Q_{k,l}): a remote
-/// requester (owner != self; `round` echoes its request) or a local slot
-/// (t, e) that copies the awaited one.
+/// requester (owner != self) or a local slot (t, e) that copies the awaited
+/// one.
 struct Waiter {
   NodeId t = 0;
   std::uint32_t e = 0;
   Rank owner = 0;
-  std::uint32_t round = 0;
   /// Causal root-slot id of a parked remote request (0 = untraced: node 0
   /// never requests, so 0 is never a real root).
   std::uint64_t root = 0;
@@ -78,21 +77,17 @@ std::uint64_t owned_nodes_hash(const partition::Partition& part, Rank rank) {
 
 class MpsRank;
 
-/// The crash-recovery adapter: every crash-tolerance concern of a rank
-/// (docs/robustness.md §3), funneled through one code path:
+/// The checkpoint adapter of a rank (docs/robustness.md §3):
 ///
-///  * restore_and_announce() — a respawned incarnation restores the durable
-///    F slice (plus the attempt counters and copy-path latches), re-emits
-///    the restored edges (the sink contract is at-least-once under crashes),
-///    and broadcasts kTagRecover so peers re-offer whatever they still wait
-///    on — our queues died with us. Answers to the previous incarnation's
-///    requests may still arrive; the rank drops those for nodes its replay
-///    has not reached, and the replay asks again.
-///  * on_peer_recover() — the other side: every outstanding request owned by
-///    the respawned peer is offered again from the flat slot store, and the
-///    termination detector repairs whatever done/stop state died with it.
-///    In-flight answers then arrive as duplicates and are absorbed by the
-///    tolerant resolve path (round echoes disambiguate retried slots).
+///  * restore() — resume bring-up (ParallelOptions::resume: a service retry,
+///    or core::generate's relaunch after an injected crash). Every rank
+///    restores its own checkpoint behind the common start barrier, so no
+///    peer holds state for a dead world: the F slice (plus the attempt
+///    counters and copy-path latches) comes back, the restored edges are
+///    re-emitted (the sink contract is at-least-once under crashes), and
+///    slots left kNil are replayed by the generate phase exactly as in the
+///    first run (re-drawing identically from any restored attempt). A
+///    missing checkpoint leaves the rank a plain cold start.
 ///  * note_resolution() / maybe_checkpoint() — the checkpoint write cadence.
 class Recovery {
  public:
@@ -100,30 +95,10 @@ class Recovery {
   /// checkpointing is on.
   explicit Recovery(MpsRank& rank);
 
-  /// Respawned-incarnation bring-up (replaces the start barrier: that
-  /// rendezvous already completed in a previous life — sends, where crashes
-  /// fire, happen only after it — so joining it again would desynchronize
-  /// the collective generation).
-  void restore_and_announce();
+  void restore();
 
-  /// Fresh-run resume bring-up (ParallelOptions::resume, the service retry
-  /// path): every rank restores its own checkpoint after the common start
-  /// barrier, so — unlike a mid-run respawn — no peer holds in-flight state
-  /// for us and no kTagRecover re-offer broadcast is needed (one would
-  /// produce duplicate answers that only the crash-tolerant resolve path
-  /// absorbs). Missing checkpoints leave the rank a plain cold start.
-  /// Restored edges are re-emitted; slots left kNil are replayed by the
-  /// generate phase exactly as in the first life (re-drawing identically
-  /// from any restored attempt).
-  void restore_quietly();
-
-  /// Slots this incarnation restored from its checkpoint (0 on cold start).
+  /// Slots this rank restored from its checkpoint (0 on a cold start).
   [[nodiscard]] Count restored() const { return restored_; }
-
-  /// A peer respawned: re-offer every request we still wait on that it owns
-  /// (its waiter queues died with it), then let the termination detector
-  /// repair its lost done/stop state.
-  void on_peer_recover(Rank src);
 
   /// One slot resolved since the last checkpoint write.
   void note_resolution() { ++resolved_since_ckpt_; }
@@ -141,20 +116,18 @@ class Recovery {
 /// order, an initial x-clique, and duplicate-edge avoidance against the
 /// row's earlier slots — direct-path duplicates retry with a fresh
 /// (k, coin) (paper Lines 9-10), copy-path duplicates re-draw (k, l) and
-/// latch onto the copy path (Lines 26-29). The per-slot attempt counter
-/// doubles as the request round, so stale answers after a crash recovery
-/// are filtered.
+/// latch onto the copy path (Lines 26-29).
 ///
 /// Around the algorithm the rank owns the generate → drain → termination
 /// phases, per-destination send buffering, the post-batch flush rule,
 /// counting termination, the waiter queues, load accounting, observability
 /// spans, cooperative cancellation (ParallelOptions::cancel_requested,
 /// polled at every phase boundary), edge emission into the rank's emitter,
-/// and its recovery adapter.
+/// and its checkpoint adapter.
 class MpsRank {
  public:
-  /// `out` is the rank incarnation's emitter; the caller finishes it after
-  /// run() returns.
+  /// `out` is the rank's emitter; the caller finishes it after run()
+  /// returns.
   MpsRank(const PaConfig& config, const ParallelOptions& options,
           const partition::Partition& part, mps::Comm& comm,
           genrt::EdgeEmitter& out)
@@ -164,14 +137,12 @@ class MpsRank {
         comm_(comm),
         x_(config.x),
         draws_(config),
-        tolerant_(options.transport.fault_plan.has_crash()),
-        recovering_(comm.incarnation() > 0 ||
-                    (options.resume && !options.checkpoint_dir.empty())),
+        recovering_(options.resume && !options.checkpoint_dir.empty()),
         ob_(comm.obs()),
         chain_hist_(ob_ != nullptr
                         ? &ob_->metrics().histogram("pa.chain_latency_ns")
                         : nullptr),
-        slots_(part.part_size(comm.rank()) * x_, tolerant_, chain_hist_),
+        slots_(part.part_size(comm.rank()) * x_, chain_hist_),
         waiters_(slots_.size()),
         emitter_(out),
         req_buf_(comm, kTagRequest, options.buffer_capacity),
@@ -194,20 +165,11 @@ class MpsRank {
 
   /// The full rank lifecycle (docs/protocol.md §3).
   void run() {
-    if (comm_.incarnation() > 0) {
-      // Mid-run respawn: the start rendezvous already completed in a
-      // previous life; restore and announce so peers re-offer.
-      const auto sp = obs::span(ob_, "recover");
-      recovery_.restore_and_announce();
-    } else {
-      comm_.barrier();  // common start line, as mpirun would provide
-      if (recovering_) {
-        // Fresh-run resume (ParallelOptions::resume): all ranks restore
-        // their own checkpoints together behind the barrier — no peer
-        // holds state for us, so no re-offer broadcast.
-        const auto sp = obs::span(ob_, "resume");
-        recovery_.restore_quietly();
-      }
+    comm_.barrier();  // common start line, as mpirun would provide
+    if (recovering_) {
+      // Resume: all ranks restore their own checkpoints behind the barrier.
+      const auto sp = obs::span(ob_, "resume");
+      recovery_.restore();
     }
 
     {
@@ -218,7 +180,6 @@ class MpsRank {
       const Count my_nodes = part_.part_size(comm_.rank());
       for (Count idx = 0; idx < my_nodes; ++idx) {
         process_own_node(part_.node_at(comm_.rank(), idx));
-        reached_ = idx + 1;
         if ((idx + 1) % options_.node_batch == 0) {
           check_cancel();
           pump(false);
@@ -259,8 +220,7 @@ class MpsRank {
   }
 
   [[nodiscard]] const RankLoad& load() const { return load_; }
-  /// Slots restored from a checkpoint by this incarnation's bring-up
-  /// (resume or respawn); 0 on a cold start.
+  /// Slots restored from a checkpoint by a resume; 0 on a cold start.
   [[nodiscard]] Count restored_slots() const { return recovery_.restored(); }
 
  private:
@@ -339,14 +299,12 @@ class MpsRank {
       const auto l = static_cast<std::uint32_t>(draws_.pick_l(t, e, attempt));
       const Rank owner = part_.owner(k);
       if (owner != comm_.rank()) {
-        // Line 14; the round echo is this slot's attempt at issue time.
-        send_request(owner, s,
-                     {t, k, e, l, static_cast<std::uint32_t>(attempt)});
+        send_request(owner, s, {t, k, e, l});  // Line 14
         return;
       }
       const Count ks = slot(k, l);
       if (!slots_.resolved(ks)) {
-        queue_waiter(ks, {t, e, comm_.rank(), 0});  // local Q_{k,l}
+        queue_waiter(ks, {t, e, comm_.rank()});  // local Q_{k,l}
         return;
       }
       // F_t(e) extends F_k(l)'s dependency chain by one.
@@ -385,17 +343,8 @@ class MpsRank {
   /// A value arrived for edge (t, e), slot s: a remote answer or a local
   /// copy source that resolved (Lines 21-29).
   void on_resolved(Count s, NodeId t, std::uint32_t e, NodeId v) {
-    if (slots_.resolved(s) || slots_.parked(s)) {
-      // Crash-tolerant mode: a recovery re-offer can answer a slot that an
-      // in-flight first answer already settled or parked. The value must
-      // agree — F_k(l) is unique once resolved, and stale rounds were
-      // filtered.
-      PAGEN_CHECK_MSG(tolerant_,
-                      "duplicate resolution of (" << t << "," << e << ")");
-      PAGEN_CHECK_MSG(slots_.known_value(s) == v,
-                      "conflicting resolution of (" << t << "," << e << ")");
-      return;
-    }
+    PAGEN_CHECK_MSG(!slots_.resolved(s) && !slots_.parked(s),
+                    "duplicate resolution of (" << t << "," << e << ")");
     if (!offer(s, t, e, v)) try_edge(s, t, e);
   }
 
@@ -439,11 +388,10 @@ class MpsRank {
         on_resolved(slot(w.t, w.e), w.t, w.e, v);
       } else if (causal_ && w.root != 0) {
         ob_->trace().flow_step("chain", w.root);
-        res_buf_.add_stamped(w.owner, {w.t, v, w.e, w.round},
-                             {w.root, w.owner, depth});
+        res_buf_.add_stamped(w.owner, {w.t, v, w.e}, {w.root, w.owner, depth});
         ++load_.resolved_sent;
       } else {
-        send_resolved(w.owner, {w.t, v, w.e, w.round});
+        send_resolved(w.owner, {w.t, v, w.e});
       }
     }
     if (causal_) pending_depth_ = 1;
@@ -467,27 +415,20 @@ class MpsRank {
   }
 
   /// Ship `req` for local slot `s` to `owner`: buffer it, account it, and
-  /// let the slot store remember it (re-offer tracking + latency stamp).
-  /// Under causal tracing the request carries a stamp naming this slot as
-  /// the chain root, and a flow starts on this rank's track — the "s" end
-  /// of the Perfetto arrow that lands on the owner's resolve.
+  /// stamp the slot's latency clock. Under causal tracing the request
+  /// carries a stamp naming this slot as the chain root, and a flow starts
+  /// on this rank's track — the "s" end of the Perfetto arrow that lands on
+  /// the owner's resolve.
   void send_request(Rank owner, Count s, const RequestXk& req) {
     if (causal_) {
       const std::uint64_t root = causal_root(req.t, s);
       ob_->trace().flow_start("chain", root);
       req_buf_.add_stamped(owner, req, {root, comm_.rank(), 0});
-      ++load_.requests_sent;
     } else {
-      offer_request(owner, req);
+      req_buf_.add(owner, req);
     }
-    slots_.note_sent(s, req);
-  }
-
-  /// Buffer `req` toward `dst` without touching the slot store (also the
-  /// recovery re-offer path: the slot already holds it).
-  void offer_request(Rank dst, const RequestXk& req) {
-    req_buf_.add(dst, req);
     ++load_.requests_sent;
+    slots_.note_sent(s);
   }
 
   void send_resolved(Rank dst, const ResolvedXk& res) {
@@ -546,8 +487,6 @@ class MpsRank {
         mps::for_each_packed<ResolvedXk>(env.payload, [&](const ResolvedXk& r) {
           handle_resolved(r, causal_stamp_at(env, item++));
         });
-      } else if (env.tag == kTagRecover) {
-        recovery_.on_peer_recover(env.src);
       } else {
         PAGEN_CHECK_MSG(false, "unexpected tag " << env.tag);
       }
@@ -579,7 +518,7 @@ class MpsRank {
   }
 
   /// Per-item stamp of a mixed batch, or null when the item is unstamped
-  /// (untraced run, or a recovery re-offer padded with origin = -1).
+  /// (untraced run, or an item padded with origin = -1).
   static const mps::CausalStamp* causal_stamp_at(const mps::Envelope& env,
                                                  std::size_t i) {
     if (i >= env.causal.size()) return nullptr;
@@ -601,7 +540,7 @@ class MpsRank {
       ob_->trace().flow_step("chain", stamp->root);
     }
     if (slots_.resolved(s)) {
-      const ResolvedXk res{req.t, slots_.value(s), req.e, req.round};
+      const ResolvedXk res{req.t, slots_.value(s), req.e};
       if (causal_ && stamp != nullptr) {
         res_buf_.add_stamped(src, res, {stamp->root, src, depth_[s]});
         ++load_.resolved_sent;
@@ -609,25 +548,17 @@ class MpsRank {
         send_resolved(src, res);
       }
     } else {
-      queue_waiter(s, {req.t, req.e, src, req.round,
-                       stamp != nullptr ? stamp->root : 0});
+      queue_waiter(s, {req.t, req.e, src, stamp != nullptr ? stamp->root : 0});
     }
   }
 
-  /// Requester side of <resolved, t, e, v>: under a crash plan, drop an
-  /// answer to a superseded round (processing it would bump the attempt
-  /// counter a second time and desync the deterministic draw sequence,
-  /// docs/robustness.md §3) or to a dead incarnation's request for a node
-  /// the replay has not reached (the replay asks again, and the slot is
-  /// started once). Then close the slot-store entry (latency + re-offer
-  /// bookkeeping) and accept or retry the value. A stamped answer ends its
-  /// flow ("f") and stages hop + 1 as the depth of whatever slot applying it
+  /// Requester side of <resolved, t, e, v>: observe the slot's chain
+  /// latency and accept or retry the value. A stamped answer ends its flow
+  /// ("f") and stages hop + 1 as the depth of whatever slot applying it
   /// assigns.
   void handle_resolved(const ResolvedXk& res, const mps::CausalStamp* stamp) {
     ++load_.resolved_received;
-    const Count node = part_.local_index(res.t);
-    const Count s = node * x_ + res.e;
-    if (tolerant_ && (node >= reached_ || res.round != attempt_of(s))) return;
+    const Count s = slot(res.t, res.e);
     slots_.note_answered(s);
     if (causal_ && stamp != nullptr) {
       ob_->trace().flow_end("chain", stamp->root);
@@ -643,8 +574,7 @@ class MpsRank {
   mps::Comm& comm_;
   NodeId x_;          ///< slots per node: config.x
   DrawSchema draws_;  ///< the counter-based draws of Lines 3-14
-  bool tolerant_;     ///< crash plan active: absorb duplicate resolutions
-  bool recovering_;   ///< restoring a checkpoint: respawn or resume
+  bool recovering_;   ///< resuming: restore the checkpoint first
 
   // Observability (all null when observation is off).
   obs::RankObserver* ob_;
@@ -675,7 +605,6 @@ class MpsRank {
   mps::DoneDetector done_;
   RankLoad load_;
   Count unresolved_ = 0;
-  Count reached_ = 0;  ///< own nodes (local order) the generate loop started
   Recovery recovery_;  ///< constructed last: sees every member initialized
 };
 
@@ -684,22 +613,6 @@ Recovery::Recovery(MpsRank& rank)
       owned_hash_(rank.options_.checkpoint_dir.empty()
                       ? 0
                       : owned_nodes_hash(rank.part_, rank.comm_.rank())) {}
-
-void Recovery::restore_and_announce() {
-  restore_quietly();
-  for (Rank p = 0; p < r_.comm_.size(); ++p) {
-    if (p != r_.comm_.rank()) r_.comm_.send_item<char>(p, kTagRecover, 0);
-  }
-}
-
-void Recovery::on_peer_recover(Rank src) {
-  r_.slots_.for_each_outstanding([&](Count, const RequestXk& req) {
-    if (r_.part_.owner(req.k) == src) r_.offer_request(src, req);
-  });
-  r_.req_buf_.flush(src);
-  r_.done_.on_peer_recover(src);
-  if (r_.ob_ != nullptr) r_.ob_->trace().instant("peer_recover");
-}
 
 void Recovery::maybe_checkpoint(bool force) {
   const ParallelOptions& options = r_.options_;
@@ -722,7 +635,7 @@ void Recovery::maybe_checkpoint(bool force) {
   resolved_since_ckpt_ = 0;
 }
 
-void Recovery::restore_quietly() {
+void Recovery::restore() {
   const PaConfig& config = r_.config_;
   const std::string& dir = r_.options_.checkpoint_dir;
   if (dir.empty()) return;

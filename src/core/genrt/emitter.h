@@ -7,10 +7,10 @@
 // the rank's list (gather_edges / keep_shards) and feeds edge_batch_sink one
 // span of exactly edge_batch_capacity edges whenever its buffer fills, then
 // the remainder at finish() — in emission order, on the rank's thread.
-// core::generate gives every rank incarnation a fresh emitter and calls
+// core::generate gives every rank of every world a fresh emitter and calls
 // finish() once the engine's rank body returns. A rank that unwinds
 // (cancel, crash) never reaches finish(): its buffered tail is dropped and
-// its kept list dies with it, and a respawn emits into a fresh emitter.
+// its kept list dies with it, and a relaunch emits into a fresh emitter.
 #pragma once
 
 #include <functional>

@@ -5,12 +5,11 @@
 // <request> to the owner of the node it copies from, and eventually
 // receives a <resolved> carrying the value. The request names the
 // requester's slot (`t`, `e`) and the owner-side slot it reads (`k`, `l`);
-// the rank routes it by `partition.owner(req.k)` and re-offers it verbatim
-// when that owner respawns. The resolved echoes the requester's slot plus
-// the value `v`.
+// the rank routes it by `partition.owner(req.k)`. The resolved echoes the
+// requester's slot plus the value `v`.
 //
 // The one wire pair below carries exactly the paper's message contents
-// (docs/protocol.md §2) for every x; at x = 1, e = l = round = 0.
+// (docs/protocol.md §2) for every x; at x = 1, e = l = 0.
 //
 // pagen-lint: wire-structs — every struct here travels through
 // mps::pack/unpack; keep them trivially copyable (static_asserts below) and
@@ -26,45 +25,36 @@ namespace pagen::core {
 
 /// Version of the on-the-wire protocol layout below. Checkpoint files and
 /// replayable model-checker traces implicitly assume one layout; bump this
-/// (and treat mismatching artifacts as stale) whenever a tag is added or a
-/// wire struct changes size, field order, or meaning.
-inline constexpr std::uint32_t kProtocolWireVersion = 2;
+/// (and treat mismatching artifacts as stale) whenever a tag is added or
+/// removed or a wire struct changes size, field order, or meaning.
+inline constexpr std::uint32_t kProtocolWireVersion = 3;
 
 // Tag space of the generation protocol.
 inline constexpr int kTagRequest = 1;   ///< <request, ...>
 inline constexpr int kTagResolved = 2;  ///< <resolved, ...>
 inline constexpr int kTagDone = 3;      ///< rank -> 0 local-completion notice
 inline constexpr int kTagStop = 4;      ///< 0 -> all stop broadcast
-inline constexpr int kTagRecover = 5;   ///< restarted incarnation -> all:
-                                        ///< "my queues died; re-offer what
-                                        ///< you still wait on" (robustness)
 
 /// Algorithm 3.2 <request, t, e, k, l>: "tell me F_k(l) for t's e-th edge".
-/// `round` echoes the requester's per-slot attempt counter at issue time;
-/// the owner copies it into the response so the requester can discard stale
-/// answers after a crash recovery re-offers requests (the answer value is a
-/// pure function of (t, e, round), so duplicates are otherwise ambiguous —
-/// docs/robustness.md). pad keeps the struct trivially packed at 32 bytes.
+/// Trivially packed at 24 bytes.
 struct RequestXk {
   NodeId t = 0;
   NodeId k = 0;
   std::uint32_t e = 0;
   std::uint32_t l = 0;
-  std::uint32_t round = 0;
-  std::uint32_t pad = 0;
 };
 
-/// Algorithm 3.2 <resolved, t, e, v>. `round` echoes the request's (see
-/// RequestXk); the struct stays trivially packed at 24 bytes.
+/// Algorithm 3.2 <resolved, t, e, v>; pad keeps the struct trivially packed
+/// at 24 bytes.
 struct ResolvedXk {
   NodeId t = 0;
   NodeId v = 0;
   std::uint32_t e = 0;
-  std::uint32_t round = 0;
+  std::uint32_t pad = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<RequestXk> &&
-              sizeof(RequestXk) == 32);
+              sizeof(RequestXk) == 24);
 static_assert(std::is_trivially_copyable_v<ResolvedXk> &&
               sizeof(ResolvedXk) == 24);
 

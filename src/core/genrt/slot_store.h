@@ -15,22 +15,16 @@
 //    never resolved(), never served, and checkpoints as kNil, at no cost
 //    per slot. Values stay below kParked because n <= kParked (MpsRank
 //    checks it);
-//  * `requests_` / `open_` — the in-flight remote request per slot, kept
-//    only under a crash plan so it can be re-offered when its owner
-//    respawns. Flat arrays, not a slot-keyed `std::map`: note_sent /
-//    note_answered are O(1) array writes with zero allocation instead of
-//    rb-tree insert/erase (bench/micro_components.cpp, BM_Outstanding*).
 //  * `pending_since_` — the request-departure stamps behind the
 //    pa.chain_latency_ns histogram (the wait Theorem 3.3 bounds by
-//    O(log n) hops): stamped on every note_sent and observed on the first
-//    accepted answer, exactly when a chain-latency histogram is attached
+//    O(log n) hops): stamped on every note_sent and observed on the
+//    answer, exactly when a chain-latency histogram is attached
 //    (observation off keeps the hot path bare).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/genrt/protocol.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/timer.h"
@@ -44,17 +38,11 @@ class SlotStore {
   /// parked word v | kParked never equals kNil.
   static constexpr NodeId kParked = NodeId{1} << 63;
 
-  /// @param slots        number of local slots (part_size * x).
-  /// @param track_requests keep the outstanding request per slot for crash
-  ///   re-offer (crash-tolerant runs only; costs slots * sizeof(RequestXk)).
-  /// @param chain_hist   chain-resolution latency histogram, or null to
+  /// @param slots      number of local slots (part_size * x).
+  /// @param chain_hist chain-resolution latency histogram, or null to
   ///   disable stamping entirely.
-  SlotStore(Count slots, bool track_requests, obs::Histogram* chain_hist)
+  SlotStore(Count slots, obs::Histogram* chain_hist)
       : values_(slots, kNil), chain_hist_(chain_hist) {
-    if (track_requests) {
-      requests_.assign(slots, RequestXk{});
-      open_.assign(slots, 0);
-    }
     if (chain_hist_ != nullptr) pending_since_.assign(slots, -1);
   }
 
@@ -105,23 +93,13 @@ class SlotStore {
     return f;
   }
 
-  /// A <request> for `slot` left this rank: remember it for re-offer (when
-  /// tracking) and stamp the latency clock (when observing). A re-send after
-  /// a duplicate retry overwrites — only the latest round is re-offered, and
-  /// the latency clock restarts with it.
-  void note_sent(Count slot, const RequestXk& req) {
-    if (!requests_.empty()) {
-      if (open_[slot] == 0) {
-        open_[slot] = 1;
-        ++outstanding_;
-      }
-      requests_[slot] = req;
-    }
+  /// A <request> for `slot` left this rank: stamp the latency clock (when
+  /// observing). A re-send after a duplicate retry restarts the clock.
+  void note_sent(Count slot) {
     if (chain_hist_ != nullptr) pending_since_[slot] = now_ns();
   }
 
-  /// The answer for `slot` arrived and was accepted: observe the chain
-  /// latency (first answer only) and close the outstanding entry.
+  /// The answer for `slot` arrived: observe the chain latency.
   void note_answered(Count slot) {
     if (chain_hist_ != nullptr) {
       std::int64_t& since = pending_since_[slot];
@@ -130,35 +108,10 @@ class SlotStore {
         since = -1;
       }
     }
-    if (!open_.empty() && open_[slot] != 0) {
-      open_[slot] = 0;
-      PAGEN_DCHECK(outstanding_ > 0);
-      --outstanding_;
-    }
-  }
-
-  /// In-flight remote requests (0 unless tracking is on).
-  [[nodiscard]] Count outstanding() const { return outstanding_; }
-
-  /// Visit every outstanding request in slot order (ascending — for x = 1
-  /// that is ascending node label, matching the old map iteration). Rare
-  /// path: only the kTagRecover re-offer walks this.
-  template <typename Fn>
-  void for_each_outstanding(Fn&& fn) const {
-    Count seen = 0;
-    for (Count s = 0; s < open_.size() && seen < outstanding_; ++s) {
-      if (open_[s] != 0) {
-        ++seen;
-        fn(s, requests_[s]);
-      }
-    }
   }
 
  private:
-  std::vector<NodeId> values_;        ///< F by slot; kNil = unresolved
-  std::vector<RequestXk> requests_;   ///< in-flight request by slot (tracking)
-  std::vector<std::uint8_t> open_;    ///< 1 = requests_[s] is in flight
-  Count outstanding_ = 0;
+  std::vector<NodeId> values_;  ///< F by slot; kNil = unresolved
   obs::Histogram* chain_hist_;
   std::vector<std::int64_t> pending_since_;  ///< request departure, by slot
 };

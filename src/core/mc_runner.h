@@ -14,11 +14,11 @@
 //    the normalized edge list hash-match a schedule-free P = 1 reference
 //    run (F is a pure function of (seed, n, x, p): every draw is pure and
 //    the rank commits each node's slots in order);
-//  * optionally (causal_check, x = 1): the merged "pa.chain_length"
-//    histogram from causal tracing must exactly equal the
-//    baseline::ChainTrace |D_t| oracle — the Theorem 3.3 chain-depth
-//    check, valid per schedule because the dependency DAG is
-//    schedule-independent.
+//  * optionally (causal_check): the merged "pa.chain_length" histogram from
+//    causal tracing must exactly equal the chain-depth oracle — at x = 1
+//    the baseline::ChainTrace |D_t| recursion (Theorem 3.3), at x > 1 the
+//    histogram of the one-rank reference run, traced the same way. Valid
+//    per schedule because the dependency DAG is schedule-independent.
 //
 // The runner never throws: WorldAborted (the expected unwind of schedules
 // the Scheduler tears down) and any other exception become a failed
@@ -62,20 +62,27 @@ class PropertyRunner {
     /// Set false to re-introduce the RRP flush-rule deadlock (the PR 2
     /// regression) — the model checker's canary.
     bool flush_resolved_after_batch = true;
-    /// x = 1 only: verify Theorem 3.3 chain depths via causal tracing.
+    /// Verify chain depths via causal tracing against causal_oracle().
     bool causal_check = false;
   };
 
   explicit PropertyRunner(Options options) : options_(std::move(options)) {
     // Schedule-free reference: F is a pure function of the config, so a
     // plain single-rank run pins the expected output of every schedule and
-    // every rank count.
+    // every rank count. At x > 1 a causal check traces it for the oracle.
     ParallelOptions ref;
     ref.ranks = 1;
+    std::optional<obs::Session> session;
+    if (options_.causal_check && options_.pa.x > 1) {
+      session.emplace(1, causal_config());
+      ref.obs = &*session;
+    }
     const ParallelResult result = generate(options_.pa, ref);
     ref_targets_hash_ = fnv1a_words(result.targets);
     ref_edges_hash_ = graph::hash_edges(result.edges);
-    if (options_.causal_check && options_.pa.x == 1) {
+    if (session) {
+      oracle_ = merged_chain_lengths(*session);
+    } else if (options_.causal_check) {
       const baseline::ChainTrace trace(options_.pa);
       const auto dep = trace.dependency_lengths();
       for (NodeId t = 2; t < options_.pa.n; ++t) oracle_.observe(dep[t]);
@@ -94,6 +101,17 @@ class PropertyRunner {
   }
   [[nodiscard]] std::uint64_t ref_edges_hash() const {
     return ref_edges_hash_;
+  }
+
+  /// The chain-length histogram every schedule must reproduce (empty
+  /// unless causal_check).
+  [[nodiscard]] const obs::Histogram& chain_oracle() const { return oracle_; }
+
+  /// The name of that oracle, for reports ("" unless causal_check).
+  [[nodiscard]] std::string causal_oracle() const {
+    if (!options_.causal_check) return {};
+    return options_.pa.x == 1 ? "baseline::ChainTrace"
+                              : "the one-rank reference run";
   }
 
   /// p in its shortest round-trip form: a dumped trace replays the exact p
@@ -178,9 +196,8 @@ class PropertyRunner {
     opt.flush_resolved_after_batch = options_.flush_resolved_after_batch;
     opt.transport.delivery_hook = &sched;
 
-    const bool causal = options_.causal_check && options_.pa.x == 1;
     std::optional<obs::Session> session;
-    if (causal) {
+    if (options_.causal_check) {
       session.emplace(options_.ranks, causal_config());
       opt.obs = &*session;
     }
@@ -195,7 +212,7 @@ class PropertyRunner {
     } catch (const std::exception& e) {
       return {true, std::string("exception: ") + e.what()};
     }
-    return check(result, causal ? &*session : nullptr);
+    return check(result, session ? &*session : nullptr);
   }
 
   [[nodiscard]] static obs::Config causal_config() {
@@ -243,20 +260,27 @@ class PropertyRunner {
     return {};
   }
 
-  [[nodiscard]] std::string check_chain_lengths(
-      const obs::Session& session) const {
+  /// Every rank's "pa.chain_length" histogram of `session`, merged.
+  [[nodiscard]] static obs::Histogram merged_chain_lengths(
+      const obs::Session& session) {
     obs::Histogram merged;
     for (int r = 0; r < session.nranks(); ++r) {
       const auto& hists = session.rank(r).metrics().histograms();
       const auto it = hists.find("pa.chain_length");
       if (it != hists.end()) merged += it->second;
     }
+    return merged;
+  }
+
+  [[nodiscard]] std::string check_chain_lengths(
+      const obs::Session& session) const {
+    const obs::Histogram merged = merged_chain_lengths(session);
     if (merged.count() == oracle_.count() && merged.sum() == oracle_.sum() &&
         merged.min() == oracle_.min() && merged.max() == oracle_.max()) {
       return {};
     }
     std::ostringstream os;
-    os << "causal chain-length mismatch vs Theorem 3.3 oracle: count "
+    os << "causal chain-length mismatch vs " << causal_oracle() << ": count "
        << merged.count() << "/" << oracle_.count() << ", sum " << merged.sum()
        << "/" << oracle_.sum() << ", max " << merged.max() << "/"
        << oracle_.max();

@@ -92,9 +92,9 @@ struct ParallelOptions {
   /// edge (bench/micro_components.cpp, BM_EdgeSink*). Called concurrently
   /// from different rank threads — the callback must be thread-safe (e.g.
   /// write to rank-indexed state). Every edge is seen exactly once, except
-  /// under a crash plan: a respawned rank emits again, restored or replayed,
-  /// the edges its dead incarnation already streamed (at-least-once; see
-  /// docs/robustness.md).
+  /// after a crash or on resume: the relaunched ranks emit again, restored
+  /// or replayed, the edges the crashed world already streamed
+  /// (at-least-once; see docs/robustness.md).
   std::function<void(Rank, std::span<const graph::Edge>)> edge_batch_sink;
 
   /// Edges per edge_batch_sink call (all but each rank's last batch).
@@ -117,8 +117,9 @@ struct ParallelOptions {
   /// manifest when the run completes. Engine-independent: generate() wraps
   /// the batched sink path, so any engine that emits edges feeds the store
   /// without materializing them. Incompatible with crash injection and
-  /// checkpoint resume — both re-emit restored edges (at-least-once), which
-  /// would duplicate blocks in the store; generate() rejects the combo.
+  /// checkpoint resume — a crash relaunches as a resume, and a resume
+  /// re-emits restored edges (at-least-once), which would duplicate blocks
+  /// in the store; generate() rejects the combo.
   std::string store_dir;
 
   /// Edges per compressed block in the store (the seek / integrity /
@@ -141,28 +142,33 @@ struct ParallelOptions {
 
   // --- Robustness (docs/robustness.md) ---
 
-  /// The mps transport's options, handed to mps::run_ranks as they are.
-  /// For the generators a crash plan also turns on crash-tolerant mode, a
-  /// delivery hook excludes checkpointing, and service retries set
-  /// max_respawns = 0 so an injected crash fails the whole attempt.
+  /// The mps transport's options, handed to mps::run_ranks as they are. For
+  /// the generators a delivery hook excludes checkpointing.
   mps::WorldOptions transport;
 
+  /// Relaunches generate() may make after an injected crash aborts the
+  /// world (mps::InjectedCrash). A relaunch runs every rank again with
+  /// `resume` on and the plan's crash consumed; a plan scripts one crash,
+  /// so any value >= 1 recovers it. 0 makes the crash fatal, which a
+  /// service job (svc::JobSpec::max_respawns) uses to exercise its
+  /// attempt-level retries instead.
+  int max_respawns = 3;
+
   /// Directory for per-rank generation checkpoints. Empty (the default)
-  /// disables checkpointing: a crashed rank then replays from scratch,
-  /// which is still correct, just slower. The directory must exist; files
-  /// are named pagen-ckpt-<rank> and overwritten atomically.
+  /// disables checkpointing: a relaunch after a crash then replays from
+  /// scratch, which is still correct, just slower. The directory must
+  /// exist; files are named pagen-ckpt-<rank> and overwritten atomically.
   std::string checkpoint_dir;
 
   /// Resolutions between checkpoint writes (per rank).
   Count checkpoint_every = 4096;
 
   /// Resume a *fresh* run from existing checkpoints in `checkpoint_dir`
-  /// (generation-as-a-service retries, docs/robustness.md §6). Each rank
-  /// restores its checkpointed slot slice before the generate phase and
-  /// re-emits the restored edges, then continues with only the unresolved
-  /// remainder. Unlike an in-run respawn, no peer re-offer broadcast is
-  /// needed — all ranks start from their own checkpoints together. Missing
-  /// or unreadable checkpoint files make the resume a plain cold start.
+  /// (generation-as-a-service retries and the relaunch after a crash,
+  /// docs/robustness.md §3 and §6). Each rank restores its checkpointed
+  /// slot slice behind the start barrier and re-emits the restored edges,
+  /// then continues with only the unresolved remainder. A missing
+  /// checkpoint file makes that rank a plain cold start.
   bool resume = false;
 };
 

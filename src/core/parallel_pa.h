@@ -34,15 +34,16 @@ struct ParallelResult {
   /// Runtime-level per-rank envelope/byte counters.
   std::vector<mps::CommStats> comm_stats;
 
-  /// Wall-clock of the whole world (threads are oversubscribed on this
-  /// machine; see scaling_model.h for modeled parallel time).
+  /// Wall-clock of the whole world, plus the crashed world's before a
+  /// relaunch (threads are oversubscribed on this machine; see
+  /// scaling_model.h for modeled parallel time).
   double wall_seconds = 0.0;
 
   /// Total edges generated (valid even when not gathered).
   Count total_edges = 0;
 
-  /// Rank incarnations beyond the first (0 unless a crash plan fired and
-  /// the run recovered; docs/robustness.md).
+  /// Relaunches after an injected crash (0 unless a crash plan fired and
+  /// the run recovered; docs/robustness.md §3).
   Count respawns = 0;
 
   /// Slots restored from checkpoints across all ranks (0 on a cold start).

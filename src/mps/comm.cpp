@@ -52,14 +52,11 @@ Comm::Comm(World& world, Rank rank, obs::RankObserver* ob)
   PAGEN_CHECK(rank >= 0 && rank < world.size());
   stats_.envelopes_to.assign(static_cast<std::size_t>(world.size()), 0);
   if (world.reliable()) {
-    reliable_ = std::make_unique<ReliableChannel>(world, rank,
-                                                  world.epoch(rank), stats_);
+    reliable_ = std::make_unique<ReliableChannel>(world, rank, stats_);
   }
 }
 
 int Comm::size() const { return world_.size(); }
-
-std::uint32_t Comm::incarnation() const { return world_.epoch(rank_); }
 
 void Comm::send_bytes(Rank dst, int tag, std::vector<std::byte> payload) {
   send_bytes(dst, tag, std::move(payload), {});
@@ -80,14 +77,14 @@ void Comm::send_bytes(Rank dst, int tag, std::vector<std::byte> payload,
     obs_->trace().instant("send");
   }
   if (reliable_ != nullptr) {
-    // The channel stamps seq + epoch (in lockstep with the checker's
-    // ledger entry) and owns retransmission until the flow is acked.
+    // The channel stamps seq (in lockstep with the checker's ledger entry)
+    // and owns retransmission until the flow is acked.
     (void)world_.invariants().on_send(rank_, dst, tag);
     reliable_->send(dst, tag, std::move(payload), std::move(stamps));
     return;
   }
   const std::uint64_t seq = world_.invariants().on_send(rank_, dst, tag);
-  Envelope env{rank_, tag, std::move(payload), seq, 0, 0, std::move(stamps)};
+  Envelope env{rank_, tag, std::move(payload), seq, std::move(stamps)};
   if (world_.hook() != nullptr) {
     // Schedule-controlled world: the hook owns the envelope until its
     // scheduler releases it through a poll on dst.

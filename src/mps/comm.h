@@ -39,11 +39,6 @@ class Comm {
   [[nodiscard]] Rank rank() const { return rank_; }
   [[nodiscard]] int size() const;
 
-  /// This endpoint's incarnation number: 0 on first spawn, bumped each time
-  /// the engine respawns the rank after an injected crash. Rank bodies use
-  /// it to decide between a cold start and checkpoint recovery.
-  [[nodiscard]] std::uint32_t incarnation() const;
-
   /// Send an opaque payload to `dst` (self-send allowed). FIFO per
   /// (src, dst) pair.
   void send_bytes(Rank dst, int tag, std::vector<std::byte> payload);

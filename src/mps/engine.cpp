@@ -31,8 +31,7 @@ World::World(int nranks, WorldOptions options)
     : nranks_(nranks),
       options_(std::move(options)),
       collectives_(nranks),
-      invariants_(nranks),
-      epochs_(static_cast<std::size_t>(nranks), 0) {
+      invariants_(nranks) {
   PAGEN_CHECK_MSG(nranks >= 1, "world needs at least one rank");
   check_world_options(options_);
   if (options_.fault_plan.active()) {
@@ -40,7 +39,6 @@ World::World(int nranks, WorldOptions options)
     options_.reliable = true;
     injector_ = std::make_unique<FaultInjector>(options_.fault_plan, nranks);
   }
-  invariants_.set_fault_mode(options_.fault_plan.has_crash());
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -51,12 +49,6 @@ Mailbox& World::mailbox(Rank r) {
   PAGEN_CHECK(r >= 0 && r < nranks_);
   return *mailboxes_[static_cast<std::size_t>(r)];
 }
-
-std::uint32_t World::epoch(Rank r) const {
-  return epochs_[static_cast<std::size_t>(r)];
-}
-
-void World::bump_epoch(Rank r) { ++epochs_[static_cast<std::size_t>(r)]; }
 
 void World::precheck_send(Rank src) {
   if (aborted()) throw WorldAborted();
@@ -73,7 +65,7 @@ void World::deliver(Rank dst, Envelope env, std::uint32_t attempt,
   const Rank src = env.src;
   const int tag = env.tag;
   const FaultAction action =
-      injector_->decide(src, dst, tag, env.seq, attempt, env.epoch);
+      injector_->decide(src, dst, tag, env.seq, attempt);
   switch (action) {
     case FaultAction::kDrop:
       injector_->count_drop();
@@ -125,7 +117,6 @@ RunResult run_ranks(int nranks, WorldOptions options,
   RunResult result;
   result.rank_stats.resize(static_cast<std::size_t>(nranks));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
-  std::vector<int> respawns(static_cast<std::size_t>(nranks), 0);
 
   Timer timer;
   std::vector<std::thread> threads;
@@ -138,46 +129,26 @@ RunResult run_ranks(int nranks, WorldOptions options,
       // it the first step — from this point on, the OS scheduler no longer
       // decides anything observable.
       if (hook != nullptr) hook->on_rank_start(r);
-      bool done = false;
-      while (!done) {
-        // One incarnation per iteration: a fresh Comm (fresh reliability
-        // state under the rank's current epoch) running the same body.
-        Comm comm(world, r, ob);
-        try {
-          const auto sp = obs::span(ob, "rank");
-          body(comm);
-          done = true;
-        } catch (const InjectedCrash&) {
-          if (respawns[static_cast<std::size_t>(r)] <
-              world.options().max_respawns) {
-            respawns[static_cast<std::size_t>(r)] += 1;
-            if (ob != nullptr) ob->trace().instant("respawn");
-            world.invariants().on_rank_restart(r);
-            world.bump_epoch(r);
-            continue;  // respawn: the dead incarnation's stats are dropped
-          }
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-          done = true;
-        } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-          done = true;
-        }
-        if (errors[static_cast<std::size_t>(r)]) {
-          // Unblock peers so the world tears down instead of deadlocking on
-          // the failed rank: fast-fail future sends, wake collectives via
-          // poisoning, and wake mailbox waiters via abort envelopes (poll
-          // translates them into WorldAborted).
-          world.mark_aborted();
-          world.collectives().poison();
-          for (int peer = 0; peer < nranks; ++peer) {
-            if (peer != r) {
-              world.deliver_control(peer, Envelope{r, kAbortTag, {}, 0, 0, 0, {}});
-            }
+      Comm comm(world, r, ob);
+      try {
+        const auto sp = obs::span(ob, "rank");
+        body(comm);
+      } catch (...) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        // Unblock peers so the world tears down instead of deadlocking on
+        // the failed rank: fast-fail future sends, wake collectives via
+        // poisoning, and wake mailbox waiters via abort envelopes (poll
+        // translates them into WorldAborted).
+        world.mark_aborted();
+        world.collectives().poison();
+        for (int peer = 0; peer < nranks; ++peer) {
+          if (peer != r) {
+            world.deliver_control(peer, Envelope{r, kAbortTag, {}, 0, {}});
           }
         }
-        result.rank_stats[static_cast<std::size_t>(r)] = comm.stats();
-        if (ob != nullptr) record_metrics(ob->metrics(), comm.stats());
       }
+      result.rank_stats[static_cast<std::size_t>(r)] = comm.stats();
+      if (ob != nullptr) record_metrics(ob->metrics(), comm.stats());
       // Mark the exit only after any abort envelopes are pushed, so the
       // deadlock probe never sees "rank r can't send" while peers still
       // lack their wake-up envelope.
@@ -187,7 +158,6 @@ RunResult run_ranks(int nranks, WorldOptions options,
   }
   for (auto& t : threads) t.join();
   result.wall_seconds = timer.seconds();
-  for (const int n : respawns) result.respawns += static_cast<Count>(n);
 
   // Prefer the root-cause exception over secondary WorldAborted failures
   // that other ranks raised while tearing down.
@@ -207,8 +177,7 @@ RunResult run_ranks(int nranks, WorldOptions options,
   if (first) std::rethrow_exception(first);
   // Exception-free world: audit the sent-vs-received ledger. A message that
   // was pushed but never drained means some rank stopped polling too early
-  // (debug builds only; the Release stub inlines to nothing. Skipped for
-  // crash plans, whose replays unbalance the ledger by design).
+  // (debug builds only; the Release stub inlines to nothing).
   world.invariants().verify_termination();
   return result;
 }

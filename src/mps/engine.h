@@ -50,11 +50,6 @@ class World {
   /// this is the zero-cost stub; call sites need no #ifdef.
   [[nodiscard]] InvariantChecker& invariants() { return invariants_; }
 
-  /// Rank r's incarnation number: 0 until it is respawned after an
-  /// injected crash. Read and written only on r's own thread.
-  [[nodiscard]] std::uint32_t epoch(Rank r) const;
-  void bump_epoch(Rank r);
-
   /// True once any rank has failed fatally. Comm::send_bytes fast-fails
   /// with WorldAborted so a send-only loop (never polling, e.g. with full
   /// send buffers still draining) unwinds instead of talking to the dead.
@@ -84,30 +79,25 @@ class World {
   CollectiveContext collectives_;
   InvariantChecker invariants_;
   std::unique_ptr<FaultInjector> injector_;
-  std::vector<std::uint32_t> epochs_;
   std::atomic<bool> aborted_{false};
 };
 
-/// Result of one Engine::run: per-rank runtime statistics and wall time.
-/// Under a crash plan, `rank_stats` holds the *final* incarnation's counters
-/// (a dead incarnation's half-run would skew the paper's load figures) and
-/// `respawns` totals the recoveries across all ranks.
+/// Result of one run_ranks call: per-rank runtime statistics and wall time.
 struct RunResult {
   std::vector<CommStats> rank_stats;
   double wall_seconds = 0.0;
-  Count respawns = 0;
 };
 
-/// Launch `nranks` threads each executing `body(comm)`. Exceptions thrown by
-/// any rank are captured and the first one rethrown after all threads join —
-/// except InjectedCrash, which respawns the rank (same thread, fresh Comm,
-/// bumped epoch) up to `options.max_respawns` times.
+/// Launch `nranks` threads each executing `body(comm)`. A rank that throws —
+/// InjectedCrash included — aborts the world: peers blocked in polls or
+/// collectives unwind with WorldAborted, and after all threads join the
+/// root cause is rethrown (core::generate relaunches a crashed run).
 ///
 /// When `obs` is non-null, every rank records into obs->rank(r): a "rank"
 /// span covering the body, the runtime's send/wait/collective events, and —
-/// after the body returns — its CommStats folded into the rank's metrics
-/// registry. `obs` must outlive the call and have at least `nranks` rank
-/// observers.
+/// after the body returns or throws — its CommStats folded into the rank's
+/// metrics registry. `obs` must outlive the call and have at least `nranks`
+/// rank observers.
 RunResult run_ranks(int nranks, WorldOptions options,
                     const std::function<void(Comm&)>& body,
                     obs::Session* obs = nullptr);

@@ -131,8 +131,8 @@ FaultInjector::FaultInjector(FaultPlan plan, int nranks)
       limbo_(static_cast<std::size_t>(nranks)) {}
 
 FaultAction FaultInjector::decide(Rank src, Rank dst, int tag,
-                                  std::uint64_t seq, std::uint32_t attempt,
-                                  std::uint32_t epoch) const {
+                                  std::uint64_t seq,
+                                  std::uint32_t attempt) const {
   if (plan_.drop == 0.0 && plan_.dup == 0.0 && plan_.reorder == 0.0) {
     return FaultAction::kDeliver;
   }
@@ -145,8 +145,7 @@ FaultAction FaultInjector::decide(Rank src, Rank dst, int tag,
       key ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag))
               << 32) |
              attempt));
-  key = rng::splitmix64_mix(key ^ seq ^
-                            (static_cast<std::uint64_t>(epoch) << 48));
+  key = rng::splitmix64_mix(key ^ seq);
   const double u = to_unit(key);
   if (u < plan_.drop) return FaultAction::kDrop;
   if (u < plan_.drop + plan_.dup) return FaultAction::kDup;

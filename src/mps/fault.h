@@ -5,7 +5,7 @@
 // the reliability layer (mps/reliable.h) and the generators' checkpoint /
 // restart path (core/checkpoint.h) can be exercised under ctest. Every
 // injection decision is a pure function of (fault seed, src, dst, tag, seq,
-// attempt, epoch) — independent of thread interleaving — so a fault run is
+// attempt) — independent of thread interleaving — so a fault run is
 // replayable from its seed alone. See docs/robustness.md for the spec
 // grammar and the determinism guarantees.
 #pragma once
@@ -22,9 +22,10 @@
 
 namespace pagen::mps {
 
-/// Thrown from the send path of a rank scripted to crash. The engine treats
-/// it as a *recoverable* failure: the rank is respawned (up to
-/// WorldOptions::max_respawns) instead of aborting the world.
+/// Thrown from the send path of a rank scripted to crash. To the runtime it
+/// is a rank failure like any other: mps::run_ranks aborts the world and
+/// rethrows it as the root cause, and core::generate relaunches the run
+/// from the ranks' checkpoints when ParallelOptions::max_respawns allows.
 class InjectedCrash : public std::runtime_error {
  public:
   explicit InjectedCrash(Rank rank, std::uint64_t step)
@@ -111,7 +112,7 @@ enum class FaultAction : std::uint8_t {
 /// One injector per World. Decision state is pure (no mutation); the limbo
 /// buffers used for reordering are keyed by source rank and touched only by
 /// that rank's thread, so they need no locks. The crash/stall latches are
-/// atomics because the respawned incarnation re-reads them.
+/// atomics so crash_fired() may be read from any thread.
 class FaultInjector {
  public:
   FaultInjector(FaultPlan plan, int nranks);
@@ -120,8 +121,8 @@ class FaultInjector {
 
   /// Pure decision for one physical transmission attempt.
   [[nodiscard]] FaultAction decide(Rank src, Rank dst, int tag,
-                                   std::uint64_t seq, std::uint32_t attempt,
-                                   std::uint32_t epoch) const;
+                                   std::uint64_t seq,
+                                   std::uint32_t attempt) const;
 
   /// Send-path precheck, called on src's thread before every logical send:
   /// advances src's step counter, sleeps through a scripted stall, and
@@ -152,7 +153,7 @@ class FaultInjector {
 
   FaultPlan plan_;
   /// Cumulative logical-send steps per rank; indexed and written only by
-  /// the owning rank's thread (survives respawn, which reuses the thread).
+  /// the owning rank's thread.
   std::vector<std::uint64_t> steps_;
   /// Per-source reorder limbo, owner-thread only (see class comment).
   std::vector<std::map<FlowKey, Envelope>> limbo_;

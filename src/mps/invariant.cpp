@@ -67,40 +67,19 @@ void InvariantChecker::on_receive(Rank dst, const Envelope& env) {
     return;  // engine-internal, bypasses accounting
   }
   RankState& me = ranks_[static_cast<std::size_t>(dst)];
-  const auto [it, inserted] = me.next_recv_seq.try_emplace({env.src, env.tag});
-  RecvSeq& rs = it->second;
-  if (inserted) {
-    // A restarted receiver lost its receive history with the crash: adopt
-    // whatever sequence point the reliability layer hands it first.
-    rs = RecvSeq{env.epoch, me.restarted ? env.seq : 0};
-  } else if (env.epoch != rs.epoch) {
-    // The sender respawned; its flows restart. Order is asserted within an
-    // incarnation, never across them.
-    rs = RecvSeq{env.epoch, env.seq};
-  }
-  if (env.seq != rs.expected) {
+  std::uint64_t& expected = me.next_recv_seq[{env.src, env.tag}];
+  if (env.seq != expected) {
     std::ostringstream os;
     os << "non-overtaking delivery violated: rank " << dst
        << " received seq " << env.seq << " from rank " << env.src << " tag "
-       << env.tag << ", expected seq " << rs.expected;
+       << env.tag << ", expected seq " << expected;
     throw InvariantViolation(os.str());
   }
-  ++rs.expected;
+  ++expected;
   in_flight_.fetch_sub(1);
   activity_.fetch_add(1);
   me.stalled_since_ns.store(-1);
   me.fruitless_waits.store(0);
-}
-
-void InvariantChecker::on_rank_restart(Rank r) {
-  RankState& me = ranks_[static_cast<std::size_t>(r)];
-  me.next_send_seq.clear();
-  me.next_recv_seq.clear();
-  me.restarted = true;
-}
-
-void InvariantChecker::set_fault_mode(bool skip_termination_audit) {
-  skip_termination_audit_ = skip_termination_audit;
 }
 
 void InvariantChecker::enter_wait(Rank r, const char* what) {
@@ -186,8 +165,6 @@ void InvariantChecker::note_rank_exit(Rank r) {
 }
 
 void InvariantChecker::verify_termination() const {
-  // Crash plans unbalance the ledger by design (see set_fault_mode).
-  if (skip_termination_audit_) return;
   // Post-join, single-threaded: thread::join established happens-before for
   // every rank's sequence table, so plain reads are safe here.
   std::ostringstream os;
@@ -199,7 +176,7 @@ void InvariantChecker::verify_termination() const {
       const RankState& d = ranks_[static_cast<std::size_t>(dst)];
       const auto it = d.next_recv_seq.find({src, tag});
       const std::uint64_t received =
-          it != d.next_recv_seq.end() ? it->second.expected : 0;
+          it != d.next_recv_seq.end() ? it->second : 0;
       if (received != sent) {
         if (!lost) os << "lost messages at termination:";
         lost = true;

@@ -77,30 +77,14 @@ class InvariantChecker {
   void on_phantom_send(Rank src);
 
   /// A physical envelope was removed without a logical delivery: dropped by
-  /// the fault injector, or discarded by receiver-side dedup / stale-epoch
-  /// filtering. Balances on_send / on_phantom_send in-flight accounting.
+  /// the fault injector, or discarded by receiver-side dedup. Balances
+  /// on_send / on_phantom_send in-flight accounting.
   void on_filtered(Rank r);
 
   /// Receive-path hook (dst's thread). Asserts the envelope's sequence
   /// number is the next expected one for (src, dst, tag) — the
   /// non-overtaking guarantee — and balances the in-flight accounting.
-  /// Fault-aware: expectations are scoped to the sender's incarnation
-  /// (Envelope::epoch) and reset when a newer one appears, and a restarted
-  /// receiver adopts the first sequence it sees on each flow (its receive
-  /// history died with the crash).
   void on_receive(Rank dst, const Envelope& env);
-
-  /// Rank r is about to be respawned after an injected crash (called on
-  /// r's own thread, between incarnations). Clears r's sequence tables —
-  /// the new incarnation restarts flows at 0 — and switches r to adopt
-  /// mode for inbound flows.
-  void on_rank_restart(Rank r);
-
-  /// Scripted crashes make the global sent-vs-received ledger unbalanced by
-  /// design (a dead incarnation's sends are re-counted by its replay), so
-  /// the engine disables the termination audit for crash plans. Drop / dup
-  /// / reorder plans keep it: retransmission rebalances the ledger.
-  void set_fault_mode(bool skip_termination_audit);
 
   /// Blocking-wait bracket (owner thread). `what` must be a string literal
   /// ("poll_wait" / "collective"); it names the wait in deadlock dumps and
@@ -118,31 +102,21 @@ class InvariantChecker {
   /// ranks count as permanently stalled in the deadlock probe.
   void note_rank_exit(Rank r);
 
-  /// Post-join audit (driver thread, only after an exception-free run):
-  /// every (src, dst, tag) sent-count must equal the receive-count, else
-  /// throws InvariantViolation listing every lost message flow.
+  /// Post-join audit (driver thread, after every exception-free run, fault
+  /// plans included: retransmission rebalances the ledger, and a crashed
+  /// world never completes): every (src, dst, tag) sent-count must equal
+  /// the receive-count, else throws InvariantViolation listing every lost
+  /// message flow.
   void verify_termination() const;
 
  private:
   /// Key of a sequence table entry: (peer rank, tag).
   using FlowKey = std::pair<Rank, int>;
 
-  /// Receive-side expectation, scoped to the sender incarnation it was
-  /// built under (see on_receive).
-  struct RecvSeq {
-    std::uint32_t epoch = 0;
-    std::uint64_t expected = 0;
-  };
-
   struct RankState {
     // Owner-thread-only sequence tables (no locks; see header comment).
     std::map<FlowKey, std::uint64_t> next_send_seq;  ///< keyed by (dst, tag)
-    std::map<FlowKey, RecvSeq> next_recv_seq;        ///< keyed by (src, tag)
-
-    /// This rank was respawned at least once: adopt the first sequence
-    /// seen on unknown inbound flows. Owner-thread only (set between
-    /// incarnations on the same thread that runs on_receive).
-    bool restarted = false;
+    std::map<FlowKey, std::uint64_t> next_recv_seq;  ///< keyed by (src, tag)
 
     // Cross-thread wait state, read by the stall probe.
     std::atomic<const char*> wait_kind{nullptr};  ///< null = not blocked
@@ -159,8 +133,6 @@ class InvariantChecker {
   std::atomic<std::int64_t> in_flight_{0};  ///< sent minus received envelopes
   std::atomic<std::uint64_t> activity_{0};  ///< bumps on every send/receive
   std::int64_t stall_threshold_ns_;
-  /// Set once by World's constructor before any rank thread exists.
-  bool skip_termination_audit_ = false;
 };
 
 #else  // !PAGEN_CHECK_INVARIANTS
@@ -174,8 +146,6 @@ class InvariantChecker {
   void on_phantom_send(Rank /*src*/) {}
   void on_filtered(Rank /*r*/) {}
   void on_receive(Rank /*dst*/, const Envelope& /*env*/) {}
-  void on_rank_restart(Rank /*r*/) {}
-  void set_fault_mode(bool /*skip_termination_audit*/) {}
   void enter_wait(Rank /*r*/, const char* /*what*/) {}
   void leave_wait(Rank /*r*/, bool /*made_progress*/) {}
   void on_wait_timeout(Rank /*r*/) {}

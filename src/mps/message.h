@@ -48,19 +48,6 @@ struct Envelope {
   /// (mps/invariant.h). Not part of any user protocol.
   std::uint64_t seq = 0;
 
-  /// Sender incarnation number. 0 until the sending rank is respawned after
-  /// an injected crash; each respawn bumps it. Receivers use it to discard
-  /// stale traffic from dead incarnations and to reset per-flow sequence
-  /// expectations (docs/robustness.md).
-  std::uint32_t epoch = 0;
-
-  /// Receiver incarnation this envelope was addressed to, as known by the
-  /// sender when it (re)transmitted (reliable mode only). A restarted
-  /// receiver discards envelopes addressed to its dead incarnation — under
-  /// reordering, arrival order cannot be trusted to resynchronize flow
-  /// sequences, so the stamp is the only sound filter (mps/reliable.h).
-  std::uint32_t dest_epoch = 0;
-
   /// One causal stamp per packed payload item, in item order. Empty unless
   /// the sender runs with causal tracing on — an empty vector allocates
   /// nothing and adds zero wire bytes, so the disabled path stays free.

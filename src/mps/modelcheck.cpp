@@ -19,7 +19,7 @@ constexpr std::chrono::seconds kWatchdog{120};
 Envelope abort_envelope() {
   // Synthetic wake-up: Comm::account_received translates kAbortTag into
   // WorldAborted, which unwinds the rank through the engine's abort path.
-  return Envelope{-1, kAbortTag, {}, 0, 0, 0, {}};
+  return Envelope{-1, kAbortTag, {}, 0, {}};
 }
 
 const char* state_name(int s) {

@@ -8,11 +8,9 @@
 
 namespace pagen::mps {
 
-ReliableChannel::ReliableChannel(World& world, Rank rank, std::uint32_t epoch,
-                                 CommStats& stats)
+ReliableChannel::ReliableChannel(World& world, Rank rank, CommStats& stats)
     : world_(world),
       rank_(rank),
-      epoch_(epoch),
       rto_base_ns_(world.options().rto_base_ms * 1'000'000),
       rto_max_ns_(world.options().rto_max_ms * 1'000'000),
       stats_(stats),
@@ -24,9 +22,7 @@ void ReliableChannel::send(Rank dst, int tag, std::vector<std::byte> payload,
                            std::vector<CausalStamp> stamps) {
   PAGEN_CHECK_MSG(tag >= 0, "reliable flows use non-negative tags only");
   const std::uint64_t seq = next_seq_[{dst, tag}]++;
-  Envelope env{rank_, tag,    std::move(payload),
-               seq,   epoch_, peers_[static_cast<std::size_t>(dst)].epoch,
-               std::move(stamps)};
+  Envelope env{rank_, tag, std::move(payload), seq, std::move(stamps)};
   retained_[{dst, tag}].push_back(
       Retained{seq, env.payload, env.causal, 0, now_ns() + rto_base_ns_});
   world_.deliver(dst, std::move(env), /*attempt=*/0, stats_);
@@ -44,41 +40,7 @@ void ReliableChannel::ingest(std::vector<Envelope>& raw,
       out.push_back(std::move(env));
       continue;
     }
-    if (env.dest_epoch != epoch_) {
-      // Addressed to a dead incarnation of this rank (we respawned since the
-      // sender stamped it). Under reordering no arrival-order heuristic can
-      // resynchronize the flow, so pre-crash traffic is dropped wholesale;
-      // the sender restarts the flow at 0 once it learns our new epoch.
-      stats_.duplicates_dropped += 1;
-      world_.invariants().on_filtered(rank_);
-      continue;
-    }
     Peer& peer = peers_[static_cast<std::size_t>(env.src)];
-    if (env.epoch < peer.epoch) {
-      // A dead incarnation's envelope surfacing late: never deliver.
-      stats_.duplicates_dropped += 1;
-      world_.invariants().on_filtered(rank_);
-      continue;
-    }
-    if (env.epoch > peer.epoch) {
-      // The peer respawned (or this is first contact and it had already
-      // respawned before we ever heard from it — the reset below must not
-      // depend on having seen the dead incarnation: our send flows may have
-      // advanced against it regardless, and the new incarnation expects
-      // them from 0). Its flows to us restart at sequence 0, and our flows
-      // to it restart too: its receive history died with it, so every
-      // unacked envelope we retained is abandoned here — the protocol-level
-      // recovery (checkpoint replay + kTagRecover re-offer) regenerates the
-      // content under the new sequence regime.
-      peer.epoch = env.epoch;
-      peer.flows.clear();
-      for (auto it = retained_.begin(); it != retained_.end();) {
-        it = it->first.first == env.src ? retained_.erase(it) : std::next(it);
-      }
-      for (auto it = next_seq_.begin(); it != next_seq_.end();) {
-        it = it->first.first == env.src ? next_seq_.erase(it) : std::next(it);
-      }
-    }
     RecvFlow& flow = peer.flows[env.tag];
     if (env.seq < flow.next) {
       // Duplicate (injected, or a retransmission that crossed our ack).
@@ -129,13 +91,9 @@ std::size_t ReliableChannel::maybe_retransmit() {
     head.next_due_ns = now + backoff;
     stats_.retransmits += 1;
     // A retransmission is a *physical* copy of an already-ledgered logical
-    // send: tell the checker so in-flight accounting stays exact. The
-    // dest-epoch stamp uses *current* knowledge of the receiver.
+    // send: tell the checker so in-flight accounting stays exact.
     world_.invariants().on_phantom_send(rank_);
-    Envelope copy{rank_,    flow.second,
-                  head.payload, head.seq,
-                  epoch_,   peers_[static_cast<std::size_t>(flow.first)].epoch,
-                  head.causal};
+    Envelope copy{rank_, flow.second, head.payload, head.seq, head.causal};
     world_.deliver(flow.first, std::move(copy), head.attempts, stats_);
     ++n;
   }
@@ -152,14 +110,7 @@ bool ReliableChannel::has_unacked() const {
 void ReliableChannel::consume_ack(const Envelope& env) {
   stats_.acks_received += 1;
   const Rank dst = env.src;  // the acking receiver is our send destination
-  if (env.epoch != peers_[static_cast<std::size_t>(dst)].epoch) {
-    // An acker incarnation we do not currently know: a dead incarnation's
-    // cumulative ack could otherwise release a restarted (sequence-0)
-    // window it never saw.
-    return;
-  }
   for_each_packed<AckItem>(env.payload, [&](const AckItem& item) {
-    if (item.epoch != epoch_) return;  // ack aimed at a dead incarnation
     const auto it = retained_.find({dst, item.tag});
     if (it == retained_.end()) return;
     auto& window = it->second;
@@ -176,13 +127,13 @@ void ReliableChannel::flush_acks() {
     peer.dirty = false;
     std::vector<std::byte> payload;
     for (const auto& [tag, flow] : peer.flows) {
-      pack_one(payload, AckItem{tag, peer.epoch, flow.next});
+      pack_one(payload, AckItem{.tag = tag, .cum = flow.next});
     }
     if (payload.empty()) continue;
     stats_.acks_sent += 1;
     world_.deliver_control(
         static_cast<Rank>(src),
-        Envelope{rank_, kAckTag, std::move(payload), 0, epoch_, 0, {}});
+        Envelope{rank_, kAckTag, std::move(payload), 0, {}});
   }
 }
 

@@ -6,9 +6,9 @@
 // style of Go-Back-N:
 //
 //  * **Sender** — every logical send on a (dst, tag) flow is stamped with a
-//    sequence number (reusing Envelope::seq, starting at 0 per incarnation)
-//    and a copy is retained until a cumulative ack covers it. Only the
-//    oldest unacked envelope per flow is retransmitted on timeout, with
+//    sequence number (reusing Envelope::seq, starting at 0 per world) and a
+//    copy is retained until a cumulative ack covers it. Only the oldest
+//    unacked envelope per flow is retransmitted on timeout, with
 //    exponential backoff (rto_base · 2^attempts, capped at rto_max): a
 //    cumulative ack for the head also covers everything the receiver parked
 //    behind the gap, so head-only retransmission converges without
@@ -20,24 +20,10 @@
 //    Every delivery or duplicate marks the peer dirty and triggers one
 //    cumulative ack envelope (tag kAckTag) on the control path, which is
 //    exempt from fault injection.
-//  * **Epochs** — a respawned rank starts a new incarnation: its flows
-//    restart at sequence 0 under a bumped Envelope::epoch. Receivers reset a
-//    peer's flow state when they see a newer epoch and drop envelopes from
-//    older ones, so traffic from dead incarnations cannot corrupt the
-//    window. The reverse direction is scoped symmetrically: every data
-//    envelope is stamped with the receiver incarnation it was addressed to
-//    (Envelope::dest_epoch), a restarted receiver discards anything
-//    addressed to its dead incarnation, and a sender that learns of the
-//    respawn (by seeing the newer epoch — even on the very first envelope it
-//    ever ingests from that rank: its own send flows may have advanced
-//    against the dead incarnation regardless) restarts its flows to that
-//    rank at sequence 0, abandoning unacked pre-crash envelopes — their
-//    content is
-//    regenerated by the protocol-level recovery (core checkpoint/recovery +
-//    kTagRecover re-offer, docs/robustness.md), not the transport. Acks are
-//    likewise ignored unless they come from the acker incarnation the
-//    sender currently knows, so a dead incarnation's cumulative ack can
-//    never release a new-regime window.
+//
+// A channel lives exactly as long as its world: an injected crash aborts
+// the world, and core::generate relaunches every rank on a fresh one
+// (docs/robustness.md §3), so no flow ever outlives its peer.
 //
 // Threading: one ReliableChannel per Comm, touched only by the owning
 // rank's thread. Cross-rank effects go through World::deliver /
@@ -58,39 +44,35 @@ namespace pagen::mps {
 
 class World;
 
-/// One cumulative acknowledgement: "for your incarnation `epoch`, I have
-/// delivered every envelope below `cum` on flow `tag`". Packed (several per
-/// kAckTag envelope, one per flow of the acked peer).
+/// One cumulative acknowledgement: "I have delivered every envelope below
+/// `cum` on flow `tag`". Packed (several per kAckTag envelope, one per flow
+/// of the acked peer).
 struct AckItem {
   std::int32_t tag = 0;
-  std::uint32_t epoch = 0;
+  std::uint32_t pad = 0;
   std::uint64_t cum = 0;
 };
 
 /// Per-rank endpoint of the reliability protocol (see header comment).
 class ReliableChannel {
  public:
-  /// @param epoch this rank's incarnation number (0 on first spawn).
   /// @param stats the owning Comm's counters; retransmits / acks /
   ///   duplicates are tallied here, separate from envelopes_sent, so the
   ///   paper's message-load figures stay uninflated.
-  ReliableChannel(World& world, Rank rank, std::uint32_t epoch,
-                  CommStats& stats);
+  ReliableChannel(World& world, Rank rank, CommStats& stats);
 
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-
-  /// Sender path: stamp seq + epoch, retain a copy for retransmission, and
-  /// hand the envelope to World::deliver (where injection applies). Causal
-  /// stamps (if any) are retained alongside the payload so a retransmitted
+  /// Sender path: stamp seq, retain a copy for retransmission, and hand the
+  /// envelope to World::deliver (where injection applies). Causal stamps
+  /// (if any) are retained alongside the payload so a retransmitted
   /// envelope carries the same per-item causal context as the original.
   void send(Rank dst, int tag, std::vector<std::byte> payload,
             std::vector<CausalStamp> stamps = {});
 
   /// Receiver path: filter freshly drained raw envelopes. Acks are
-  /// consumed; duplicates and stale-epoch traffic are dropped; out-of-order
-  /// envelopes are parked; everything deliverable — in-order data plus any
-  /// engine control traffic (negative tags) — is appended to `out` in
-  /// per-flow sequence order. Consumes `raw`.
+  /// consumed; duplicates are dropped; out-of-order envelopes are parked;
+  /// everything deliverable — in-order data plus any engine control traffic
+  /// (negative tags) — is appended to `out` in per-flow sequence order.
+  /// Consumes `raw`.
   void ingest(std::vector<Envelope>& raw, std::vector<Envelope>& out);
 
   /// Retransmit the oldest unacked envelope of every overdue flow. Called
@@ -119,8 +101,7 @@ class ReliableChannel {
   };
 
   struct Peer {
-    std::uint32_t epoch = 0; ///< newest sender incarnation seen
-    bool dirty = false;      ///< progress since the last ack flush
+    bool dirty = false;             ///< progress since the last ack flush
     std::map<int, RecvFlow> flows;  ///< keyed by tag
   };
 
@@ -129,7 +110,6 @@ class ReliableChannel {
 
   World& world_;
   Rank rank_;
-  std::uint32_t epoch_;
   std::int64_t rto_base_ns_;
   std::int64_t rto_max_ns_;
   CommStats& stats_;

@@ -39,9 +39,9 @@ class SendBuffer {
   void add(Rank dst, const T& item) { add_impl(dst, item, nullptr); }
 
   /// Queue one causally stamped item for `dst`. Stamped and plain adds may
-  /// mix on the same destination (recovery re-offers are unstamped): once
-  /// any stamp exists, the stamp vector is padded with absent stamps
-  /// (origin < 0) so stamp i always pairs with payload item i.
+  /// mix on the same destination: once any stamp exists, the stamp vector
+  /// is padded with absent stamps (origin < 0) so stamp i always pairs with
+  /// payload item i.
   void add_stamped(Rank dst, const T& item, const CausalStamp& stamp) {
     add_impl(dst, item, &stamp);
   }

@@ -34,7 +34,7 @@ struct CommStats {
   Count retransmits = 0;         ///< physical re-sends of unacked envelopes
   Count acks_sent = 0;           ///< cumulative-ack envelopes emitted
   Count acks_received = 0;       ///< cumulative-ack envelopes consumed
-  Count duplicates_dropped = 0;  ///< receiver-side dedup / stale-epoch drops
+  Count duplicates_dropped = 0;  ///< receiver-side dedup drops
   Count injected_drops = 0;      ///< envelopes the fault injector discarded
   Count injected_dups = 0;       ///< extra copies the fault injector created
 

@@ -22,10 +22,13 @@ class DoneDetector {
   /// @param done_tag tag of rank->0 completion notices
   /// @param stop_tag tag of the 0->all stop broadcast
   DoneDetector(Comm& comm, int done_tag, int stop_tag)
-      : comm_(comm), done_tag_(done_tag), stop_tag_(stop_tag) {}
+      : comm_(comm),
+        done_tag_(done_tag),
+        stop_tag_(stop_tag),
+        done_seen_(static_cast<std::size_t>(comm.size()), false) {}
 
-  /// Report this rank's local completion (call exactly once per
-  /// incarnation, after flushing all outgoing data buffers).
+  /// Report this rank's local completion (call exactly once, after flushing
+  /// all outgoing data buffers).
   void notify_local_done() {
     PAGEN_CHECK_MSG(!notified_, "notify_local_done called twice");
     notified_ = true;
@@ -54,37 +57,14 @@ class DoneDetector {
   /// True once the stop broadcast has been received (or sent, on rank 0).
   [[nodiscard]] bool stopped() const { return stopped_; }
 
-  /// True once this rank has reported its own completion.
-  [[nodiscard]] bool notified() const { return notified_; }
-
-  /// A restarted incarnation of `src` announced itself (core recovery
-  /// protocol, kTagRecover). Whatever termination state was addressed to
-  /// the dead incarnation is re-sent: rank 0 repeats `stop` if the run
-  /// already stopped; a non-root rank repeats its own `done` when the
-  /// restarted peer is the root (whose collected counts died with it).
-  /// Duplicates are harmless — `stop` is idempotent and root dedups `done`
-  /// per source.
-  void on_peer_recover(Rank src) {
-    if (comm_.rank() == 0) {
-      if (stopped_) comm_.send_item<char>(src, stop_tag_, 0);
-    } else if (src == 0 && notified_) {
-      comm_.send_item<char>(0, done_tag_, 0);
-    }
-  }
-
  private:
   void absorb_done(Rank src) {
-    // Per-source dedup: after a crash, a replaying rank legitimately
-    // reports done a second time (and peers re-report after a root
-    // restart); only the first report per rank counts toward P.
-    if (done_seen_.empty()) {
-      done_seen_.assign(static_cast<std::size_t>(comm_.size()), false);
-    }
-    if (done_seen_[static_cast<std::size_t>(src)]) return;
+    // Every rank reports once; a second notice would count a rank twice
+    // and stop the world before some rank is done.
+    PAGEN_CHECK_MSG(!done_seen_[static_cast<std::size_t>(src)],
+                    "second done notice from rank " << src);
     done_seen_[static_cast<std::size_t>(src)] = true;
-    ++dones_;
-    PAGEN_CHECK(dones_ <= comm_.size());
-    if (dones_ == comm_.size()) {
+    if (++dones_ == comm_.size()) {
       for (Rank r = 1; r < comm_.size(); ++r) {
         comm_.send_item<char>(r, stop_tag_, 0);
       }
@@ -96,7 +76,7 @@ class DoneDetector {
   int done_tag_;
   int stop_tag_;
   int dones_ = 0;
-  std::vector<bool> done_seen_;
+  std::vector<bool> done_seen_;  ///< by rank: its done notice arrived (root)
   bool notified_ = false;
   bool stopped_ = false;
 };

@@ -37,10 +37,6 @@ struct WorldOptions {
   std::int64_t rto_base_ms = 25;
   std::int64_t rto_max_ms = 400;
 
-  /// How many times a rank that dies of an InjectedCrash is respawned
-  /// before the failure is treated as fatal (aborting the world).
-  int max_respawns = 3;
-
   /// Schedule-control seam (mps/delivery_hook.h): when set, every data
   /// envelope is parked with the hook instead of a mailbox and the poll
   /// paths become the hook's scheduling points. Mutually exclusive with

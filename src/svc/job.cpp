@@ -44,7 +44,7 @@ core::ParallelOptions job_options(const JobSpec& spec) {
   }
   opt.transport.fault_plan = spec.fault_plan;
   opt.transport.reliable = spec.reliable;
-  opt.transport.max_respawns = spec.max_respawns;
+  opt.max_respawns = spec.max_respawns;
   opt.transport.rto_base_ms = spec.rto_base_ms;
   opt.transport.rto_max_ms = spec.rto_max_ms;
   return opt;

@@ -83,10 +83,10 @@ struct JobSpec {
   mps::FaultPlan fault_plan;
   /// Route the run through the reliable-delivery layer even without faults.
   bool reliable = mps::WorldOptions{}.reliable;
-  /// In-run rank respawn budget for scripted crashes. 0 turns a crash into
-  /// an attempt-level failure, exercising the job retry path instead of the
-  /// rank respawn path.
-  int max_respawns = mps::WorldOptions{}.max_respawns;
+  /// In-run relaunch budget for scripted crashes
+  /// (ParallelOptions::max_respawns). 0 turns a crash into an attempt-level
+  /// failure, exercising the job retry path instead of the in-run relaunch.
+  int max_respawns = core::ParallelOptions{}.max_respawns;
   /// Reliable-transport retransmission timeout, base and cap in ms (only
   /// consulted on reliable runs, but checked on every spec).
   std::int64_t rto_base_ms = mps::WorldOptions{}.rto_base_ms;

@@ -78,8 +78,8 @@ const GoldenCase kGolden[] = {
      "seed=11,drop=0.06,dup=0.05,reorder=0.08,stall=2@100:20", false,
      0x6d309c247e909654ULL, 0xb8298caaf5abfd30ULL},
     // --- x = 1 crash + checkpoint recovery (PR 3 path): a scripted
-    // mid-generation crash, respawn, restore, and re-offer must also be
-    // invisible in the output. Rank 3 of the first case always sends 99
+    // mid-generation crash, relaunch and restore must also be invisible in
+    // the output. Rank 3 of the first case always sends 99
     // <request> envelopes, one <done> and its 363 <resolved> answers in at
     // least 91 envelopes of 4; how the answers coalesce depends on timing,
     // so it sends at least 191 envelopes, and step 125 fires with a wide

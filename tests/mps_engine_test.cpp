@@ -201,5 +201,27 @@ TEST(Engine, RankFailureWakesDataPlaneWaiters) {
   EXPECT_TRUE(observed_abort);
 }
 
+// An injected crash is a rank failure like any other: the world aborts and,
+// once every rank has unwound and joined, run_ranks rethrows the crash as
+// the root cause. The runtime restarts nothing; core::generate relaunches.
+TEST(Engine, InjectedCrashIsRethrownAsTheRootCauseAfterEveryRankJoins) {
+  WorldOptions options;
+  options.fault_plan = FaultPlan::parse("crash=1@1");
+  std::atomic<int> exited{0};
+  EXPECT_THROW(run_ranks(3, options,
+                         [&](Comm& comm) {
+                           struct Exit {
+                             std::atomic<int>& n;
+                             ~Exit() { ++n; }
+                           } exit{exited};
+                           if (comm.rank() == 1) {
+                             comm.send_item<std::uint64_t>(0, 1, 1);  // dies
+                           }
+                           comm.barrier();  // poisoned by the crash
+                         }),
+               InjectedCrash);
+  EXPECT_EQ(exited.load(), 3) << "each rank body ran once and unwound";
+}
+
 }  // namespace
 }  // namespace pagen::mps

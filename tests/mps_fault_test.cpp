@@ -67,10 +67,10 @@ TEST(FaultInjector, DecisionIsAPureFunctionOfItsInputs) {
   mps::FaultInjector b(plan, 8);
   int non_deliver = 0;
   for (std::uint64_t seq = 0; seq < 500; ++seq) {
-    const auto action = a.decide(1, 2, 1, seq, 0, 0);
-    EXPECT_EQ(action, b.decide(1, 2, 1, seq, 0, 0)) << "seq " << seq;
+    const auto action = a.decide(1, 2, 1, seq, 0);
+    EXPECT_EQ(action, b.decide(1, 2, 1, seq, 0)) << "seq " << seq;
     // A retransmission (attempt 1) of the same envelope draws independently.
-    (void)a.decide(1, 2, 1, seq, 1, 0);
+    (void)a.decide(1, 2, 1, seq, 1);
     if (action != mps::FaultAction::kDeliver) ++non_deliver;
   }
   // ~60% of transmissions should be faulted; allow a generous band.
@@ -82,7 +82,7 @@ TEST(FaultInjector, DecisionIsAPureFunctionOfItsInputs) {
   mps::FaultInjector c(other, 8);
   int differing = 0;
   for (std::uint64_t seq = 0; seq < 500; ++seq) {
-    if (a.decide(1, 2, 1, seq, 0, 0) != c.decide(1, 2, 1, seq, 0, 0)) {
+    if (a.decide(1, 2, 1, seq, 0) != c.decide(1, 2, 1, seq, 0)) {
       ++differing;
     }
   }
@@ -120,60 +120,6 @@ TEST(FaultTransport, ExactlyOnceInOrderUnderDropDupReorder) {
     for (const auto& [src, n] : next) EXPECT_EQ(n, kPerPeer) << "src " << src;
     comm.barrier();  // serviced: keeps retransmitting for slower peers
   });
-}
-
-// Regression (found via a hung quickstart run): a sender whose first-ever
-// ingested data envelope from a peer already carries a respawned incarnation
-// must still reset its send flows toward that peer. Here rank 1's first life
-// receives and acks one tag-1 envelope, then crashes on its own first send —
-// so rank 0 never ingests anything from the dead incarnation, the ack has
-// already advanced rank 0's tag-1 flow past sequence 0, and no retained copy
-// is left to retransmit. Without the first-contact reset, rank 0's next tag-1
-// send goes out as sequence 1 and the respawned receiver holds it forever
-// behind a gap only the dead incarnation ever filled.
-TEST(FaultTransport, FirstContactWithARespawnedPeerResetsSendFlows) {
-  mps::WorldOptions o;
-  o.fault_plan = mps::FaultPlan::parse("seed=1,crash=1@1");
-  o.reliable = true;
-  o.rto_base_ms = 10;
-  const mps::RunResult run = mps::run_ranks(2, o, [](mps::Comm& comm) {
-    std::vector<mps::Envelope> in;
-    const auto wait_one = [&]() {
-      for (int i = 0; i < 100 && in.empty(); ++i) {
-        (void)comm.poll_wait(in, 100ms);
-      }
-      return !in.empty();
-    };
-    // Failed expectations stay non-fatal so every path still reaches the
-    // closing barrier — a rank bailing out early would wedge its peer there
-    // and turn a clean failure into a timeout.
-    if (comm.rank() == 0) {
-      comm.send_item<std::uint64_t>(1, 1, 0xA);  // consumed + acked, then lost
-      const bool hello = wait_one();
-      EXPECT_TRUE(hello) << "no hello from the respawned rank";
-      if (hello) {
-        EXPECT_EQ(in.front().tag, 1);
-        EXPECT_EQ(in.front().epoch, 1u);  // first contact is already epoch 1
-      }
-      in.clear();
-      comm.send_item<std::uint64_t>(1, 1, 0xB);  // must restart at sequence 0
-    } else if (comm.incarnation() == 0) {
-      EXPECT_TRUE(wait_one());  // ingesting 0xA acks it
-      comm.send_item<std::uint64_t>(0, 1, 0x1);  // scripted crash fires here
-      ADD_FAILURE() << "the scripted crash did not fire";
-    } else {
-      comm.send_item<std::uint64_t>(0, 1, 0x1);  // hello under epoch 1
-      const bool got = wait_one();
-      EXPECT_TRUE(got) << "post-respawn envelope never surfaced";
-      if (got) {
-        EXPECT_EQ(in.front().tag, 1);
-        EXPECT_EQ(in.front().seq, 0u);  // the reset flow restarts at 0
-        EXPECT_EQ(mps::unpack<std::uint64_t>(in.front().payload)[0], 0xB);
-      }
-    }
-    comm.barrier();  // serviced: retransmission stays live for the laggard
-  });
-  EXPECT_EQ(run.respawns, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,11 +193,11 @@ TEST(FaultGenerator, X1CrashRecoversFromCheckpointBitwiseIdentical) {
   const auto result = core::generate(cfg, opt);
 
   // Acceptance (b): the scripted mid-generation crash was absorbed by a
-  // respawn + checkpoint restore, and the output is still bitwise right.
+  // relaunch + checkpoint restore, and the output is still bitwise right.
   EXPECT_GE(result.respawns, 1u);
   EXPECT_EQ(result.targets, reference);
   EXPECT_EQ(result.total_edges, cfg.n - 1);
-  // The respawned rank really did write and read a checkpoint.
+  // The crashed rank really did write a checkpoint for the relaunch.
   EXPECT_TRUE(std::filesystem::exists(core::checkpoint_path(opt.checkpoint_dir, 3)));
 }
 
@@ -265,8 +211,8 @@ TEST(FaultGenerator, X1CrashWithoutCheckpointDirReplaysFromScratch) {
 }
 
 TEST(FaultGenerator, X1CrashOfTheTerminationRootRecovers) {
-  // Rank 0 is the done-counting root; its death exercises the per-source
-  // done dedup and the stop re-broadcast of the recovery protocol.
+  // Rank 0 is the done-counting root; its death must abort the world like
+  // any other rank's, and the relaunch counts every rank's done afresh.
   const PaConfig cfg{.n = 8000, .x = 1, .p = 0.5, .seed = 7};
   core::ParallelOptions opt = fault_test_options();
   opt.transport.fault_plan = mps::FaultPlan::parse("seed=4,crash=0@150");

@@ -106,7 +106,7 @@ TEST(InvariantChecker, DetectsOutOfOrderDelivery) {
 
   // Forge an envelope that claims to be send #5 of a flow whose receiver
   // has seen nothing — as if four earlier envelopes were overtaken.
-  w.mailbox(1).push(Envelope{/*src=*/0, /*tag=*/7, {}, /*seq=*/5, 0, 0, {}});
+  w.mailbox(1).push(Envelope{/*src=*/0, /*tag=*/7, {}, /*seq=*/5, {}});
   std::vector<Envelope> inbox;
   try {
     (void)c1.poll(inbox);

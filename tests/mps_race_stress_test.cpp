@@ -40,7 +40,7 @@ TEST(MailboxRaceStress, ManyProducersOneDrainingOwner) {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         std::vector<std::byte> payload;
         pack_one(payload, i);
-        box.push(Envelope{p, /*tag=*/1, std::move(payload), 0, 0, 0, {}});
+        box.push(Envelope{p, /*tag=*/1, std::move(payload), 0, {}});
         if (i % 512 == 0) std::this_thread::yield();
       }
     });

@@ -111,7 +111,7 @@ TEST(Reliable, WakeupWithOnlyDuplicatesIsNotProgress) {
 
   // Replay the same physical envelope (attempt 1 = retransmission copy).
   world.invariants().on_phantom_send(0);
-  world.deliver(1, Envelope{0, 7, payload, 0, 0, 0, {}}, 1, sender.stats());
+  world.deliver(1, Envelope{0, 7, payload, 0, {}}, 1, sender.stats());
   in.clear();
   EXPECT_FALSE(receiver.poll_wait(in, 20ms));
   EXPECT_TRUE(in.empty());

@@ -77,6 +77,24 @@ TEST(Termination, DoubleNotifyIsChecked) {
   });
 }
 
+TEST(Termination, SecondDoneFromOneRankIsChecked) {
+  // Counting rank 1 twice would stop the world before rank 2 is done, so
+  // the root refuses the second notice and the world aborts with it.
+  const auto body = [](Comm& comm) {
+    DoneDetector done(comm, kDone, kStop);
+    if (comm.rank() == 1) {
+      done.notify_local_done();
+      comm.send_item<char>(0, kDone, 0);
+    } else if (comm.rank() == 0) {
+      std::vector<Envelope> in;
+      while (in.size() < 2) (void)comm.poll_wait(in, 50ms);
+      for (const Envelope& env : in) done.handle(env);
+    }
+    comm.barrier();
+  };
+  EXPECT_THROW(run_ranks(3, body), CheckError);
+}
+
 TEST(Termination, WorkThenTerminate) {
   // Ranks exchange some data traffic, then terminate; no envelope may be
   // lost or misattributed to the protocol.

@@ -2,8 +2,8 @@
 // oracle: on deterministic x = 1 runs, the chain lengths the instrumented
 // driver records — and the reconstruction from merged per-rank traces —
 // must exactly match baseline::ChainTrace's |D_t| recursion, for every
-// rank count; at x > 1 they match the one-rank run's. Plus the zero-cost
-// contract of the disabled path.
+// rank count, and after a crash relaunch; at x > 1 they match the one-rank
+// run's. Plus the zero-cost contract of the disabled path.
 #include "obs/causal.h"
 
 #include <sstream>
@@ -98,6 +98,40 @@ TEST(CausalChains, ExactlyMatchTheorem33OracleAcrossRankCounts) {
     EXPECT_EQ(JsonLint::check(json), "");
     EXPECT_NE(json.find("\"schema\": \"pagen.chains.v1\""), std::string::npos);
   }
+}
+
+// A crash relaunches the run (docs/robustness.md §3) and rolls the metrics
+// back, so the registries describe only the world that completed: without
+// a checkpoint every slot resolves there, and the chain lengths are still
+// exactly the oracle's.
+TEST(CausalChains, RelaunchAfterACrashReportsOnlyTheCompletedWorld) {
+  PaConfig pa;
+  pa.n = 20000;
+  pa.x = 1;
+  pa.p = 0.5;
+  pa.seed = 33;
+  Config cfg;
+  cfg.enabled = true;
+  cfg.causal = true;
+  Session session(4, cfg);
+  core::ParallelOptions opt;
+  opt.ranks = 4;
+  opt.gather_edges = false;
+  opt.buffer_capacity = 4;  // enough envelopes for the scripted crash step
+  opt.transport.fault_plan = mps::FaultPlan::parse("crash=2@20");
+  opt.obs = &session;
+  const auto result = core::generate(pa, opt);
+  ASSERT_EQ(result.respawns, 1u) << "the scripted crash did not fire";
+
+  const Histogram oracle = oracle_histogram(pa);
+  const Histogram got = merged_chain_lengths(session);
+  EXPECT_EQ(got.count(), oracle.count());
+  EXPECT_EQ(got.sum(), oracle.sum());
+  Count edges = 0;
+  for (int r = 0; r < session.nranks(); ++r) {
+    edges += session.rank(r).metrics().counter("pa.edges").value();
+  }
+  EXPECT_EQ(edges, result.total_edges);
 }
 
 TEST(CausalChains, GeneralModelFlowsAllResolveAndReportIsValid) {

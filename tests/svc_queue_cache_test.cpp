@@ -176,7 +176,7 @@ core::ParallelOptions request_options(const JobSpec& spec) {
   if (spec.sink == Sink::kCompressedStore) opt.store_dir = spec.store_dir;
   opt.transport.fault_plan = spec.fault_plan;
   opt.transport.reliable = spec.reliable;
-  opt.transport.max_respawns = spec.max_respawns;
+  opt.max_respawns = spec.max_respawns;
   opt.transport.rto_base_ms = spec.rto_base_ms;
   opt.transport.rto_max_ms = spec.rto_max_ms;
   return opt;

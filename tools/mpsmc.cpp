@@ -140,6 +140,9 @@ int run_explorations(const ToolConfig& cfg) {
                         ? (report.complete ? " [tree exhausted]"
                                            : " [schedule budget reached]")
                         : "")
+                << (options.causal_check
+                        ? " causal chain depths vs " + runner.causal_oracle()
+                        : "")
                 << '\n';
     }
     if (report.failed) {
