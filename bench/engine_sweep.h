@@ -106,8 +106,8 @@ inline void print_engine_sweep(std::ostream& os,
 }
 
 /// BENCH_engines JSON: one row per (engine, P) with the full message-volume
-/// breakdown, so CI can assert commfree's zero-message invariant from the
-/// artifact alone.
+/// breakdown, so CI can assert commfree's zero request/resolved messages
+/// from the artifact alone.
 inline bool write_engine_sweep_json(const std::string& path,
                                     const std::string& bench,
                                     const PaConfig& cfg,

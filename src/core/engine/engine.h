@@ -13,7 +13,8 @@
 //             (Algorithm 3.2 in one rank class; Algorithm 3.1 at x = 1)
 //   commfree  communication-free pseudorandomization (Sanders & Schulz,
 //             arXiv:1602.07106): every rank re-derives remote F_k values
-//             locally from the counter-based draw chain — zero messages
+//             locally from the counter-based draw chain — zero
+//             request/resolved messages, one allgather per epoch at x > 1
 //   seq-copy  sequential copy-model reference (baseline/copy_model_seq.h)
 //   seq-bb    sequential Batagelj-Brandes BA reference (p is ignored)
 //

@@ -22,6 +22,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -87,7 +88,9 @@ class MpsRank;
 ///    re-emitted (the sink contract is at-least-once under crashes), and
 ///    slots left kNil are replayed by the generate phase exactly as in the
 ///    first run (re-drawing identically from any restored attempt). A
-///    missing checkpoint leaves the rank a plain cold start.
+///    missing checkpoint leaves the rank a plain cold start; a fresh run
+///    (resume off) removes its rank's file before the start barrier, so
+///    its relaunch never meets an earlier run's checkpoint.
 ///  * note_resolution() / maybe_checkpoint() — the checkpoint write cadence.
 class Recovery {
  public:
@@ -165,6 +168,13 @@ class MpsRank {
 
   /// The full rank lifecycle (docs/protocol.md §3).
   void run() {
+    if (!options_.resume && !options_.checkpoint_dir.empty()) {
+      // A fresh run starts with no checkpoint of its own: a file an earlier
+      // run left in a reused directory must not reach this run's crash
+      // relaunch, which restores whatever file each rank finds.
+      std::filesystem::remove(
+          checkpoint_path(options_.checkpoint_dir, comm_.rank()));
+    }
     comm_.barrier();  // common start line, as mpirun would provide
     if (recovering_) {
       // Resume: all ranks restore their own checkpoints behind the barrier.

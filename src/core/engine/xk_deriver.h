@@ -10,13 +10,19 @@
 // otherwise. Both widths derive the same rows in the same order, so the
 // output does not depend on the choice.
 //
+// The epoch exchange (comm_free_engine.cpp) reads complete rows out of one
+// rank's table and installs them into the others' as raw entries: x
+// entries of sizeof(Entry) bytes per row, the table's own layout.
+//
 // Included by comm_free_engine.cpp and by its tests only. The anonymous
 // namespace keeps each instantiation local to its translation unit, as
 // mps_engine.cpp keeps the mps rank: with external linkage GCC stopped
 // inlining a hot template's loops.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -90,6 +96,7 @@ class XkDeriver {
       const NodeId dep = advance(stack_.back());
       if (dep == kNil) {
         stack_.pop_back();
+        ++rows_derived_;
       } else {
         stack_.push_back({.u = dep});
       }
@@ -99,8 +106,35 @@ class XkDeriver {
   /// F_t(e) of a resolved row.
   [[nodiscard]] NodeId at(NodeId t, NodeId e) { return get(t * x_ + e); }
 
+  /// Appends complete row t to `out` as its x raw entries. In-RAM tables
+  /// only: a spilled table never takes part in an exchange.
+  void append_row(NodeId t, std::vector<std::byte>& out) const {
+    PAGEN_CHECK(!spill_);
+    const auto* row = reinterpret_cast<const std::byte*>(&ram_[t * x_]);
+    out.insert(out.end(), row, row + x_ * sizeof(Entry));
+  }
+
+  /// Installs row t from x raw entries that another deriver completed
+  /// (append_row's form). A row this deriver completed itself must be
+  /// equal; a mismatch is a CheckError.
+  void install_row(NodeId t, const std::byte* in) {
+    PAGEN_CHECK(!spill_);
+    Entry* row = &ram_[t * x_];
+    const std::size_t bytes = x_ * sizeof(Entry);
+    if (row[x_ - 1] == kNilEntry) {  // off the stack: untouched
+      std::memcpy(row, in, bytes);
+    } else {
+      PAGEN_CHECK_MSG(std::memcmp(row, in, bytes) == 0,
+                      "received row " << t << " differs from the local one");
+    }
+  }
+
   /// Duplicate-retries performed by this deriver (own + re-derived nodes).
   [[nodiscard]] Count retries() const { return retries_; }
+
+  /// Rows this deriver completed itself, excluding the bootstrap row and
+  /// installed ones.
+  [[nodiscard]] Count rows_derived() const { return rows_derived_; }
 
  private:
   static constexpr Entry kNilEntry = std::numeric_limits<Entry>::max();
@@ -175,6 +209,7 @@ class XkDeriver {
   std::optional<store::ExternalArray<Entry>> spill_;
   std::vector<Frame> stack_;
   Count retries_ = 0;
+  Count rows_derived_ = 0;
 };
 
 }  // namespace

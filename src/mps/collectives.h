@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -57,14 +58,18 @@ class CollectiveContext {
   [[nodiscard]] int nranks() const { return nranks_; }
 
  private:
+  using Blobs = std::vector<std::vector<std::byte>>;
+
   int nranks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
   bool poisoned_ = false;
-  std::vector<std::vector<std::byte>> slots_;
-  std::vector<std::vector<std::byte>> published_;
+  Blobs slots_;
+  /// The last completed round, shared by its readers: each copies its
+  /// result out of it after leaving the lock.
+  std::shared_ptr<const Blobs> published_;
 };
 
 }  // namespace pagen::mps

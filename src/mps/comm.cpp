@@ -229,6 +229,7 @@ bool Comm::take_stash(std::vector<Envelope>& out) {
 std::vector<std::vector<std::byte>> Comm::exchange(const char* op,
                                                    std::vector<std::byte> blob) {
   stats_.collectives += 1;
+  stats_.collective_bytes += blob.size();
   const auto sp = obs::span(obs_, op);
   DeliveryHook* hook = world_.hook();
   // The rendezvous cedes this rank's scheduling turn: the hook must learn

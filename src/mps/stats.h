@@ -25,6 +25,8 @@ struct CommStats {
   Count bytes_sent = 0;
   Count bytes_received = 0;
   Count collectives = 0;
+  /// Bytes this rank deposited into collectives (the allgather blobs).
+  Count collective_bytes = 0;
 
   // Reliability / fault-injection counters (mps/reliable.h, mps/fault.h).
   // Kept separate from the envelope volumes above: retransmissions, acks
@@ -60,6 +62,7 @@ struct CommStats {
     bytes_sent += o.bytes_sent;
     bytes_received += o.bytes_received;
     collectives += o.collectives;
+    collective_bytes += o.collective_bytes;
     retransmits += o.retransmits;
     acks_sent += o.acks_sent;
     acks_received += o.acks_received;
@@ -93,6 +96,7 @@ inline void record_metrics(obs::MetricsRegistry& reg, const CommStats& s) {
   reg.counter("mps.bytes_sent").add(s.bytes_sent);
   reg.counter("mps.bytes_received").add(s.bytes_received);
   reg.counter("mps.collectives").add(s.collectives);
+  reg.counter("mps.collective_bytes").add(s.collective_bytes);
   // Reliability counters appear only when the layer did something, so
   // fault-free metric exports are byte-identical to the pre-fault runtime.
   if (s.retransmits != 0) reg.counter("mps.retransmits").add(s.retransmits);

@@ -6,8 +6,9 @@
 // are pinned harder: bitwise-identical output to the oracle for every P and
 // scheme, and retry counts bounded by (commfree, per rank) or equal to (mps,
 // merged) the oracle's. commfree also runs with identically zero
-// request/resolved message volume, and a power-law degree exponent in the
-// preferential-attachment range.
+// request/resolved message volume and no envelopes, its x > 1 epoch
+// exchange (one allgather per epoch) derives each row about once, and its
+// degree exponent is in the preferential-attachment range.
 //
 // When PAGEN_ENGINE_REPORT names a file, the KS sweep also writes the
 // per-engine KS / message-volume report that the engine-equivalence CI job
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +32,8 @@
 #include "core/engine/engine.h"
 #include "core/generate.h"
 #include "graph/edge_list.h"
+#include "obs/session.h"
+#include "partition/block_cyclic.h"
 #include "store/graph_view.h"
 #include "util/error.h"
 
@@ -199,6 +203,90 @@ TEST(EngineEquivalence, CommFreeBitwiseMatchesOracleXk) {
                 << where;
           }
         }
+      }
+    }
+  }
+}
+
+// At x > 1 commfree derives its rows in node epochs and allgathers each
+// epoch's rows (comm_free_engine.cpp). The specs above fit in one or two
+// epochs; these are long enough for at least ten at every P > 1 under RRP
+// and a fine block-cyclic partition, while UCP and LCP run one epoch. The
+// output stays the oracle's bitwise. The rows_derived counter pins the
+// point of the exchange: at P = 1 every row is derived exactly once, and
+// at P = 4 under RRP at most 1.5 times; without the exchange each rank
+// re-derives most of the prefix. No rank sends an envelope, and the
+// exchange carries at most one copy of every row.
+TEST(EngineEquivalence, CommFreeEpochsMatchOracleXk) {
+  struct Layout {
+    const char* name;
+    partition::Scheme scheme;
+    NodeId block;  ///< block-cyclic block size, 0 = the scheme itself
+    bool epochs;   ///< derives in epochs at P > 1
+  };
+  constexpr Layout kLayouts[] = {
+      {"rrp", partition::Scheme::kRrp, 0, true},
+      {"block-cyclic-16", partition::Scheme::kRrp, 16, true},
+      {"ucp", partition::Scheme::kUcp, 0, false},
+      {"lcp", partition::Scheme::kLcp, 0, false},
+  };
+  for (const PaConfig& cfg :
+       {PaConfig{.n = 80000, .x = 5, .p = 0.4, .seed = 17},
+        PaConfig{.n = 80000, .x = 8, .p = 0.1, .seed = 19}}) {  // retries
+    const baseline::GeneralResult seq = baseline::copy_model_general(cfg);
+    const graph::EdgeList oracle = normalized(seq.edges);
+    const Count rows = cfg.n - cfg.x - 1;  // row x is the bootstrap row
+    for (const int ranks : kRankSweep) {
+      for (const Layout& layout : kLayouts) {
+        // At P = 1 every layout is the same one part.
+        if (ranks == 1 && &layout != &kLayouts[0]) continue;
+        const std::string where = "x=" + std::to_string(cfg.x) +
+                                  " P=" + std::to_string(ranks) + " " +
+                                  layout.name;
+        obs::Config oc;
+        oc.enabled = true;
+        obs::Session session(ranks, oc);
+        ParallelOptions opt;
+        opt.engine = "commfree";
+        opt.ranks = ranks;
+        opt.scheme = layout.scheme;
+        if (layout.block != 0) {
+          opt.custom_partition =
+              partition::make_block_cyclic(cfg.n, ranks, layout.block);
+        }
+        opt.obs = &session;
+        const ParallelResult result = generate(cfg, opt);
+        EXPECT_EQ(normalized(result.edges), oracle) << where;
+
+        Count derived = 0;
+        Count shared_bytes = 0;
+        for (int r = 0; r < ranks; ++r) {
+          const auto& counters = session.rank(r).metrics().counters();
+          derived += counters.at("commfree.rows_derived").value();
+          const Count epochs = counters.at("commfree.epochs").value();
+          if (ranks > 1 && layout.epochs) {
+            EXPECT_GE(epochs, 10U) << where;
+          } else {
+            EXPECT_EQ(epochs, 1U) << where;
+          }
+          const auto rank = static_cast<std::size_t>(r);
+          EXPECT_EQ(result.comm_stats[rank].envelopes_sent, 0U) << where;
+          shared_bytes += result.comm_stats[rank].collective_bytes;
+          EXPECT_LE(result.loads[rank].retries, seq.retries) << where;
+        }
+        EXPECT_GE(derived, rows) << where;
+        if (ranks == 1) {
+          EXPECT_EQ(derived, rows) << where;
+          EXPECT_EQ(merge_across_ranks(result.loads).retries, seq.retries)
+              << where;
+        }
+        const double per_row =
+            static_cast<double>(derived) / static_cast<double>(rows);
+        if (ranks == 4 && layout.block == 0 && layout.epochs) {
+          EXPECT_LE(per_row, 1.5) << where;
+        }
+        EXPECT_LE(shared_bytes, sizeof(std::uint32_t) * cfg.x * cfg.n)
+            << where;
       }
     }
   }
@@ -394,6 +482,29 @@ TEST(EngineCapabilities, CancelBeforeLaunchThrowsForEveryEngine) {
     EXPECT_EQ(view.manifest().total_edges(), cfg.n - 1) << name;
     std::filesystem::remove_all(opt.store_dir);
   }
+}
+
+// A cancel that fires mid-run at x > 1 and P = 4: the rank that sees it
+// throws Cancelled while its peers wait in an epoch's allgather or derive
+// toward the next one. The rendezvous is poisoned, so nobody hangs, and
+// the launch rethrows the root cause, never the peers' WorldAborted.
+TEST(EngineCapabilities, CancelMidRunThrowsCancelledFromTheEpochExchange) {
+  const PaConfig cfg{.n = 200000, .x = 6, .p = 0.5, .seed = 23};
+  ParallelOptions opt;
+  opt.engine = "commfree";
+  opt.ranks = 4;
+  opt.node_batch = 256;
+  opt.gather_edges = false;
+  std::atomic<Count> streamed{0};
+  opt.edge_batch_sink = [&](Rank, std::span<const graph::Edge> batch) {
+    streamed += batch.size();
+  };
+  std::atomic<int> polls{0};
+  // Each rank polls once per 256 own nodes, ~780 times in a whole run.
+  opt.cancel_requested = [&polls] { return ++polls > 200; };
+  EXPECT_THROW((void)generate(cfg, opt), Cancelled);
+  EXPECT_GT(streamed.load(), 0U);
+  EXPECT_LT(streamed.load(), cfg.n * cfg.x);
 }
 
 TEST(EngineCapabilities, SupportedOptionShapesStillRun) {

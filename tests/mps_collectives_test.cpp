@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -70,6 +72,46 @@ TEST(Collectives, RepeatedRoundsDoNotCrossContaminate) {
   EXPECT_EQ(std::accumulate(failures.begin(), failures.end(), 0), 0);
 }
 
+// Each rank copies its round's result out after leaving the rendezvous
+// lock. Rounds of 0 B to 256 KB blobs, in each of which one rank (another
+// one every round) reads its result late — it sleeps after its exchange
+// returns while the others deposit the next round and wait for it — must
+// still hand every rank exactly its own round's blobs.
+TEST(Collectives, LateReaderGetsItsOwnRoundAcrossBlobSizes) {
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 24;
+  constexpr std::size_t kSizes[] = {0, 1, 7, 4096, 65536, 262144};
+  const auto blob = [&](int round, int rank) {
+    std::vector<std::byte> b(
+        kSizes[static_cast<std::size_t>(round + rank) % std::size(kSizes)]);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<std::byte>(static_cast<std::size_t>(round) * 31 +
+                                    static_cast<std::size_t>(rank) * 7 + i);
+    }
+    return b;
+  };
+  CollectiveContext ctx(kRanks);
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kRanks, 0);
+  for (int r = 0; r < kRanks; ++r) {
+    threads.emplace_back([&, r] {
+      for (int round = 0; round < kRounds; ++round) {
+        const auto all = ctx.exchange(r, blob(round, r));
+        if (round % kRanks == r) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        for (int j = 0; j < kRanks; ++j) {
+          if (all[static_cast<std::size_t>(j)] != blob(round, j)) {
+            ++failures[static_cast<std::size_t>(r)];
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(std::accumulate(failures.begin(), failures.end(), 0), 0);
+}
+
 TEST(Collectives, PoisonUnblocksWaiters) {
   CollectiveContext ctx(2);
   std::thread waiter([&] {
@@ -127,6 +169,8 @@ TEST(CommCollectives, StatsCountCollectives) {
     comm.barrier();
     (void)comm.allreduce_sum(1);
     EXPECT_EQ(comm.stats().collectives, 2u);
+    // The barrier deposits nothing, the sum one u64.
+    EXPECT_EQ(comm.stats().collective_bytes, 8u);
   });
 }
 

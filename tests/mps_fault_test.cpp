@@ -389,6 +389,33 @@ TEST(FaultGenerator, ResumeRefusesAnotherPOrPartition) {
   EXPECT_EQ(same.targets, baseline::copy_model_targets(cfg));
 }
 
+// A checkpoint directory reused across runs: the second run's crash
+// relaunch restores every rank's file, so a file the first run left behind
+// (another seed) must be gone by then. A fresh run removes its own rank's
+// file before the start barrier; without that the relaunch refused the
+// stale file as "checkpoint does not match this run's parameters".
+TEST(FaultGenerator, CrashRelaunchIgnoresAnEarlierRunsCheckpoints) {
+  core::ParallelOptions opt;
+  opt.ranks = 4;
+  opt.checkpoint_dir = fresh_dir("reused_dir");
+  const PaConfig first{.n = 20000, .x = 3, .p = 0.5, .seed = 1};
+  (void)core::generate(first, opt);
+  for (Rank r = 0; r < opt.ranks; ++r) {
+    const std::string path = core::checkpoint_path(opt.checkpoint_dir, r);
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+  }
+
+  const PaConfig second{.n = 20000, .x = 3, .p = 0.5, .seed = 2};
+  opt.transport.fault_plan = mps::FaultPlan::parse("seed=7,crash=2@10");
+  const auto result = core::generate(second, opt);
+  EXPECT_EQ(result.respawns, 1u);
+  graph::EdgeList edges = result.edges;
+  graph::EdgeList oracle = baseline::copy_model_general(second).edges;
+  graph::normalize(edges);
+  graph::normalize(oracle);
+  EXPECT_EQ(edges, oracle);
+}
+
 TEST(FaultGenerator, CheckpointRoundTripsThroughDisk) {
   const std::string dir = fresh_dir("ckpt_io");
   core::RankCheckpoint ck;

@@ -1,14 +1,17 @@
 // The commfree engine's x > 1 row table at both entry widths: XkDeriver
 // derives every row of baseline::copy_model_general with u32 and with u64
-// entries, in RAM and spilled under a one-page budget, and the rule that
-// picks the width (row_entries_fit_u32) switches exactly at n = 2^32.
+// entries, in RAM and spilled under a one-page budget, rows it reads out
+// and installs for the epoch exchange rebuild the same table, and the rule
+// that picks the width (row_entries_fit_u32) switches exactly at n = 2^32.
 // The engine only ever builds the width the rule picks, so this is the one
 // place that runs the other one.
 #include "core/engine/xk_deriver.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,6 +75,44 @@ TYPED_TEST(XkDeriverWidth, RowsMatchTheOracleInRam) {
 TYPED_TEST(XkDeriverWidth, RowsMatchTheOracleSpilledUnderOnePage) {
   // A budget below one page keeps one page: every page switch evicts.
   TestFixture::expect_oracle_rows(this->dir_ + "/rows.spill", 1);
+}
+
+// The epoch exchange's two operations (comm_free_engine.cpp): rows read
+// out of one deriver and installed into another rebuild the oracle's
+// table without deriving anything, a row the receiver already derived is
+// checked against the one it receives, and a mismatch is refused.
+TYPED_TEST(XkDeriverWidth, InstalledRowsMatchTheOracleAndAMismatchIsRefused) {
+  const PaConfig& cfg = kSpecs[0];
+  const baseline::GeneralResult seq = baseline::copy_model_general(cfg);
+  const std::size_t row_bytes = cfg.x * sizeof(TypeParam);
+  XkDeriver<TypeParam> sender(cfg, "", 0);
+  std::vector<std::byte> rows;
+  for (NodeId t = cfg.x; t < cfg.n; ++t) {
+    sender.resolve(t);
+    sender.append_row(t, rows);
+  }
+  EXPECT_EQ(sender.rows_derived(), cfg.n - cfg.x - 1);  // row x: bootstrap
+  ASSERT_EQ(rows.size(), (cfg.n - cfg.x) * row_bytes);
+
+  XkDeriver<TypeParam> receiver(cfg, "", 0);
+  const NodeId mid = cfg.n / 2;
+  receiver.resolve(mid);  // mid and its closure, derived locally
+  const Count derived = receiver.rows_derived();
+  for (NodeId t = cfg.x; t < cfg.n; ++t) {
+    receiver.install_row(t, rows.data() + (t - cfg.x) * row_bytes);
+  }
+  EXPECT_EQ(receiver.rows_derived(), derived);
+  for (NodeId t = cfg.x; t < cfg.n; ++t) {
+    for (NodeId e = 0; e < cfg.x; ++e) {
+      ASSERT_EQ(receiver.at(t, e), seq.targets[t * cfg.x + e])
+          << "row " << t << " slot " << e;
+    }
+  }
+
+  std::vector<std::byte> wrong(rows.begin() + (mid - cfg.x) * row_bytes,
+                               rows.begin() + (mid - cfg.x + 1) * row_bytes);
+  wrong[0] ^= std::byte{1};
+  EXPECT_THROW(receiver.install_row(mid, wrong.data()), CheckError);
 }
 
 TEST(XkDeriverWidthRule, U32UpToTwoToThe32MinusOneNodes) {
