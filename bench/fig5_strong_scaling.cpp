@@ -3,8 +3,9 @@
 //
 // Paper setting: n = 1e9, x = 6, P = 1..768 on a Sandy Bridge cluster.
 // Default here: n = 5e5, x = 6, P in {1..768} logical ranks on one machine.
-// Wall-clock cannot show speedup on a single core, so speedup is reported
-// from the calibrated load model (DESIGN.md §2/§5): T_s is the *measured*
+// Wall-clock speedup stops at the host's core count (ranks are threads, and
+// past it they share cores), so speedup is reported from the calibrated
+// load model (DESIGN.md §2/§5): T_s is the *measured*
 // sequential copy-model time; T_P comes from the measured per-rank loads.
 // Shape to reproduce: near-linear growth, with LCP ≈ RRP > UCP.
 //
@@ -76,14 +77,14 @@ int main(int argc, char** argv) {
   (void)t.save_tsv(cli.get_str("tsv", ""));
   std::cout << "\npaper shape: speedups grow almost linearly with P; LCP and\n"
             << "RRP outperform UCP due to better load balancing (Sec. 4.3).\n"
-            << "(wall_RRP_s is the real oversubscribed wall time, for\n"
-            << "reference only — this host has a single physical core.)\n";
+            << "(wall_RRP_s is the real wall time of the RRP run; ranks\n"
+            << "beyond the host's cores share them, so it is for reference.)\n";
 
   // Engine sweep: the same problem through every requested backend, RRP,
-  // over a short rank ladder. The ladder stays small because commfree trades
-  // messages for recomputation — its per-rank derivation closure approaches
-  // the whole prefix, so total work grows with P (the Sanders & Schulz
-  // trade, measured rather than hidden).
+  // over a short rank ladder of measured wall times. The ladder stays short
+  // because ranks beyond the host's cores share them. commfree trades
+  // messages for an allgather of each epoch's rows at x > 1, so each row is
+  // still derived about once at every P.
   const std::vector<std::string> engines =
       bench::parse_engine_list(cli.get_str("engine", "all"));
   std::vector<int> ladder;

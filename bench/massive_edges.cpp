@@ -7,13 +7,19 @@
 //       --budget=$((12<<30))                  # x = 1 acceptance run
 //   ./massive_edges --edges=1000000000 --x=6 --store-dir=/data/pcs
 //       --budget=$((20<<30))                  # the paper's x = 6
+//   ./massive_edges --edges=1000000000 --x=6 --engine=mps
+//       --store-dir=/data/pcs --budget=$((12<<30))  # on the paper's engine
 //   ./massive_edges --edges=10000000          # CI smoke size
 //
 // The spec is x = --x (default 1) with n the smallest node count whose
-// expected_edge_count reaches --edges, on the commfree engine, whose output
-// is bitwise-deterministic at any rank count. At x = 1 generation keeps no
-// state; at x > 1 every rank keeps the whole row table, n * x entries of
-// 4 bytes (n < 2^32), so --budget must cover ranks * 4 * n * x bytes.
+// expected_edge_count reaches --edges, on --engine (default commfree).
+// Both commfree and mps emit copy_model_general's edge set at any rank
+// count, so their degree histograms agree. --budget bounds the peak RSS,
+// so it must cover the engine's state. commfree keeps none at x = 1; at
+// x > 1 every rank keeps the whole row table, n * x entries of 4 bytes
+// (n < 2^32), so ranks * 4 * n * x bytes. An mps rank keeps ~8 bytes per
+// slot of its own share (n <= 2^31), so ~8 * n * x bytes over all ranks,
+// plus the queues of its in-flight requests.
 //
 //   1. generate() with store_dir set, timed: every edge streams through the
 //      batched sink into delta+varint blocks. Nothing else runs in the

@@ -1,5 +1,6 @@
 #include "core/engine/engine.h"
 
+#include <limits>
 #include <utility>
 
 #include "mps/world_options.h"
@@ -62,6 +63,12 @@ void check_request(const Engine& engine, const PaConfig& config,
                    const ParallelOptions& options) {
   const mps::WorldOptions& transport = options.transport;
   check_pa_config(config);
+  // Every engine sizes tables by n * x (the slots of Algorithm 3.2, the row
+  // table of commfree), so the product must not wrap.
+  PAGEN_CHECK_MSG(config.n <= std::numeric_limits<NodeId>::max() / config.x,
+                  "n * x overflows 64 bits (got n = " << config.n
+                                                      << ", x = " << config.x
+                                                      << ")");
   PAGEN_CHECK_MSG(options.ranks >= 1,
                   "ranks must be >= 1 (got ranks = " << options.ranks << ")");
   PAGEN_CHECK_MSG(static_cast<NodeId>(options.ranks) <= config.n,
@@ -92,6 +99,10 @@ void check_request(const Engine& engine, const PaConfig& config,
   mps::check_world_options(transport);
 
   const EngineCaps caps = engine.capabilities();
+  PAGEN_CHECK_MSG(config.n <= caps.max_nodes,
+                  "engine '" << engine.name() << "' supports n <= "
+                             << caps.max_nodes << " (got n = " << config.n
+                             << ", x = " << config.x << ")");
   PAGEN_CHECK_MSG(caps.multi_rank || options.ranks == 1,
                   "engine '" << engine.name() << "' is single-rank; got ranks = "
                              << options.ranks);

@@ -56,6 +56,8 @@ struct EngineCaps {
   /// (docs/storage.md §5). An engine with no state at some x accepts them
   /// there as no-ops.
   bool state_spill = false;
+  /// The largest n the engine's per-rank state can address.
+  NodeId max_nodes = kNil;
 };
 
 /// What one rank's run reports to the launch.

@@ -11,7 +11,10 @@
 //
 // MpsRank's state transitions are exactly the rank lifecycle of
 // docs/protocol.md §3; the recovery flow is docs/robustness.md §3. The wire
-// pair lives in genrt/protocol.h, the per-slot table in genrt/slot_store.h.
+// pair lives in genrt/protocol.h, the per-slot tables in genrt/slot_store.h.
+// The rank is a template over its F word (u32 or u64), which the engine picks
+// once from n (genrt::slot_words_fit_u32); both widths run the same draws in
+// the same order, so the output does not depend on the choice.
 //
 // Everything here has internal linkage: with external linkage GCC stopped
 // inlining the packed-item loops into MpsRank::pump and MpsRank::run into
@@ -46,6 +49,7 @@
 #include "partition/partition.h"
 #include "util/error.h"
 #include "util/hash.h"
+#include "util/timer.h"
 #include "util/types.h"
 
 namespace pagen::core {
@@ -54,16 +58,11 @@ namespace {
 /// Interval a rank sleeps in poll_wait when it has nothing runnable.
 constexpr std::chrono::milliseconds kIdleWait{20};
 
-/// One party parked on a slot until it resolves (Q_{k,l}): a remote
-/// requester (owner != self) or a local slot (t, e) that copies the awaited
-/// one.
-struct Waiter {
-  NodeId t = 0;
-  std::uint32_t e = 0;
-  Rank owner = 0;
-  /// Causal root-slot id of a parked remote request (0 = untraced: node 0
-  /// never requests, so 0 is never a real root).
-  std::uint64_t root = 0;
+/// The retry state of a slot that drew a duplicate: its draw attempt and
+/// the Lines 26-29 copy-path latch. A slot that never retried has none.
+struct RetryState {
+  std::uint32_t attempts = 0;
+  bool locked_copy = false;
 };
 
 /// FNV-1a over rank `rank`'s owned nodes in partition-local order — the
@@ -76,6 +75,7 @@ std::uint64_t owned_nodes_hash(const partition::Partition& part, Rank rank) {
   return h.digest();
 }
 
+template <typename Word>
 class MpsRank;
 
 /// The checkpoint adapter of a rank (docs/robustness.md §3):
@@ -84,7 +84,8 @@ class MpsRank;
 ///    or core::generate's relaunch after an injected crash). Every rank
 ///    restores its own checkpoint behind the common start barrier, so no
 ///    peer holds state for a dead world: the F slice (plus the attempt
-///    counters and copy-path latches) comes back, the restored edges are
+///    counters and copy-path latches, folded back into the rank's table of
+///    retried slots) comes back, the restored edges are
 ///    re-emitted (the sink contract is at-least-once under crashes), and
 ///    slots left kNil are replayed by the generate phase exactly as in the
 ///    first run (re-drawing identically from any restored attempt). A
@@ -92,11 +93,14 @@ class MpsRank;
 ///    (resume off) removes its rank's file before the start barrier, so
 ///    its relaunch never meets an earlier run's checkpoint.
 ///  * note_resolution() / maybe_checkpoint() — the checkpoint write cadence.
+///    A write expands the retried slots into the checkpoint's dense per-slot
+///    extras, so the file is the same as if every slot carried them.
+template <typename Word>
 class Recovery {
  public:
   /// Constructed last by the rank; fingerprints the rank's nodes only when
   /// checkpointing is on.
-  explicit Recovery(MpsRank& rank);
+  explicit Recovery(MpsRank<Word>& rank);
 
   void restore();
 
@@ -109,7 +113,7 @@ class Recovery {
   void maybe_checkpoint(bool force);
 
  private:
-  MpsRank& r_;
+  MpsRank<Word>& r_;
   std::uint64_t owned_hash_;  ///< owned_nodes_hash, 0 without checkpointing
   Count resolved_since_ckpt_ = 0;
   Count restored_ = 0;
@@ -127,6 +131,7 @@ class Recovery {
 /// spans, cooperative cancellation (ParallelOptions::cancel_requested,
 /// polled at every phase boundary), edge emission into the rank's emitter,
 /// and its checkpoint adapter.
+template <typename Word>
 class MpsRank {
  public:
   /// `out` is the rank's emitter; the caller finishes it after run()
@@ -145,7 +150,7 @@ class MpsRank {
         chain_hist_(ob_ != nullptr
                         ? &ob_->metrics().histogram("pa.chain_latency_ns")
                         : nullptr),
-        slots_(part.part_size(comm.rank()) * x_, chain_hist_),
+        slots_(part.part_size(comm.rank()) * x_),
         waiters_(slots_.size()),
         emitter_(out),
         req_buf_(comm, kTagRequest, options.buffer_capacity),
@@ -153,8 +158,7 @@ class MpsRank {
         done_(comm, kTagDone, kTagStop),
         recovery_(*this) {
     load_.nodes = part.part_size(comm.rank());
-    PAGEN_CHECK_MSG(config.n <= genrt::SlotStore::kParked,
-                    "the mps engine needs n <= 2^63");
+    PAGEN_DCHECK(config.n <= genrt::SlotStore<Word>::kMaxNodes);
     if (ob_ != nullptr) {
       wait_depth_hist_ = &ob_->metrics().histogram("pa.wait_queue_depth");
       mailbox_gauge_ = &ob_->metrics().gauge("mps.mailbox_depth");
@@ -234,7 +238,7 @@ class MpsRank {
   [[nodiscard]] Count restored_slots() const { return recovery_.restored(); }
 
  private:
-  friend class Recovery;
+  friend class Recovery<Word>;
 
   // --- Algorithm 3.2 (Lines 3-29) ---
 
@@ -265,23 +269,18 @@ class MpsRank {
   }
 
   /// Slot s's draw attempt and copy-path latch (0 and unlatched until the
-  /// rank's first retry allocates them; x = 1 never retries).
-  [[nodiscard]] std::uint32_t attempt_of(Count s) const {
-    return attempts_.empty() ? 0 : attempts_[s];
-  }
-  [[nodiscard]] bool copy_locked(Count s) const {
-    return !locked_copy_.empty() && locked_copy_[s] != 0;
+  /// slot first retries; x = 1 never retries).
+  [[nodiscard]] RetryState retry_of(Count s) const {
+    const RetryState* r = retries_.find(s);
+    return r != nullptr ? *r : RetryState{};
   }
 
   /// Slot s drew a duplicate: next attempt, latched onto the copy path when
   /// `lock` (Lines 26-29) or free to redraw the coin (Lines 9-10).
   void retry(Count s, bool lock) {
-    if (attempts_.empty()) {
-      attempts_.assign(slots_.size(), 0);
-      locked_copy_.assign(slots_.size(), 0);
-    }
-    if (lock) locked_copy_[s] = 1;
-    ++attempts_[s];
+    RetryState& r = retries_[s];
+    if (lock) r.locked_copy = true;
+    ++r.attempts;
     ++load_.retries;
   }
 
@@ -298,11 +297,12 @@ class MpsRank {
   /// local queue, or waiting on a remote request (Lines 3-14 and 26-29).
   void try_edge(Count s, NodeId t, std::uint32_t e) {
     for (;;) {
-      const std::uint64_t attempt = attempt_of(s);
+      const RetryState r = retry_of(s);
+      const std::uint64_t attempt = r.attempts;
       PAGEN_CHECK_MSG(attempt < kMaxAttempts,
                       "duplicate-retry cap exceeded at node " << t);
       const NodeId k = draws_.pick_k(t, e, attempt);
-      if (!copy_locked(s) && draws_.pick_direct(t, e, attempt)) {
+      if (!r.locked_copy && draws_.pick_direct(t, e, attempt)) {
         if (offer(s, t, e, k)) return;  // Lines 5-10
         continue;
       }
@@ -343,8 +343,8 @@ class MpsRank {
       assign(s, t, e, v);
       return true;
     }
-    const bool direct =
-        !copy_locked(s) && draws_.pick_direct(t, e, attempt_of(s));
+    const RetryState r = retry_of(s);
+    const bool direct = !r.locked_copy && draws_.pick_direct(t, e, r.attempts);
     retry(s, /*lock=*/!direct);
     if (causal_) pending_depth_ = 1;
     return false;
@@ -391,8 +391,7 @@ class MpsRank {
     }
     recovery_.note_resolution();
     emitter_.emit({t, v});
-    auto& q = waiters_[s];
-    for (const Waiter& w : q) {
+    waiters_.drain(s, [&](const genrt::Waiter& w) {
       if (w.owner == comm_.rank()) {
         if (causal_) pending_depth_ = depth + 1;
         on_resolved(slot(w.t, w.e), w.t, w.e, v);
@@ -403,10 +402,8 @@ class MpsRank {
       } else {
         send_resolved(w.owner, {w.t, v, w.e});
       }
-    }
+    });
     if (causal_) pending_depth_ = 1;
-    q.clear();
-    q.shrink_to_fit();
     if (e + 1 < x_ && slots_.parked(s + 1)) {
       if (causal_) pending_depth_ = depth_[s + 1];
       if (!offer(s + 1, t, e + 1, slots_.unpark(s + 1))) {
@@ -425,7 +422,10 @@ class MpsRank {
   }
 
   /// Ship `req` for local slot `s` to `owner`: buffer it, account it, and
-  /// stamp the slot's latency clock. Under causal tracing the request
+  /// (when observing) stamp its departure for the slot's chain latency; a
+  /// slot has at most one request outstanding (docs/protocol.md §4), and a
+  /// re-send after a duplicate retry restarts the clock. Under causal
+  /// tracing the request
   /// carries a stamp naming this slot as the chain root, and a flow starts
   /// on this rank's track — the "s" end of the Perfetto arrow that lands on
   /// the owner's resolve.
@@ -438,7 +438,7 @@ class MpsRank {
       req_buf_.add(owner, req);
     }
     ++load_.requests_sent;
-    slots_.note_sent(s);
+    if (chain_hist_ != nullptr) sent_at_[s] = now_ns();
   }
 
   void send_resolved(Rank dst, const ResolvedXk& res) {
@@ -447,14 +447,13 @@ class MpsRank {
   }
 
   /// Park `w` on slot `s` until it resolves (Line 15 / Lines 19-20).
-  void queue_waiter(Count s, const Waiter& w) {
-    waiters_[s].push_back(w);
+  void queue_waiter(Count s, const genrt::Waiter& w) {
+    const std::uint32_t depth = waiters_.push(s, w);
     if (w.owner == comm_.rank()) {
       ++load_.local_waits;
     } else {
       ++load_.queued;
     }
-    const std::size_t depth = waiters_[s].size();
     load_.max_queue_depth = std::max<Count>(load_.max_queue_depth, depth);
     if (wait_depth_hist_ != nullptr) wait_depth_hist_->observe(depth);
   }
@@ -563,13 +562,18 @@ class MpsRank {
   }
 
   /// Requester side of <resolved, t, e, v>: observe the slot's chain
-  /// latency and accept or retry the value. A stamped answer ends its flow
-  /// ("f") and stages hop + 1 as the depth of whatever slot applying it
-  /// assigns.
+  /// latency (when its request was stamped) and accept or retry the value.
+  /// A stamped answer ends its flow ("f") and stages hop + 1 as the depth of
+  /// whatever slot applying it assigns.
   void handle_resolved(const ResolvedXk& res, const mps::CausalStamp* stamp) {
     ++load_.resolved_received;
     const Count s = slot(res.t, res.e);
-    slots_.note_answered(s);
+    if (chain_hist_ != nullptr) {
+      if (const std::int64_t* since = sent_at_.find(s)) {
+        chain_hist_->observe(static_cast<std::uint64_t>(now_ns() - *since));
+        sent_at_.erase(s);
+      }
+    }
     if (causal_ && stamp != nullptr) {
       ob_->trace().flow_end("chain", stamp->root);
       pending_depth_ = stamp->hop + 1;
@@ -602,12 +606,12 @@ class MpsRank {
   std::vector<std::uint32_t> depth_;  ///< per-slot chain depth (causal only)
   std::uint32_t pending_depth_ = 1;   ///< depth the next assign records
 
-  genrt::SlotStore slots_;
-  std::vector<std::vector<Waiter>> waiters_;  ///< Q_{k,l} by slot
-  // Per-slot draw attempt counter and Lines 26-29 latch; both empty until
-  // retry() first runs, and checkpointed with the F slice.
-  std::vector<std::uint32_t> attempts_;
-  std::vector<std::uint8_t> locked_copy_;
+  genrt::SlotStore<Word> slots_;
+  genrt::WaiterQueues waiters_;  ///< Q_{k,l} by slot
+  /// Retried slots only; checkpointed with the F slice.
+  genrt::SlotMap<RetryState> retries_;
+  /// Departure of each outstanding request, by slot (observing only).
+  genrt::SlotMap<std::int64_t> sent_at_;
   genrt::EdgeEmitter& emitter_;
   std::vector<mps::Envelope> inbox_;
   mps::SendBuffer<RequestXk> req_buf_;
@@ -615,16 +619,18 @@ class MpsRank {
   mps::DoneDetector done_;
   RankLoad load_;
   Count unresolved_ = 0;
-  Recovery recovery_;  ///< constructed last: sees every member initialized
+  Recovery<Word> recovery_;  ///< constructed last: sees every member set up
 };
 
-Recovery::Recovery(MpsRank& rank)
+template <typename Word>
+Recovery<Word>::Recovery(MpsRank<Word>& rank)
     : r_(rank),
       owned_hash_(rank.options_.checkpoint_dir.empty()
                       ? 0
                       : owned_nodes_hash(rank.part_, rank.comm_.rank())) {}
 
-void Recovery::maybe_checkpoint(bool force) {
+template <typename Word>
+void Recovery<Word>::maybe_checkpoint(bool force) {
   const ParallelOptions& options = r_.options_;
   if (options.checkpoint_dir.empty()) return;
   if (resolved_since_ckpt_ == 0) return;  // nothing new since last write
@@ -639,13 +645,21 @@ void Recovery::maybe_checkpoint(bool force) {
   ck.nranks = r_.comm_.size();
   ck.owned_hash = owned_hash_;
   ck.f = r_.slots_.final_values();
-  ck.attempts = r_.attempts_;
-  ck.locked_copy = r_.locked_copy_;
+  if (!r_.retries_.empty()) {
+    // Dense extras, one per slot, as soon as any slot has retried.
+    ck.attempts.assign(ck.f.size(), 0);
+    ck.locked_copy.assign(ck.f.size(), 0);
+    r_.retries_.for_each([&ck](Count s, const RetryState& r) {
+      ck.attempts[s] = r.attempts;
+      ck.locked_copy[s] = r.locked_copy ? 1 : 0;
+    });
+  }
   save_checkpoint(options.checkpoint_dir, ck);
   resolved_since_ckpt_ = 0;
 }
 
-void Recovery::restore() {
+template <typename Word>
+void Recovery<Word>::restore() {
   const PaConfig& config = r_.config_;
   const std::string& dir = r_.options_.checkpoint_dir;
   if (dir.empty()) return;
@@ -660,8 +674,11 @@ void Recovery::restore() {
           (ck.attempts.empty() || ck.attempts.size() == ck.f.size()) &&
           ck.locked_copy.size() == ck.attempts.size(),
       "checkpoint does not match this run's parameters");
-  r_.attempts_ = std::move(ck.attempts);
-  r_.locked_copy_ = std::move(ck.locked_copy);
+  for (Count s = 0; s < ck.attempts.size(); ++s) {
+    if (ck.attempts[s] != 0 || ck.locked_copy[s] != 0) {
+      r_.retries_[s] = {ck.attempts[s], ck.locked_copy[s] != 0};
+    }
+  }
   for (Count s = 0; s < ck.f.size(); ++s) {
     if (ck.f[s] == kNil) continue;
     r_.slots_.set_value(s, ck.f[s]);
@@ -678,14 +695,26 @@ class MpsEngine final : public Engine {
     return {.checkpointing = true,
             .fault_tolerance = true,
             .delivery_hook = true,
-            .multi_rank = true};
+            .multi_rank = true,
+            .max_nodes = genrt::SlotStore<std::uint64_t>::kMaxNodes};
   }
 
   [[nodiscard]] RankRun run(const PaConfig& config,
                             const ParallelOptions& options,
                             const partition::Partition& part, mps::Comm& comm,
                             genrt::EdgeEmitter& out) const override {
-    MpsRank rank(config, options, part, comm, out);
+    return genrt::slot_words_fit_u32(config.n)
+               ? run_rank<std::uint32_t>(config, options, part, comm, out)
+               : run_rank<std::uint64_t>(config, options, part, comm, out);
+  }
+
+ private:
+  template <typename Word>
+  static RankRun run_rank(const PaConfig& config,
+                          const ParallelOptions& options,
+                          const partition::Partition& part, mps::Comm& comm,
+                          genrt::EdgeEmitter& out) {
+    MpsRank<Word> rank(config, options, part, comm, out);
     rank.run();
     return {.load = rank.load(), .restored_slots = rank.restored_slots()};
   }

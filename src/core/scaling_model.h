@@ -1,7 +1,8 @@
 // Analytic parallel-time model driven by measured per-rank loads.
 //
-// This reproduction runs on a single physical core, so wall-clock cannot
-// exhibit real parallel speedup.  The paper's own analysis (Section 3.5)
+// Ranks are threads of one process, so wall-clock speedup stops at the
+// host's core count: P ranks beyond it share cores, and the paper's P up to
+// 768 is out of reach. The paper's own analysis (Section 3.5)
 // measures load as nodes + messages per rank; we model the parallel time of
 // a run as the most loaded rank's work plus a logarithmic collective term:
 //

@@ -406,6 +406,45 @@ TEST(EngineCapabilities, GenerateRejectsUnsupportedOptionsLoudly) {
   }
 }
 
+// A spec whose tables cannot be addressed is rejected before anything is
+// allocated, with a CheckError naming n and x: n * x past 2^64 for every
+// engine (each sizes a table by it, and a wrapped size indexes past the
+// table), and n past the widest mps F word's parked bit for mps.
+TEST(EngineCapabilities, GenerateRejectsSpecsPastTheirTables) {
+  const NodeId wrapping_n = (NodeId{1} << 62) + 2;  // n * 4 wraps to 8
+  for (const Engine* engine : EngineRegistry::instance().engines()) {
+    const PaConfig cfg{.n = wrapping_n, .x = 4, .p = 0.5, .seed = 1};
+    ParallelOptions opt;
+    opt.engine = std::string(engine->name());
+    opt.ranks = 1;
+    try {
+      (void)generate(cfg, opt);
+      ADD_FAILURE() << "expected CheckError: engine=" << engine->name();
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("n * x overflows"), std::string::npos) << what;
+      EXPECT_NE(what.find("n = 4611686018427387906"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("x = 4"), std::string::npos) << what;
+    }
+  }
+  const PaConfig cfg{.n = (NodeId{1} << 63) + 1, .x = 1, .p = 0.5, .seed = 1};
+  ParallelOptions opt;
+  opt.engine = "mps";
+  opt.ranks = 2;
+  try {
+    (void)generate(cfg, opt);
+    ADD_FAILURE() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'mps' supports n <= 9223372036854775808"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("n = 9223372036854775809"), std::string::npos)
+        << what;
+  }
+}
+
 // A zero node_batch or buffer_capacity is rejected for every engine, named,
 // before dispatch: mps divides by node_batch once per owned node.
 TEST(EngineCapabilities, GenerateRejectsZeroBatchAndBufferSizes) {

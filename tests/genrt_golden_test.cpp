@@ -104,6 +104,12 @@ const GoldenCase kGolden[] = {
      0, 0x07e805c7ce6b4f48ULL},
     {3000, 4, 0.5, 17, 4, kLcp, "seed=4,crash=0@150", true,
      0, 0x07e805c7ce6b4f48ULL},
+    // --- heavy retry: x = 8 at p = 0.1 draws ~2,800 duplicate retries at
+    // P = 1 (~400 per rank at P = 7), so the rank's table of retried slots
+    // grows many times past its first capacity, and at P = 7 waiter queues
+    // reach depth 9-13 ---
+    {3000, 8, 0.1, 17, 1, kRrp, "", false, 0, 0x1835fca60e89f0ffULL},
+    {3000, 8, 0.1, 17, 7, kRrp, "", false, 0, 0x1835fca60e89f0ffULL},
 };
 // clang-format on
 

@@ -161,6 +161,19 @@ TEST(SpecValidate, AcceptsAndRejects) {
   s = small_spec();
   s.sink = Sink::kCompressedStore;
   EXPECT_NE(validate(s), "") << "store sink without a directory";
+  for (const char* engine : {"mps", "commfree"}) {
+    s = small_spec();
+    s.engine = engine;
+    s.config.n = (NodeId{1} << 62) + 2;
+    s.config.x = 4;
+    EXPECT_NE(validate(s).find("n * x overflows"), std::string::npos)
+        << engine << ": " << validate(s);
+  }
+  s = small_spec();
+  s.engine = "mps";
+  s.config.n = (NodeId{1} << 63) + 1;
+  s.config.x = 1;
+  EXPECT_NE(validate(s), "") << "n past the mps F word";
 }
 
 /// The core::generate request a spec stands for, spelled out field by
